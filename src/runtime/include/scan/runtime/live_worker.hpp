@@ -1,7 +1,7 @@
 #pragma once
 
-// A live worker VM stand-in: the runtime analogue of the simulator's
-// WorkerBook. Where the simulator merely schedules a completion event, a
+// A live worker VM stand-in: the physical side of one of the engine's
+// worker books. Where the simulator merely schedules a completion event, a
 // LiveWorker physically executes the stage task as `threads` parallel
 // slices on the runtime's shared execution pool — modeling the paper's
 // multithreaded stage execution (T_i(t, d)) with real concurrency — and
@@ -28,10 +28,10 @@ struct StageTask {
   /// Parallel slices to execute (= the worker's thread configuration).
   int slices = 1;
   /// Real seconds each slice sleeps before starting (boot/reconfiguration
-  /// delay under WallClock; 0 under VirtualClock).
+  /// delay under the wall clock; 0 under the virtual clock).
   double pre_delay_seconds = 0.0;
   /// Real seconds of CPU each slice burns (the task's modeled duration
-  /// mapped to wall time; 0 = token burn under VirtualClock).
+  /// mapped to wall time; 0 = token burn under the virtual clock).
   double burn_seconds = 0.0;
   /// Modeled start instant and duration (TU) — carried along so executor
   /// threads can stamp their kStageSlice trace spans with simulation time
@@ -66,7 +66,7 @@ class LiveWorker {
   void Configure(int threads) { threads_ = threads; }
 
   /// Launches the task's slices on the pool. The coordinator guarantees
-  /// one task at a time per worker (WorkerBook::busy).
+  /// one task at a time per worker (the engine's worker book).
   void Execute(const StageTask& task);
 
  private:

@@ -1,59 +1,49 @@
 #pragma once
 
-// The live SCAN platform: an event-driven runtime that executes the
-// paper's Scheduler loop against real OS threads instead of simulated
-// workers.
+// The live SCAN platform: the paper's scheduler executing against real OS
+// threads instead of simulated workers.
 //
 // Architecture (one coordinator, many executors):
-//  - The coordinator thread owns every scheduling decision and all
-//    bookkeeping: per-stage FIFO queues, worker books, the cloud ledger,
-//    the shared SchedulingPolicy (the same decision core the simulator
-//    uses), and a control-event calendar with the simulator's (time,
-//    sequence) FIFO tie-breaking.
+//  - The coordinator thread runs the mechanics core (scan/core/engine.hpp)
+//    — the same per-stage queues, worker books, fault recovery and shared
+//    SchedulingPolicy the simulator runs — on its sim::Simulator calendar
+//    (ladder queue, inline events, (time, sequence) FIFO tie-breaking).
+//    RuntimePlatform is the engine's live host.
 //  - Each hired worker VM is represented by a LiveWorker that physically
 //    executes its stage task as `threads` parallel slices on a shared
 //    execution ThreadPool and reports completion over a bounded MPSC
 //    CompletionQueue.
-//  - Under VirtualClock the coordinator replays the modeled timeline:
-//    each assignment's completion instant is known at dispatch, and the
-//    corresponding calendar event *gates on the physical completion
-//    message* before the books are updated. Decisions therefore happen in
-//    exactly the simulator's event order — with pinned seeds a run
-//    produces the identical schedule, which scan_testkit's parity oracle
-//    cross-validates bit for bit.
-//  - Under WallClock the runtime is a real concurrent system: stage tasks
-//    burn CPU for their modeled duration (mapped onto wall seconds), and
-//    completions are handled in physical arrival order. Runs are not
-//    deterministic; this mode measures dispatch latency/throughput and
-//    gives ThreadSanitizer real interleavings.
+//  - Under the virtual clock the calendar's clock is the run's clock: each
+//    assignment's terminal event sits at its modeled instant and *gates on
+//    the physical completion message* (the worker's ticket) before the
+//    books are updated. Decisions therefore happen in exactly the
+//    simulator's event order — with pinned seeds a run produces the
+//    identical schedule, which scan_testkit's parity oracle checks bit
+//    for bit.
+//  - Under the wall clock the runtime is a real concurrent system: stage
+//    tasks burn CPU for their modeled duration (mapped onto wall seconds),
+//    the calendar fires events as their instants pass on the wall clock,
+//    and completions are put on the calendar at their physical arrival.
+//    Runs are not deterministic; this mode measures dispatch latency and
+//    throughput and gives ThreadSanitizer real interleavings.
 
-#include <chrono>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
-#include "scan/cloud/cloud_manager.hpp"
-#include "scan/common/rng.hpp"
 #include "scan/common/stats.hpp"
 #include "scan/concurrency/thread_pool.hpp"
 #include "scan/core/config.hpp"
-#include "scan/core/policy.hpp"
+#include "scan/core/engine.hpp"
 #include "scan/core/scheduler.hpp"
 #include "scan/gatk/pipeline_model.hpp"
-#include "scan/obs/audit.hpp"
 #include "scan/obs/metrics.hpp"
 #include "scan/runtime/clock.hpp"
 #include "scan/runtime/completion_queue.hpp"
 #include "scan/runtime/ingest.hpp"
 #include "scan/runtime/live_worker.hpp"
-#include "scan/workload/arrivals.hpp"
 #include "scan/workload/trace.hpp"
 
 namespace scan::runtime {
@@ -104,8 +94,14 @@ struct RuntimeReport {
   }
 };
 
+/// The engine options a live run implies: everything but the host's own
+/// knobs (clock, pool, ingest). The runtime has no trace or inspection
+/// hooks; the parity oracle runs the simulator with exactly these.
+[[nodiscard]] core::SchedulerOptions EngineOptions(
+    const RuntimeOptions& options);
+
 /// One live SCAN deployment. Construct, then Serve() exactly once.
-class RuntimePlatform {
+class RuntimePlatform : private core::EngineHost {
  public:
   RuntimePlatform(const core::SimulationConfig& config,
                   gatk::PipelineModel model, std::uint64_t seed,
@@ -117,236 +113,62 @@ class RuntimePlatform {
 
   /// Runs the platform for config.duration (modeled TU) and returns the
   /// report. Cloud cost is settled exactly at the horizon, as in the
-  /// simulator.
+  /// simulator. An exception from the run (e.g. a broken IngestSource
+  /// contract) propagates after every in-flight task has reported back.
   [[nodiscard]] RuntimeReport Serve();
 
   /// The plan the shared policy produces right now (exposed for tests).
   [[nodiscard]] core::ThreadPlan PlanFor(DataSize size) const {
-    return policy_.PlanFor(size);
+    return engine_.PlanFor(size);
   }
 
  private:
-  // --- mirrored Scheduler bookkeeping (see scheduler.cpp) ---
-  /// One stage of one job (mirrors core::Scheduler::StageTask).
-  struct StageTaskState {
-    SimTime enqueued_at{0.0};
-    std::size_t remaining_deps = 0;
-    bool completed = false;
-    double stage_done = 0.0;
-    std::uint64_t epoch = 0;
-    int active = 0;
-    bool in_backoff = false;
-    bool speculated = false;
-    /// Causal parent span recorded at enqueue time (pure trace
-    /// bookkeeping, never feeds a decision).
-    std::uint64_t enqueue_parent_span = 0;
-  };
-
-  struct JobState {
-    std::uint64_t id = 0;
-    DataSize size{0.0};
-    SimTime arrival{0.0};
-    core::ThreadPlan plan;
-    int retries = 0;
-    std::size_t stages_remaining = 0;
-    std::vector<StageTaskState> tasks;
-  };
-
-  struct WorkerBook {
-    cloud::WorkerId id{};
-    cloud::Tier tier = cloud::Tier::kPrivate;  ///< fixed at hire
-    int cores = 0;
-    int threads = 0;
-    bool busy = false;
-    std::uint64_t current_job = 0;
-    std::size_t current_stage = 0;
-    SimTime busy_until{0.0};
-    SimTime idle_since{0.0};
-    SimTime busy_accumulated{0.0};
-    std::uint64_t idle_epoch = 0;
-    std::uint64_t assignment_epoch = 0;
-    std::uint64_t assignment_seq = 0;
-  };
-
-  // --- control-event calendar (coordinator-private; the simulator's
-  //     (when, seq) FIFO tie-break, so virtual runs order decisions
-  //     identically to sim::Simulator) ---
-  struct ControlEvent {
-    SimTime when{0.0};
-    std::uint64_t seq = 0;
-    std::function<void()> fn;
-  };
-  struct EventOrder {
-    bool operator()(const ControlEvent& a, const ControlEvent& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  struct PeriodicTask {
-    SimTime period{0.0};
-    std::function<void()> fn;
-  };
-
-  /// In-flight physical task, keyed by ticket. `orphaned` marks a task
-  /// whose worker was crashed by failure injection: its eventual
-  /// completion message is drained and discarded.
-  struct TicketState {
-    std::uint64_t job_id = 0;
-    std::size_t stage = 0;
-    std::uint64_t worker_key = 0;
+  /// A dispatched assignment whose completion message is still owed.
+  /// `orphaned` marks one whose worker crashed or flapped (wall clock):
+  /// its eventual message is drained and discarded.
+  struct InFlight {
+    core::Assignment assignment;
     bool orphaned = false;
-    /// Task epoch the assignment started under (stale-result detection).
-    std::uint64_t epoch = 0;
-    /// Straggle overrun beyond the planned end (0 normally), passed to
-    /// OnTaskComplete by the wall-clock completion path.
-    SimTime extra{0.0};
-    /// Assignment start and planned execution length (checkpoint
-    /// accounting on the wall-clock failure/flap paths).
-    SimTime start{0.0};
-    SimTime planned_exec{0.0};
-    /// The exec attempt span (trace bookkeeping for kTicketDelivery).
-    std::uint64_t span = 0;
   };
 
-  [[nodiscard]] SimTime Now() const { return clock_->Now(); }
+  // --- core::EngineHost ---
+  void OnHire(std::uint64_t worker_key, int threads) override;
+  void OnReconfigure(std::uint64_t worker_key, int threads) override;
+  void OnRelease(std::uint64_t worker_key) override;
+  void Execute(const core::Assignment& assignment) override;
+  [[nodiscard]] bool DeliversCompletions() const override {
+    return wall_.has_value();
+  }
+  [[nodiscard]] bool Claim(std::uint64_t ticket) override;
+  void OnDispatchRound(double micros) override;
 
-  void ScheduleAt(SimTime when, std::function<void()> fn);
-  void SchedulePeriodic(SimTime period, std::function<void()> fn);
-  [[nodiscard]] std::function<void()> MakePeriodicFire(
-      std::shared_ptr<PeriodicTask> task);
-  [[nodiscard]] ControlEvent PopCalendar();
-
-  void RunVirtual();
+  /// Wall clock: fires calendar events as their instants pass and puts
+  /// each completion message on the calendar at its arrival instant.
   void RunWall();
-
+  /// Schedules the completion of `ticket`, which arrived at `arrived`.
+  void DeliverCompletion(std::uint64_t ticket, SimTime arrived);
   /// Blocks until the worker message for `ticket` has been consumed,
-  /// draining (and stashing) other tickets that arrive first. VirtualClock
-  /// only: this is the gate that makes real threads replay the modeled
-  /// timeline.
+  /// draining (and stashing) other tickets that arrive first. Virtual
+  /// clock only: this is the gate that makes real threads replay the
+  /// modeled timeline.
   void WaitForTicket(std::uint64_t ticket);
-  void HandleWallCompletion(const TaskCompletion& completion);
-  void WallFailureDue(std::uint64_t ticket);
-  void WallFlapDue(std::uint64_t ticket);
   /// Consumes every message still owed by dispatched tasks (end of run).
   void DrainInFlight();
 
-  // --- mirrored Scheduler mechanics ---
-  /// Key into speculative_queued_: one (job, stage) task. Stage fits 8
-  /// bits (PipelineModel::kMaxStages).
-  [[nodiscard]] static std::uint64_t TaskKey(std::uint64_t job_id,
-                                             std::size_t stage) {
-    return (job_id << 8) | static_cast<std::uint64_t>(stage);
-  }
-  void OnBatchArrival(const workload::ArrivalBatch& batch);
-  /// The per-job admission body of OnBatchArrival, without the trailing
-  /// dispatch round (outcome-released jobs are admitted mid-event).
-  void AdmitJobs(const std::vector<workload::Job>& jobs);
-  /// Streaming arrivals: pulls the next batch (generator, trace, or
-  /// ingest source) and schedules its arrival event — one batch in the
-  /// calendar at a time, so long-serving runs hold O(1) arrival state.
-  void PumpArrivals();
-  /// Reports a retired job to the ingest source and admits whatever the
-  /// source releases into the freed capacity. No-op without a source.
-  void NotifyOutcome(std::uint64_t job_id, bool completed, SimTime now,
-                     SimTime latency, DataSize size, double reward);
-  void EnqueueTask(std::uint64_t job_id, std::size_t stage,
-                   std::uint64_t parent_span);
-  void TryDispatchAll();
-  bool TryDispatchHead(std::size_t stage);
-  void AssignTask(std::uint64_t job_id, std::size_t stage,
-                  WorkerBook& worker, SimTime start_time);
-  void OnTaskComplete(std::uint64_t job_id, std::size_t stage,
-                      std::uint64_t worker_key, std::uint64_t epoch,
-                      SimTime extra);
-  void OnWorkerFailure(std::uint64_t job_id, std::size_t stage,
-                       std::uint64_t worker_key, std::uint64_t epoch,
-                       SimTime start_time, SimTime planned_exec);
-  void OnWorkerFlap(std::uint64_t job_id, std::size_t stage,
-                    std::uint64_t worker_key, std::uint64_t epoch,
-                    SimTime start_time, SimTime planned_exec);
-  void HandleTaskLoss(JobState& job, std::size_t stage, SimTime served,
-                      SimTime planned_exec);
-  /// Drops the job from every queue and the job table (retry budget
-  /// exhausted). A DAG job may hold ready entries on parallel branches.
-  void AbandonJob(std::uint64_t job_id);
-  void OnSpeculationCheck(std::uint64_t job_id, std::size_t stage,
-                          std::uint64_t epoch, std::uint64_t worker_key,
-                          std::uint64_t assignment_seq);
-  void ScheduleIdleRelease(std::uint64_t worker_key);
-  void RecordWorkerUtilization(const WorkerBook& worker, SimTime now);
-  /// The candidate-index view of one worker (key derives from its id).
-  [[nodiscard]] static core::WorkerIndex::IdleEntry IdleEntryFor(
-      const WorkerBook& worker);
-  /// Oracle check (SCAN_TESTKIT_VERIFY_CANDIDATES); mirrors
-  /// Scheduler::VerifyCandidateIndex.
-  void VerifyCandidateIndex() const;
-  bool TryFreePrivateCapacity(int needed_cores);
-  void BanditEpoch();
-  void SampleTimeline();
-  [[nodiscard]] bool PredictiveShouldHire(std::size_t stage, int threads,
-                                          DataSize head_size,
-                                          core::HireEvaluation* eval = nullptr);
-  /// scan_obs decision-audit hooks (mirroring Scheduler::AuditHire /
-  /// AuditPlan; no-ops unless audit or tracing is enabled).
-  void AuditHire(obs::HireChoice choice, std::size_t stage,
-                 const JobState& job, int threads, std::size_t queue_length,
-                 const core::HireEvaluation* eval);
-  void AuditPlan(std::uint64_t job_id, DataSize size,
-                 const core::ThreadPlan& plan);
-  [[nodiscard]] std::optional<SimTime> NextWorkerFreeTime() const;
-  [[nodiscard]] std::vector<core::QueuedJobSnapshot> SnapshotQueue(
-      std::size_t stage) const;
-
-  core::SimulationConfig config_;
   RuntimeOptions options_;
-  core::SchedulingPolicy policy_;  ///< shared decision core (also in sim)
-  cloud::CloudManager cloud_;
-  workload::ArrivalGenerator arrivals_;
-  /// Trace replay batches + cursor (options_.trace only; the trace is
-  /// already materialized, so streaming it costs nothing extra).
-  std::vector<workload::ArrivalBatch> trace_batches_;
-  std::size_t next_trace_batch_ = 0;
-
-  std::vector<std::deque<std::uint64_t>> queues_;  ///< job ids per stage
-  std::unordered_map<std::uint64_t, JobState> jobs_;
-  std::unordered_map<std::uint64_t, WorkerBook> workers_;
-  /// Incremental candidate index over workers_ (shared with the
-  /// simulator's Scheduler; see scan/core/worker_index.hpp).
-  core::WorkerIndex index_;
-
-  fault::FaultInjector injector_;  ///< owns the "worker-failures" RNG
-  fault::RetryPolicy retry_;
-  fault::WorkerHealthTracker health_;
-  /// TaskKeys whose queue entry is a speculative straggler copy (at most
-  /// one per task).
-  std::unordered_set<std::uint64_t> speculative_queued_;
-  std::uint64_t next_assignment_seq_ = 1;
-  core::RunMetrics metrics_;
-  /// scan_obs instruments (updates gated on obs::MetricsEnabled()).
-  obs::PlatformMetrics pmetrics_ = obs::PlatformMetrics::Resolve();
-  obs::Histogram* dispatch_micros_hist_ = nullptr;  ///< resolved in ctor
-  bool ran_ = false;
-  /// Cached SCAN_TESTKIT_VERIFY_CANDIDATES (same oracle as the Scheduler).
-  bool verify_candidates_ = false;
-
-  // --- calendar ---
-  std::priority_queue<ControlEvent, std::vector<ControlEvent>, EventOrder>
-      calendar_;
-  std::uint64_t next_seq_ = 1;
-
-  // --- physical execution ---
-  std::unique_ptr<Clock> clock_;
-  VirtualClock* vclock_ = nullptr;  ///< set iff options_.clock == kVirtual
-  WallClock* wclock_ = nullptr;     ///< set iff options_.clock == kWall
+  core::Engine engine_;
   SpinKernel kernel_;
+  /// Set for the run's duration under ClockMode::kWall.
+  std::optional<WallClock> wall_;
   CompletionQueue completions_;
-  std::unordered_map<std::uint64_t, TicketState> in_flight_;
+  std::unordered_map<std::uint64_t, InFlight> in_flight_;
   std::unordered_set<std::uint64_t> reaped_;  ///< popped ahead of their gate
-  std::uint64_t next_ticket_ = 1;
   std::size_t unconsumed_ = 0;  ///< tickets dispatched, message not popped
+  bool ran_ = false;
 
   // --- runtime-only measurements ---
   RunningStats dispatch_micros_;
+  obs::Histogram* dispatch_micros_hist_ = nullptr;  ///< resolved in ctor
   std::uint64_t stage_tasks_dispatched_ = 0;
   std::size_t peak_pool_queue_depth_ = 0;
 

@@ -14,7 +14,7 @@ namespace scan::runtime {
 
 namespace {
 
-/// Token work per slice under VirtualClock — enough to force real pool
+/// Token work per slice under the virtual clock — enough to force real pool
 /// scheduling and memory traffic, small enough not to dominate the run.
 constexpr std::uint64_t kTokenIterations = 256;
 

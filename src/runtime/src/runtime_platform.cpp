@@ -1,36 +1,35 @@
 #include "scan/runtime/runtime_platform.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <cstdlib>
+#include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "scan/common/log.hpp"
 #include "scan/obs/span.hpp"
 #include "scan/obs/trace.hpp"
 
 namespace scan::runtime {
 
+core::SchedulerOptions EngineOptions(const RuntimeOptions& options) {
+  core::SchedulerOptions engine;
+  engine.forced_plan = options.forced_plan;
+  engine.allocation_price_hint = options.allocation_price_hint;
+  engine.timeline_sample_period = options.timeline_sample_period;
+  engine.trace = options.trace;
+  engine.record_schedule = options.record_schedule;
+  return engine;
+}
+
 RuntimePlatform::RuntimePlatform(const core::SimulationConfig& config,
                                  gatk::PipelineModel model,
                                  std::uint64_t seed, RuntimeOptions options)
-    : config_(config),
-      options_(std::move(options)),
-      policy_(config, model, options_.forced_plan,
-              options_.allocation_price_hint, seed),
-      cloud_(config.MakeCloudConfig()),
-      arrivals_(config.MakeArrivalParams(), seed),
-      queues_(policy_.model().stage_count()),
-      injector_(seed, config.worker_failure_rate, config.fault),
-      retry_(config.fault),
-      health_(config.fault.breaker_threshold, config.fault.breaker_cooldown),
+    : options_(std::move(options)),
+      engine_(config, std::move(model), seed, EngineOptions(options_), this,
+              options_.ingest),
       kernel_(options_.clock == ClockMode::kWall ? SpinKernel::Calibrate()
                                                  : SpinKernel{}),
       completions_(options_.completion_capacity) {
-  metrics_.stage_queue_wait.resize(policy_.model().stage_count());
-  verify_candidates_ = std::getenv("SCAN_TESTKIT_VERIFY_CANDIDATES") != nullptr;
   dispatch_micros_hist_ = &obs::MetricsRegistry::Global().GetHistogram(
       "scan_dispatch_micros", "Coordinator time per dispatch round (us)",
       {1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0});
@@ -39,74 +38,28 @@ RuntimePlatform::RuntimePlatform(const core::SimulationConfig& config,
 
 RuntimePlatform::~RuntimePlatform() = default;
 
-void RuntimePlatform::ScheduleAt(SimTime when, std::function<void()> fn) {
-  assert(fn);
-  calendar_.push(ControlEvent{when, next_seq_++, std::move(fn)});
-}
-
-std::function<void()> RuntimePlatform::MakePeriodicFire(
-    std::shared_ptr<PeriodicTask> task) {
-  // Mirrors sim::Simulator::MakePeriodicFire: the callback runs first,
-  // then the next firing is scheduled (sequence numbers match the
-  // simulator's, which virtual-mode parity depends on).
-  return [this, task] {
-    task->fn();
-    ScheduleAt(Now() + task->period, MakePeriodicFire(task));
-  };
-}
-
-void RuntimePlatform::SchedulePeriodic(SimTime period,
-                                       std::function<void()> fn) {
-  auto task = std::make_shared<PeriodicTask>();
-  task->period = period;
-  task->fn = std::move(fn);
-  ScheduleAt(Now() + period, MakePeriodicFire(std::move(task)));
-}
-
-RuntimePlatform::ControlEvent RuntimePlatform::PopCalendar() {
-  ControlEvent ev = calendar_.top();
-  calendar_.pop();
-  return ev;
-}
-
 RuntimeReport RuntimePlatform::Serve() {
   if (ran_) throw std::logic_error("RuntimePlatform::Serve: already ran");
   ran_ = true;
 
   // The clock starts here, not at construction: wall time must be zero at
   // the first admission decision.
-  if (options_.clock == ClockMode::kVirtual) {
-    auto clock = std::make_unique<VirtualClock>();
-    vclock_ = clock.get();
-    clock_ = std::move(clock);
-  } else {
-    auto clock = std::make_unique<WallClock>(options_.wall_seconds_per_tu);
-    wclock_ = clock.get();
-    clock_ = std::move(clock);
-  }
   const auto wall_start = std::chrono::steady_clock::now();
-
-  // Admission/ingest: batches are pulled one at a time (generator, trace
-  // cursor, or a streaming IngestSource), mirroring Scheduler::Run. The
-  // synthetic generator draws from its own RNG streams, so lazy pulls
-  // reproduce exactly the schedule the old pre-generated path built —
-  // without materializing the whole horizon up front.
-  if (options_.trace && options_.ingest == nullptr) {
-    trace_batches_ = options_.trace->ToBatches();
+  if (options_.clock == ClockMode::kWall) {
+    wall_.emplace(options_.wall_seconds_per_tu);
   }
-  PumpArrivals();
-  if (config_.scaling == core::ScalingAlgorithm::kLearnedBandit) {
-    SchedulePeriodic(config_.bandit_epoch, [this] { BanditEpoch(); });
-  }
-  if (options_.timeline_sample_period > SimTime{0.0}) {
-    SchedulePeriodic(options_.timeline_sample_period,
-                     [this] { SampleTimeline(); });
-  }
-
-  if (options_.clock == ClockMode::kVirtual) {
-    RunVirtual();
-  } else {
-    RunWall();
+  try {
+    engine_.Start();
+    if (wall_) {
+      RunWall();
+    } else {
+      engine_.calendar().RunUntil(engine_.config().duration);
+    }
+  } catch (...) {
+    // Executors block on a full completion queue, so a run that throws
+    // still collects every message it is owed before the pool is joined.
+    DrainInFlight();
+    throw;
   }
 
   // Every dispatched task still owes a message (e.g. tasks orphaned by a
@@ -115,12 +68,8 @@ RuntimeReport RuntimePlatform::Serve() {
   DrainInFlight();
   exec_pool_->WaitIdle();
 
-  metrics_.duration = config_.duration;
-  metrics_.cost_report = cloud_.CostUpTo(config_.duration);
-  metrics_.total_cost = metrics_.cost_report.total.value();
-
   RuntimeReport report;
-  report.metrics = std::move(metrics_);
+  report.metrics = engine_.Finish();
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - wall_start;
   report.wall_seconds = wall.count();
@@ -133,57 +82,50 @@ RuntimeReport RuntimePlatform::Serve() {
   return report;
 }
 
-void RuntimePlatform::RunVirtual() {
-  // The simulator's RunUntil: fire events in (when, seq) order through the
-  // horizon; events beyond it stay unfired.
-  const SimTime horizon = config_.duration;
-  while (!calendar_.empty()) {
-    if (calendar_.top().when > horizon) break;
-    const ControlEvent ev = PopCalendar();
-    vclock_->AdvanceTo(ev.when);
-    SetLogSimTime(ev.when.value());
-    ev.fn();
+void RuntimePlatform::RunWall() {
+  sim::Simulator& calendar = engine_.calendar();
+  const SimTime horizon = engine_.config().duration;
+  for (;;) {
+    // Completions that already arrived join the calendar at this instant;
+    // then everything due by now fires in (time, sequence) order. The
+    // calendar's clock never runs ahead of the wall clock.
+    const SimTime now = wall_->Now();
+    while (const auto completion = completions_.TryPop()) {
+      --unconsumed_;
+      DeliverCompletion(completion->ticket, now);
+    }
+    calendar.RunUntil(std::min(now, horizon));
+    if (now >= horizon) break;
+    // Quiescent early exit: nothing in flight and no future event inside
+    // the horizon means nothing can change any more.
+    if (in_flight_.empty() && calendar.NextEventTime() > horizon) break;
+    // Sleep until the next event, the horizon, or a completion — whichever
+    // comes first.
+    const SimTime next = std::min(calendar.NextEventTime(), horizon);
+    if (const auto completion = completions_.PopUntil(wall_->DeadlineFor(next))) {
+      --unconsumed_;
+      DeliverCompletion(completion->ticket, wall_->Now());
+    }
   }
 }
 
-void RuntimePlatform::RunWall() {
-  const SimTime horizon = config_.duration;
-  for (;;) {
-    // Fire every control event whose modeled instant has passed.
-    while (!calendar_.empty() && calendar_.top().when <= horizon &&
-           calendar_.top().when <= wclock_->Now()) {
-      const ControlEvent ev = PopCalendar();
-      SetLogSimTime(wclock_->Now().value());
-      ev.fn();
+void RuntimePlatform::DeliverCompletion(std::uint64_t ticket, SimTime arrived) {
+  engine_.calendar().ScheduleAt(arrived, [this, ticket](sim::Simulator& s) {
+    const auto it = in_flight_.find(ticket);
+    if (it == in_flight_.end()) {
+      throw std::logic_error("completion message for unknown ticket " +
+                             std::to_string(ticket));
     }
-    if (wclock_->Now() >= horizon) break;
-    // Quiescent early exit: nothing in flight and no future control event
-    // inside the horizon means nothing can change any more.
-    if (in_flight_.empty() &&
-        (calendar_.empty() || calendar_.top().when > horizon)) {
-      break;
+    const InFlight task = it->second;
+    in_flight_.erase(it);
+    if (obs::TraceEnabled()) {
+      obs::TraceEmit(obs::EventKind::kTicketDelivery, s.Now().value(), 0,
+                     ticket, 0, 0.0, 0.0, task.assignment.span);
     }
-    // Handle completions that already arrived; dispatches they trigger may
-    // schedule new due events, so loop back around.
-    bool handled = false;
-    while (const auto completion = completions_.TryPop()) {
-      --unconsumed_;
-      HandleWallCompletion(*completion);
-      handled = true;
-    }
-    if (handled) continue;
-    // Sleep until the next control event, the horizon, or a completion —
-    // whichever comes first.
-    SimTime next = horizon;
-    if (!calendar_.empty() && calendar_.top().when < next) {
-      next = calendar_.top().when;
-    }
-    if (const auto completion = completions_.PopUntil(
-            wclock_->DeadlineFor(next))) {
-      --unconsumed_;
-      HandleWallCompletion(*completion);
-    }
-  }
+    if (task.orphaned) return;  // its worker crashed; the result is lost
+    const core::Assignment& a = task.assignment;
+    engine_.OnTaskComplete(a.job_id, a.stage, a.worker_key, a.epoch, a.extra);
+  });
 }
 
 void RuntimePlatform::WaitForTicket(std::uint64_t ticket) {
@@ -194,56 +136,17 @@ void RuntimePlatform::WaitForTicket(std::uint64_t ticket) {
     if (completion.ticket == ticket) {
       if (obs::TraceEnabled()) {
         const auto it = in_flight_.find(ticket);
-        const std::uint64_t span =
-            it != in_flight_.end() ? it->second.span : obs::kSpanNone;
-        obs::TraceEmit(obs::EventKind::kTicketDelivery, Now().value(), 0,
-                       ticket, 0, 0.0, 0.0, span);
+        const std::uint64_t span = it != in_flight_.end()
+                                       ? it->second.assignment.span
+                                       : obs::kSpanNone;
+        obs::TraceEmit(obs::EventKind::kTicketDelivery,
+                       engine_.calendar().Now().value(), 0, ticket, 0, 0.0,
+                       0.0, span);
       }
       return;
     }
     reaped_.insert(completion.ticket);
   }
-}
-
-void RuntimePlatform::HandleWallCompletion(const TaskCompletion& completion) {
-  SetLogSimTime(Now().value());
-  if (obs::TraceEnabled()) {
-    const auto sit = in_flight_.find(completion.ticket);
-    const std::uint64_t span =
-        sit != in_flight_.end() ? sit->second.span : obs::kSpanNone;
-    obs::TraceEmit(obs::EventKind::kTicketDelivery, Now().value(), 0,
-                   completion.ticket, 0, 0.0, 0.0, span);
-  }
-  const auto it = in_flight_.find(completion.ticket);
-  assert(it != in_flight_.end());
-  if (it == in_flight_.end()) return;
-  const TicketState state = it->second;
-  in_flight_.erase(it);
-  if (state.orphaned) return;  // its worker crashed; the result is lost
-  OnTaskComplete(state.job_id, state.stage, state.worker_key, state.epoch,
-                 state.extra);
-}
-
-void RuntimePlatform::WallFailureDue(std::uint64_t ticket) {
-  const auto it = in_flight_.find(ticket);
-  // The physical task may have beaten the modeled crash; then the failure
-  // simply does not happen (wall mode tracks physical reality).
-  if (it == in_flight_.end() || it->second.orphaned) return;
-  it->second.orphaned = true;
-  const TicketState state = it->second;
-  OnWorkerFailure(state.job_id, state.stage, state.worker_key, state.epoch,
-                  state.start, state.planned_exec);
-}
-
-void RuntimePlatform::WallFlapDue(std::uint64_t ticket) {
-  const auto it = in_flight_.find(ticket);
-  // As with crashes, a physical completion that beat the modeled flap
-  // wins; otherwise the in-flight result is orphaned and discarded.
-  if (it == in_flight_.end() || it->second.orphaned) return;
-  it->second.orphaned = true;
-  const TicketState state = it->second;
-  OnWorkerFlap(state.job_id, state.stage, state.worker_key, state.epoch,
-               state.start, state.planned_exec);
 }
 
 void RuntimePlatform::DrainInFlight() {
@@ -255,939 +158,64 @@ void RuntimePlatform::DrainInFlight() {
   in_flight_.clear();
 }
 
-// ---------------------------------------------------------------------------
-// Mirrored Scheduler mechanics. These methods intentionally track
-// scheduler.cpp line for line (substituting the control calendar for the
-// simulator): virtual-mode parity rests on both sides making identical
-// decision sequences from the shared SchedulingPolicy.
-// ---------------------------------------------------------------------------
-
-void RuntimePlatform::PumpArrivals() {
-  if (options_.ingest != nullptr) {
-    const std::optional<SimTime> next = options_.ingest->NextEventTime();
-    if (!next || *next > config_.duration) return;
-    ScheduleAt(*next, [this] {
-      const std::vector<workload::Job> jobs = options_.ingest->PullDue(Now());
-      AdmitJobs(jobs);
-      // Re-ask only after the pull: the source's next instant may depend
-      // on what was just consumed (its lookahead batch, quota epochs).
-      PumpArrivals();
-      TryDispatchAll();
-    });
-    return;
-  }
-  std::optional<workload::ArrivalBatch> batch;
-  if (options_.trace) {
-    while (next_trace_batch_ < trace_batches_.size()) {
-      workload::ArrivalBatch& candidate = trace_batches_[next_trace_batch_++];
-      if (candidate.time > config_.duration) continue;  // the old skip
-      batch = std::move(candidate);
-      break;
-    }
-  } else {
-    workload::ArrivalBatch drawn = arrivals_.NextBatch();
-    // The batch straddling the horizon is dropped exactly as
-    // GenerateUntil dropped it (same draws consumed, so the schedule is
-    // bit-identical to the pre-generated path); a batch at exactly the
-    // horizon is kept and fires (RunVirtual/RunWall fire events with
-    // when <= horizon).
-    if (drawn.time <= config_.duration) batch = std::move(drawn);
-  }
-  if (!batch) return;
-  // The next arrival is scheduled before the batch is processed, so its
-  // sequence number predates any completion event the batch triggers —
-  // the same relative order the pre-generated schedule had.
-  ScheduleAt(batch->time, [this, b = std::move(*batch)] {
-    PumpArrivals();
-    OnBatchArrival(b);
-  });
+void RuntimePlatform::OnHire(std::uint64_t worker_key, int threads) {
+  live_workers_.emplace(worker_key,
+                        std::make_unique<LiveWorker>(worker_key, threads,
+                                                     *exec_pool_, completions_,
+                                                     kernel_));
 }
 
-void RuntimePlatform::NotifyOutcome(std::uint64_t job_id, bool completed,
-                                    SimTime now, SimTime latency,
-                                    DataSize size, double reward) {
-  if (options_.ingest == nullptr) return;
-  JobOutcome outcome;
-  outcome.job_id = job_id;
-  outcome.completed = completed;
-  outcome.finished_at = now;
-  outcome.latency = latency;
-  outcome.size = size;
-  outcome.reward = reward;
-  const std::vector<workload::Job> released =
-      options_.ingest->OnJobOutcome(outcome);
-  // Released jobs are admitted mid-event; the caller's trailing
-  // TryDispatchAll places them in the same dispatch round that freed the
-  // capacity.
-  if (!released.empty()) AdmitJobs(released);
+void RuntimePlatform::OnReconfigure(std::uint64_t worker_key, int threads) {
+  live_workers_.at(worker_key)->Configure(threads);
 }
 
-void RuntimePlatform::OnBatchArrival(const workload::ArrivalBatch& batch) {
-  AdmitJobs(batch.jobs);
-  TryDispatchAll();
+void RuntimePlatform::OnRelease(std::uint64_t worker_key) {
+  // Safe with slices still running: they share their slice group, not the
+  // worker (see live_worker.hpp).
+  live_workers_.erase(worker_key);
 }
 
-void RuntimePlatform::AdmitJobs(const std::vector<workload::Job>& jobs) {
-  for (const workload::Job& job : jobs) {
-    ++metrics_.jobs_arrived;
-    if (obs::MetricsEnabled()) pmetrics_.jobs_arrived->Increment();
-    if (obs::TraceEnabled()) {
-      obs::TraceEmit(obs::EventKind::kJobArrival, Now().value(), 0, job.id, 0,
-                     job.size.value(), 0.0, obs::JobSpan(job.id));
-    }
-    const gatk::PipelineModel& model = policy_.model();
-    JobState state;
-    state.id = job.id;
-    state.size = job.size;
-    state.arrival = job.arrival;
-    state.plan = policy_.PlanFor(job.size);
-    state.stages_remaining = model.stage_count();
-    state.tasks.resize(model.stage_count());
-    for (std::size_t stage = 0; stage < model.stage_count(); ++stage) {
-      state.tasks[stage].remaining_deps = model.deps(stage).size();
-    }
-    if (obs::AuditEnabled()) AuditPlan(job.id, job.size, state.plan);
-    jobs_.emplace(job.id, std::move(state));
-    // Every zero-in-degree stage is ready on arrival (stage 0 alone for
-    // the linear chain; all of them for a bag of tasks).
-    for (std::size_t stage = 0; stage < model.stage_count(); ++stage) {
-      if (model.deps(stage).empty()) {
-        EnqueueTask(job.id, stage, obs::JobSpan(job.id));
-      }
-    }
-  }
-  TryDispatchAll();
+void RuntimePlatform::Execute(const core::Assignment& assignment) {
+  // Under the virtual clock the slices do token work; under the wall
+  // clock they burn the (straggle-extended) duration in real CPU, and the
+  // boot delay becomes a real sleep.
+  in_flight_.emplace(assignment.ticket, InFlight{assignment});
+  ++unconsumed_;
+  ++stage_tasks_dispatched_;
+  const double seconds_per_tu = wall_ ? wall_->seconds_per_tu() : 0.0;
+  const SimTime actual_exec = assignment.actual_end - assignment.start;
+  StageTask task;
+  task.ticket = assignment.ticket;
+  task.slices = assignment.threads;
+  task.parent_span = assignment.span;
+  task.pre_delay_seconds =
+      (assignment.start - engine_.calendar().Now()).value() * seconds_per_tu;
+  task.burn_seconds = actual_exec.value() * seconds_per_tu;
+  task.sim_start_tu = assignment.start.value();
+  task.sim_exec_tu = actual_exec.value();
+  live_workers_.at(assignment.worker_key)->Execute(task);
+  peak_pool_queue_depth_ =
+      std::max(peak_pool_queue_depth_, exec_pool_->queue_depth());
 }
 
-void RuntimePlatform::AuditPlan(std::uint64_t job_id, DataSize size,
-                                const core::ThreadPlan& plan) {
-  obs::PlanDecisionRecord rec;
-  rec.time_tu = Now().value();
-  rec.job_id = job_id;
-  rec.size_du = size.value();
-  rec.allocation = core::AllocationAlgorithmName(config_.allocation);
-  rec.plan = plan;
-  rec.price_hint = policy_.price_hint();
-  double exec = 0.0;
-  for (std::size_t stage = 0; stage < plan.size(); ++stage) {
-    exec += policy_.model().ThreadedTime(stage, plan[stage], size).value();
+bool RuntimePlatform::Claim(std::uint64_t ticket) {
+  if (!wall_) {
+    WaitForTicket(ticket);
+    in_flight_.erase(ticket);
+    return true;
   }
-  rec.predicted_exec_tu = exec;
-  rec.predicted_reward = policy_.reward()(size, SimTime{exec}).value();
-  obs::DecisionAudit::Global().RecordPlan(std::move(rec));
-}
-
-void RuntimePlatform::AuditHire(obs::HireChoice choice, std::size_t stage,
-                                const JobState& job, int threads,
-                                std::size_t queue_length,
-                                const core::HireEvaluation* eval) {
-  const bool audit = obs::AuditEnabled();
-  const bool trace = obs::TraceEnabled();
-  if (!audit && !trace) return;
-  const double now = Now().value();
-  if (trace) {
-    const double margin = (eval != nullptr && !std::isnan(eval->delay_cost))
-                              ? eval->delay_cost - eval->hire_cost
-                              : 0.0;
-    obs::TraceEmit(obs::EventKind::kDecision, now,
-                   static_cast<std::uint64_t>(choice), job.id, stage, margin,
-                   0.0, obs::StageSpan(job.id, stage, job.tasks[stage].epoch),
-                   obs::JobSpan(job.id));
-  }
-  if (!audit) return;
-  obs::HireDecisionRecord rec;
-  rec.time_tu = now;
-  rec.job_id = job.id;
-  rec.stage = stage;
-  rec.threads = threads;
-  rec.choice = choice;
-  rec.scaling = core::ScalingAlgorithmName(policy_.EffectiveScaling());
-  rec.queue_length = queue_length;
-  rec.head_size_du = job.size.value();
-  if (eval != nullptr) {
-    rec.delay_cost = eval->delay_cost;
-    rec.hire_cost = eval->hire_cost;
-    rec.next_free_delay_tu = eval->next_free_delay_tu;
-    rec.rework_factor = eval->rework_factor;
-  }
-  rec.boot_penalty_tu = cloud_.config().boot_penalty.value();
-  rec.public_core_price = config_.public_cost_per_core_tu;
-  obs::DecisionAudit::Global().RecordHire(rec);
-}
-
-void RuntimePlatform::EnqueueTask(std::uint64_t job_id, std::size_t stage,
-                                  std::uint64_t parent_span) {
-  JobState& job = jobs_.at(job_id);
-  StageTaskState& task = job.tasks[stage];
-  task.enqueued_at = Now();
-  task.enqueue_parent_span = parent_span;
-  queues_[stage].push_back(job_id);
-  if (obs::TraceEnabled()) {
-    // A speculative copy (flagged by the caller before this enqueue) gets
-    // the copy-bit attempt span so the duplicate is its own graph node.
-    const bool copy = speculative_queued_.count(TaskKey(job_id, stage)) > 0;
-    obs::TraceEmit(obs::EventKind::kQueueEnqueue, task.enqueued_at.value(), 0,
-                   job_id, stage, 0.0, 0.0,
-                   obs::StageSpan(job_id, stage, task.epoch, copy),
-                   parent_span);
-  }
-  if (obs::MetricsEnabled()) pmetrics_.queued_jobs->Add(1.0);
-}
-
-void RuntimePlatform::TryDispatchAll() {
-  const auto dispatch_start = std::chrono::steady_clock::now();
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t stage = queues_.size(); stage-- > 0;) {
-      while (!queues_[stage].empty() && TryDispatchHead(stage)) {
-        progress = true;
-        if (verify_candidates_) VerifyCandidateIndex();
-      }
-    }
-  }
-  if (verify_candidates_) VerifyCandidateIndex();
-  const std::chrono::duration<double, std::micro> elapsed =
-      std::chrono::steady_clock::now() - dispatch_start;
-  dispatch_micros_.Add(elapsed.count());
-  if (obs::MetricsEnabled()) {
-    dispatch_micros_hist_->Observe(elapsed.count());
-    pmetrics_.decision_latency_slo->Observe(elapsed.count());
-  }
-}
-
-core::WorkerIndex::IdleEntry RuntimePlatform::IdleEntryFor(
-    const WorkerBook& worker) {
-  return {static_cast<std::uint64_t>(worker.id), worker.threads, worker.cores,
-          worker.tier == cloud::Tier::kPrivate};
-}
-
-void RuntimePlatform::VerifyCandidateIndex() const {
-  std::vector<core::WorkerIndex::IdleEntry> expected;
-  std::optional<SimTime> scan_min;
-  for (const auto& [key, worker] : workers_) {
-    if (worker.busy) {
-      if (!scan_min || worker.busy_until < *scan_min) {
-        scan_min = worker.busy_until;
-      }
-    } else {
-      expected.push_back(IdleEntryFor(worker));
-      (void)key;
-    }
-  }
-  std::vector<std::string> issues = index_.AuditIdle(expected);
-  const std::optional<SimTime> index_min = NextWorkerFreeTime();
-  if (scan_min.has_value() != index_min.has_value() ||
-      (scan_min && scan_min->value() != index_min->value())) {
-    issues.push_back("busy: incremental min busy_until != rescan min");
-  }
-  if (!issues.empty()) {
-    std::string message =
-        "runtime candidate index diverged from rescan oracle:";
-    for (const std::string& issue : issues) message += "\n  " + issue;
-    throw std::logic_error(message);
-  }
-}
-
-bool RuntimePlatform::TryDispatchHead(std::size_t stage) {
-  const std::uint64_t job_id = queues_[stage].front();
-  JobState& job = jobs_.at(job_id);
-  const int threads = job.plan[stage];
-  const SimTime now = Now();
-  const std::size_t queue_len = queues_[stage].size();
-
-  // 1. An idle worker already configured with the required thread count.
-  //    Mirrors the simulator: breaker-open workers are skipped; if every
-  //    exact candidate is blocked, fall through to the other steps.
-  {
-    const std::uint64_t key = index_.BestExactIdle(
-        threads,
-        [&](std::uint64_t candidate) { return health_.Allows(candidate, now); });
-    if (key != 0) {
-      WorkerBook& worker = workers_.at(key);
-      index_.RemoveIdle(IdleEntryFor(worker));
-      AuditHire(obs::HireChoice::kReuseIdle, stage, job, threads, queue_len,
-                nullptr);
-      queues_[stage].pop_front();
-      AssignTask(job_id, stage, worker, now);
-      return true;
-    }
-  }
-
-  // 2. Hire exact-size on the private tier, compacting fragmentation.
-  const std::size_t private_free =
-      cloud_.AvailableCores(cloud::Tier::kPrivate);
-  const bool private_fits =
-      (private_free != cloud::TierConfig::kUnlimited &&
-       private_free >= static_cast<std::size_t>(threads)) ||
-      TryFreePrivateCapacity(threads);
-
-  // 3. Otherwise reconfigure an idle worker with enough cores.
-  if (!private_fits) {
-    const std::uint64_t best_key = index_.BestReconfigurable(
-        threads,
-        [&](std::uint64_t candidate) { return health_.Allows(candidate, now); });
-    if (best_key != 0) {
-      WorkerBook& worker = workers_.at(best_key);
-      index_.RemoveIdle(IdleEntryFor(worker));
-      const auto delay = cloud_.Configure(worker.id, threads, now);
-      assert(delay.ok());
-      worker.threads = threads;
-      live_workers_.at(best_key)->Configure(threads);
-      ++metrics_.reconfigurations;
-      if (obs::MetricsEnabled()) pmetrics_.reconfigurations->Increment();
-      AuditHire(obs::HireChoice::kReconfigure, stage, job, threads, queue_len,
-                nullptr);
-      queues_[stage].pop_front();
-      AssignTask(job_id, stage, worker, now + delay.value());
-      return true;
-    }
-  }
-
-  // 4. Hire: private when it fits, public subject to the scaling policy.
-  cloud::Tier tier;
-  core::HireEvaluation eval;
-  const core::HireEvaluation* eval_ptr = nullptr;
-  if (private_fits) {
-    tier = cloud::Tier::kPrivate;
-    ++metrics_.private_hires;
-    if (obs::MetricsEnabled()) pmetrics_.private_hires->Increment();
-  } else {
-    switch (policy_.EffectiveScaling()) {
-      case core::ScalingAlgorithm::kNeverScale:
-        AuditHire(obs::HireChoice::kWait, stage, job, threads, queue_len,
-                  nullptr);
-        return false;
-      case core::ScalingAlgorithm::kAlwaysScale:
-        tier = cloud::Tier::kPublic;
-        ++metrics_.public_hires;
-        if (obs::MetricsEnabled()) pmetrics_.public_hires->Increment();
-        break;
-      case core::ScalingAlgorithm::kPredictive:
-        if (!PredictiveShouldHire(stage, threads, job.size, &eval)) {
-          AuditHire(obs::HireChoice::kWait, stage, job, threads, queue_len,
-                    &eval);
-          return false;
-        }
-        eval_ptr = &eval;
-        tier = cloud::Tier::kPublic;
-        ++metrics_.public_hires;
-        if (obs::MetricsEnabled()) pmetrics_.public_hires->Increment();
-        break;
-      default:
-        return false;  // kLearnedBandit never reaches here
-    }
-  }
-
-  const auto hired = cloud_.Hire(tier, threads, now);
-  if (!hired.ok()) {
-    return false;
-  }
-  const auto delay = cloud_.Configure(*hired, threads, now);
-  assert(delay.ok());
-
-  WorkerBook worker;
-  worker.id = *hired;
-  worker.tier = tier;
-  worker.cores = threads;
-  worker.threads = threads;
-  const std::uint64_t key = static_cast<std::uint64_t>(*hired);
-  workers_.emplace(key, worker);
-  live_workers_.emplace(
-      key, std::make_unique<LiveWorker>(key, threads, *exec_pool_,
-                                        completions_, kernel_));
-  AuditHire(tier == cloud::Tier::kPrivate ? obs::HireChoice::kHirePrivate
-                                          : obs::HireChoice::kHirePublic,
-            stage, job, threads, queue_len, eval_ptr);
-  if (obs::TraceEnabled()) {
-    obs::TraceEmit(obs::EventKind::kWorkerHire, now.value(), key, job_id,
-                   static_cast<std::uint64_t>(tier),
-                   static_cast<double>(threads), 0.0,
-                   obs::StageSpan(job_id, stage, job.tasks[stage].epoch),
-                   obs::JobSpan(job_id));
-  }
-  queues_[stage].pop_front();
-  AssignTask(job_id, stage, workers_.at(key), now + delay.value());
+  // A wall-clock crash or flap timer. The physical task may have beaten
+  // the modeled fault; then the fault simply does not happen (wall mode
+  // tracks physical reality). Otherwise its result is orphaned.
+  const auto it = in_flight_.find(ticket);
+  if (it == in_flight_.end() || it->second.orphaned) return false;
+  it->second.orphaned = true;
   return true;
 }
 
-void RuntimePlatform::AssignTask(std::uint64_t job_id, std::size_t stage,
-                                 WorkerBook& worker, SimTime start_time) {
-  JobState& job = jobs_.at(job_id);
-  StageTaskState& task = job.tasks[stage];
-  const bool speculative =
-      speculative_queued_.erase(TaskKey(job_id, stage)) > 0;
-  const SimTime now = Now();
-  const SimTime wait = now - task.enqueued_at;
-  policy_.ObserveQueueWait(stage, wait);
-  metrics_.queue_wait.Add(wait.value());
-  metrics_.stage_queue_wait[stage].Add(wait.value());
-  if (obs::TraceEnabled()) {
-    obs::TraceEmit(obs::EventKind::kQueueDequeue, now.value(), 0, job_id,
-                   stage, wait.value(), 0.0,
-                   obs::StageSpan(job_id, stage, task.epoch, speculative),
-                   task.enqueue_parent_span);
-  }
-  if (obs::MetricsEnabled()) {
-    pmetrics_.queued_jobs->Add(-1.0);
-    pmetrics_.queue_wait_tu->Observe(wait.value());
-    pmetrics_.queue_wait_sketch->Observe(wait.value());
-    pmetrics_.busy_workers->Add(1.0);
-  }
-
-  const SimTime full_exec =
-      policy_.model().ThreadedTime(stage, worker.threads, job.size);
-  // Checkpoint resume (mirrors scheduler.cpp, including the bit-identical
-  // no-checkpoint branch).
-  SimTime exec = full_exec;
-  if (task.stage_done > 0.0) {
-    exec = SimTime{full_exec.value() * (1.0 - task.stage_done)};
-  }
-  const SimTime done_at = start_time + exec;
-  worker.busy = true;
-  worker.current_job = job_id;
-  worker.current_stage = stage;
-  worker.busy_until = done_at;
-  worker.busy_accumulated += exec;
-  worker.assignment_epoch = task.epoch;
-  worker.assignment_seq = next_assignment_seq_++;
-  ++task.active;
-  const std::uint64_t worker_key = static_cast<std::uint64_t>(worker.id);
-  index_.PushBusy(done_at.value(), worker_key, worker.assignment_seq);
-  if (obs::TraceEnabled()) {
-    obs::TraceEmit(obs::EventKind::kStageExec, start_time.value(), worker_key,
-                   job_id, stage, static_cast<double>(worker.threads),
-                   exec.value(),
-                   obs::StageSpan(job_id, stage, task.epoch, speculative),
-                   task.enqueue_parent_span);
-  }
-
-  // Fault injection: the same injector draws, in the same order, as the
-  // simulator makes them (stream parity). busy_until stays at done_at —
-  // the scheduler must not foresee faults.
-  const fault::FaultDecision fate = injector_.Draw(start_time, done_at);
-  if (fate.straggles()) {
-    ++metrics_.straggles_injected;
-    if (obs::TraceEnabled()) {
-      obs::TraceEmit(obs::EventKind::kStraggle, start_time.value(),
-                     worker_key, job_id, stage, fate.straggle_factor, 0.0,
-                     obs::StageSpan(job_id, stage, task.epoch, speculative),
-                     obs::JobSpan(job_id));
-    }
-    if (obs::MetricsEnabled()) pmetrics_.straggles->Increment();
-  }
-  if (options_.record_schedule) {
-    metrics_.stage_schedule.push_back({job_id, stage, worker_key,
-                                       worker.threads, now, start_time,
-                                       done_at, fate.crash_at.has_value()});
-  }
-
-  // Physical dispatch: hand the stage task to the live worker. Under
-  // VirtualClock the slices do token work; under WallClock they burn the
-  // (straggle-extended) duration in real CPU (boot delay becomes a real
-  // sleep).
-  const SimTime actual_exec = fate.actual_end - start_time;
-  const SimTime extra = fate.actual_end - done_at;
-  const std::uint64_t epoch = task.epoch;
-  const std::uint64_t exec_span =
-      obs::StageSpan(job_id, stage, epoch, speculative);
-  const std::uint64_t ticket = next_ticket_++;
-  in_flight_.emplace(
-      ticket, TicketState{job_id, stage, worker_key, false, epoch, extra,
-                          start_time, exec, exec_span});
-  ++unconsumed_;
-  ++stage_tasks_dispatched_;
-  StageTask phys_task;
-  phys_task.ticket = ticket;
-  phys_task.slices = worker.threads;
-  phys_task.parent_span = exec_span;
-  const double seconds_per_tu = clock_->seconds_per_tu();
-  phys_task.pre_delay_seconds = (start_time - now).value() * seconds_per_tu;
-  phys_task.burn_seconds = actual_exec.value() * seconds_per_tu;
-  phys_task.sim_start_tu = start_time.value();
-  phys_task.sim_exec_tu = actual_exec.value();
-  live_workers_.at(worker_key)->Execute(phys_task);
-  peak_pool_queue_depth_ =
-      std::max(peak_pool_queue_depth_, exec_pool_->queue_depth());
-
-  // Straggler detection: scheduled BEFORE the terminal event, exactly as
-  // the simulator orders its calendar inserts (same-instant tie-break
-  // parity depends on matching sequence numbers).
-  if (config_.fault.speculation_slowdown > 0.0 && !speculative &&
-      !task.speculated) {
-    task.speculated = true;
-    const SimTime check_at =
-        start_time +
-        SimTime{exec.value() * config_.fault.speculation_slowdown};
-    const std::uint64_t seq = worker.assignment_seq;
-    ScheduleAt(check_at, [this, job_id, stage, epoch, worker_key, seq] {
-      OnSpeculationCheck(job_id, stage, epoch, worker_key, seq);
-    });
-  }
-
-  if (options_.clock == ClockMode::kVirtual) {
-    // The completion (or crash/flap) is a calendar event at its modeled
-    // instant, gated on the physical completion message.
-    if (fate.crash_at) {
-      ScheduleAt(*fate.crash_at, [this, job_id, stage, worker_key, ticket,
-                                  epoch, start_time, exec] {
-        WaitForTicket(ticket);
-        in_flight_.erase(ticket);
-        OnWorkerFailure(job_id, stage, worker_key, epoch, start_time, exec);
-      });
-      return;
-    }
-    if (fate.flap_at) {
-      ScheduleAt(*fate.flap_at, [this, job_id, stage, worker_key, ticket,
-                                 epoch, start_time, exec] {
-        WaitForTicket(ticket);
-        in_flight_.erase(ticket);
-        OnWorkerFlap(job_id, stage, worker_key, epoch, start_time, exec);
-      });
-      return;
-    }
-    ScheduleAt(fate.actual_end,
-               [this, job_id, stage, worker_key, ticket, epoch, extra] {
-                 WaitForTicket(ticket);
-                 in_flight_.erase(ticket);
-                 OnTaskComplete(job_id, stage, worker_key, epoch, extra);
-               });
-    return;
-  }
-  // WallClock: the completion is handled when its message physically
-  // arrives; only a modeled crash or flap needs a calendar entry.
-  if (fate.crash_at) {
-    ScheduleAt(*fate.crash_at, [this, ticket] { WallFailureDue(ticket); });
-  } else if (fate.flap_at) {
-    ScheduleAt(*fate.flap_at, [this, ticket] { WallFlapDue(ticket); });
-  }
-}
-
-void RuntimePlatform::OnWorkerFailure(std::uint64_t job_id, std::size_t stage,
-                                      std::uint64_t worker_key,
-                                      std::uint64_t epoch, SimTime start_time,
-                                      SimTime planned_exec) {
-  const SimTime now = Now();
-  WorkerBook& worker = workers_.at(worker_key);
-  worker.busy_accumulated -= (worker.busy_until - now);
-  RecordWorkerUtilization(worker, now);
-  const Status released = cloud_.Release(worker.id, now);
-  assert(released.ok());
-  (void)released;
-  workers_.erase(worker_key);
-  live_workers_.erase(worker_key);
-  health_.Forget(worker_key);
-  ++metrics_.worker_failures;
-  if (obs::TraceEnabled()) {
-    obs::TraceEmit(obs::EventKind::kWorkerFailure, now.value(), worker_key,
-                   job_id, stage, 0.0, 0.0,
-                   obs::StageSpan(job_id, stage, epoch),
-                   obs::JobSpan(job_id));
-  }
-  if (obs::MetricsEnabled()) {
-    pmetrics_.worker_failures->Increment();
-    pmetrics_.busy_workers->Add(-1.0);
-  }
-
-  const auto jit = jobs_.find(job_id);
-  if (jit != jobs_.end() && jit->second.tasks[stage].epoch == epoch) {
-    HandleTaskLoss(jit->second, stage, now - start_time, planned_exec);
-  }
-  TryDispatchAll();
-}
-
-void RuntimePlatform::OnWorkerFlap(std::uint64_t job_id, std::size_t stage,
-                                   std::uint64_t worker_key,
-                                   std::uint64_t epoch, SimTime start_time,
-                                   SimTime planned_exec) {
-  const SimTime now = Now();
-  // Mirrors Scheduler::OnWorkerFlap; the LiveWorker survives (the machine
-  // only dropped its task), so live_workers_ keeps its entry.
-  WorkerBook& worker = workers_.at(worker_key);
-  worker.busy_accumulated -= (worker.busy_until - now);
-  if (obs::MetricsEnabled()) pmetrics_.busy_workers->Add(-1.0);
-  worker.busy = false;
-  worker.current_job = 0;
-  worker.idle_since = now;
-  ++worker.idle_epoch;
-  index_.InsertIdle(IdleEntryFor(worker));
-  ScheduleIdleRelease(worker_key);
-  ++metrics_.worker_flaps;
-  if (obs::TraceEnabled()) {
-    obs::TraceEmit(obs::EventKind::kWorkerFlap, now.value(), worker_key,
-                   job_id, stage, 0.0, 0.0,
-                   obs::StageSpan(job_id, stage, epoch),
-                   obs::JobSpan(job_id));
-  }
-  if (obs::MetricsEnabled()) pmetrics_.worker_flaps->Increment();
-  if (health_.enabled() && health_.RecordFlap(worker_key, now)) {
-    ++metrics_.breaker_opens;
-    if (obs::TraceEnabled()) {
-      obs::TraceEmit(obs::EventKind::kBreakerOpen, now.value(), worker_key, 0,
-                     0, config_.fault.breaker_cooldown.value());
-    }
-    if (obs::MetricsEnabled()) pmetrics_.breaker_opens->Increment();
-  }
-
-  const auto jit = jobs_.find(job_id);
-  if (jit != jobs_.end() && jit->second.tasks[stage].epoch == epoch) {
-    HandleTaskLoss(jit->second, stage, now - start_time, planned_exec);
-  }
-  TryDispatchAll();
-}
-
-void RuntimePlatform::HandleTaskLoss(JobState& job, std::size_t stage,
-                                     SimTime served, SimTime planned_exec) {
-  const SimTime now = Now();
-  StageTaskState& task = job.tasks[stage];
-  // Mirrors Scheduler::HandleTaskLoss line for line — see scheduler.cpp
-  // for the reasoning behind each step.
-  if (config_.fault.checkpoint_interval > SimTime{0.0} &&
-      planned_exec > SimTime{0.0}) {
-    const double interval = config_.fault.checkpoint_interval.value();
-    const double saved =
-        std::floor(served.value() / interval) * interval;
-    if (saved > 0.0) {
-      const double fraction =
-          std::min(saved / planned_exec.value(), 0.95);
-      task.stage_done += (1.0 - task.stage_done) * fraction;
-      ++metrics_.checkpoints_saved;
-      if (obs::TraceEnabled()) {
-        obs::TraceEmit(obs::EventKind::kCheckpoint, now.value(), 0, job.id,
-                       stage, task.stage_done, 0.0,
-                       obs::StageSpan(job.id, stage, task.epoch),
-                       obs::JobSpan(job.id));
-      }
-      if (obs::MetricsEnabled()) pmetrics_.checkpoints_saved->Increment();
-    }
-  }
-
-  --task.active;
-  if (task.active > 0 ||
-      speculative_queued_.count(TaskKey(job.id, stage)) > 0) {
-    return;
-  }
-
-  ++task.epoch;
-  task.active = 0;
-  task.speculated = false;
-  ++job.retries;
-  if (retry_.Exhausted(job.retries)) {
-    ++metrics_.jobs_abandoned;
-    if (obs::TraceEnabled()) {
-      obs::TraceEmit(obs::EventKind::kJobAbandoned, now.value(), 0, job.id,
-                     stage, static_cast<double>(job.retries), 0.0,
-                     obs::JobSpan(job.id),
-                     obs::StageSpan(job.id, stage, task.epoch - 1));
-    }
-    if (obs::MetricsEnabled()) pmetrics_.jobs_abandoned->Increment();
-    AbandonJob(job.id);
-    return;
-  }
-  ++metrics_.task_retries;
-  // The retry's causal parent is the attempt just lost (epoch was bumped
-  // above, so the lost attempt is epoch - 1).
-  const std::uint64_t lost_span = obs::StageSpan(job.id, stage, task.epoch - 1);
-  const std::uint64_t retry_span = obs::StageSpan(job.id, stage, task.epoch);
-  if (obs::TraceEnabled()) {
-    obs::TraceEmit(obs::EventKind::kTaskRetry, now.value(), 0, job.id,
-                   stage, 0.0, 0.0, retry_span, lost_span);
-  }
-  if (obs::MetricsEnabled()) pmetrics_.task_retries->Increment();
-
-  const SimTime backoff = retry_.BackoffFor(job.retries - 1);
-  if (backoff <= SimTime{0.0}) {
-    EnqueueTask(job.id, stage, lost_span);
-    return;
-  }
-  task.in_backoff = true;
-  if (obs::TraceEnabled()) {
-    obs::TraceEmit(obs::EventKind::kRetryBackoff, now.value(), 0, job.id,
-                   stage, backoff.value(), 0.0, retry_span, lost_span);
-  }
-  const std::uint64_t job_id = job.id;
-  ScheduleAt(now + backoff, [this, job_id, stage, lost_span] {
-    const auto it = jobs_.find(job_id);
-    if (it == jobs_.end()) return;
-    it->second.tasks[stage].in_backoff = false;
-    EnqueueTask(job_id, stage, lost_span);
-    TryDispatchAll();
-  });
-}
-
-void RuntimePlatform::AbandonJob(std::uint64_t job_id) {
-  // Mirrors Scheduler::AbandonJob: a DAG job may hold ready entries on
-  // parallel branches when its retry budget runs out; a linear job never
-  // does, so this sweep finds nothing on the legacy path.
-  for (std::size_t stage = 0; stage < queues_.size(); ++stage) {
-    auto& queue = queues_[stage];
-    for (auto it = queue.begin(); it != queue.end();) {
-      if (*it == job_id) {
-        it = queue.erase(it);
-        speculative_queued_.erase(TaskKey(job_id, stage));
-        if (obs::MetricsEnabled()) pmetrics_.queued_jobs->Add(-1.0);
-      } else {
-        ++it;
-      }
-    }
-  }
-  const auto it = jobs_.find(job_id);
-  const DataSize job_size = it != jobs_.end() ? it->second.size : DataSize{0.0};
-  jobs_.erase(job_id);
-  NotifyOutcome(job_id, /*completed=*/false, Now(), SimTime{0.0}, job_size,
-                0.0);
-}
-
-void RuntimePlatform::OnSpeculationCheck(std::uint64_t job_id,
-                                         std::size_t stage,
-                                         std::uint64_t epoch,
-                                         std::uint64_t worker_key,
-                                         std::uint64_t assignment_seq) {
-  const auto jit = jobs_.find(job_id);
-  if (jit == jobs_.end() || jit->second.tasks[stage].epoch != epoch) return;
-  const auto wit = workers_.find(worker_key);
-  if (wit == workers_.end() || !wit->second.busy ||
-      wit->second.current_job != job_id ||
-      wit->second.assignment_seq != assignment_seq) {
-    return;
-  }
-  if (speculative_queued_.count(TaskKey(job_id, stage)) > 0) return;
-  speculative_queued_.insert(TaskKey(job_id, stage));
-  ++metrics_.speculative_launches;
-  const SimTime now = Now();
-  // The running original attempt is the copy's causal parent.
-  const std::uint64_t attempt_span = obs::StageSpan(job_id, stage, epoch);
-  if (obs::TraceEnabled()) {
-    obs::TraceEmit(obs::EventKind::kSpeculativeLaunch, now.value(),
-                   worker_key, job_id, stage, 0.0, 0.0,
-                   obs::StageSpan(job_id, stage, epoch, /*copy=*/true),
-                   attempt_span);
-  }
-  if (obs::MetricsEnabled()) pmetrics_.speculative_launches->Increment();
-  EnqueueTask(job_id, stage, attempt_span);
-  TryDispatchAll();
-}
-
-void RuntimePlatform::RecordWorkerUtilization(const WorkerBook& worker,
-                                              SimTime now) {
-  const auto info = cloud_.Info(worker.id);
-  if (!info.ok()) return;
-  const double lifetime = (now - info->hired_at).value();
-  if (lifetime <= 0.0) return;
-  const double utilization =
-      std::min(1.0, worker.busy_accumulated.value() / lifetime);
-  metrics_.worker_utilization.Add(utilization);
-  if (obs::MetricsEnabled()) {
-    pmetrics_.worker_utilization->Observe(utilization);
-  }
-}
-
-void RuntimePlatform::OnTaskComplete(std::uint64_t job_id, std::size_t stage,
-                                     std::uint64_t worker_key,
-                                     std::uint64_t epoch, SimTime extra) {
-  const SimTime now = Now();
-  WorkerBook& worker = workers_.at(worker_key);
-  if (extra > SimTime{0.0}) worker.busy_accumulated += extra;
-  if (obs::MetricsEnabled() && worker.busy) pmetrics_.busy_workers->Add(-1.0);
-  worker.busy = false;
-  worker.current_job = 0;
-  worker.idle_since = now;
-  ++worker.idle_epoch;
-  index_.InsertIdle(IdleEntryFor(worker));
-  ScheduleIdleRelease(worker_key);
-  if (health_.enabled()) health_.RecordSuccess(worker_key);
-
-  // Stale completion (superseded epoch): the worker is freed, the result
-  // is discarded. Mirrors Scheduler::OnTaskComplete.
-  const auto jit = jobs_.find(job_id);
-  if (jit == jobs_.end() || jit->second.tasks[stage].epoch != epoch) {
-    ++metrics_.speculative_wasted;
-    if (obs::TraceEnabled()) {
-      obs::TraceEmit(obs::EventKind::kSpeculativeWasted, now.value(),
-                     worker_key, job_id, stage, 0.0, 0.0,
-                     obs::StageSpan(job_id, stage, epoch));
-    }
-    if (obs::MetricsEnabled()) pmetrics_.speculative_wasted->Increment();
-    TryDispatchAll();
-    return;
-  }
-
-  JobState& job = jit->second;
-  StageTaskState& task = job.tasks[stage];
-  if (speculative_queued_.erase(TaskKey(job_id, stage)) > 0) {
-    auto& queue = queues_[stage];
-    const auto entry = std::find(queue.begin(), queue.end(), job_id);
-    assert(entry != queue.end());
-    queue.erase(entry);
-    if (obs::MetricsEnabled()) pmetrics_.queued_jobs->Add(-1.0);
-  }
-  task.stage_done = 0.0;
-  ++task.epoch;
-  task.active = 0;
-  task.speculated = false;
-  task.completed = true;
-  --job.stages_remaining;
-  if (job.stages_remaining == 0) {
-    const SimTime latency = now - job.arrival;
-    const double reward = policy_.reward()(job.size, latency).value();
-    metrics_.total_reward += reward;
-    metrics_.latency.Add(latency.value());
-    metrics_.core_stages.Add(
-        static_cast<double>(core::TotalCoreStages(job.plan)));
-    ++metrics_.jobs_completed;
-    if (obs::TraceEnabled()) {
-      obs::TraceEmit(obs::EventKind::kJobComplete, now.value(), 0, job_id, 0,
-                     latency.value(), 0.0, obs::JobSpan(job_id),
-                     obs::StageSpan(job_id, stage, epoch));
-    }
-    if (obs::MetricsEnabled()) {
-      pmetrics_.jobs_completed->Increment();
-      pmetrics_.job_latency_tu->Observe(latency.value());
-      pmetrics_.job_latency_slo->Observe(latency.value());
-    }
-    if (options_.record_schedule) {
-      metrics_.job_completions.push_back({job_id, now, latency, reward});
-    }
-    const DataSize job_size = job.size;
-    jobs_.erase(job_id);
-
-    if (policy_.NoteCompletion()) {
-      policy_.ReplanFromBill(cloud_.CostUpTo(now));
-    }
-    NotifyOutcome(job_id, /*completed=*/true, now, latency, job_size, reward);
-  } else {
-    // Release every dependent whose predecessors are now all complete
-    // (exactly "enqueue stage+1" for the linear chain). The completing
-    // attempt is the causal parent of every release it triggers.
-    for (const std::size_t next : policy_.model().dependents(stage)) {
-      if (--job.tasks[next].remaining_deps == 0) {
-        EnqueueTask(job_id, next, obs::StageSpan(job_id, stage, epoch));
-      }
-    }
-  }
-  TryDispatchAll();
-}
-
-void RuntimePlatform::ScheduleIdleRelease(std::uint64_t worker_key) {
-  const std::uint64_t epoch = workers_.at(worker_key).idle_epoch;
-  ScheduleAt(Now() + config_.idle_release_timeout,
-             [this, worker_key, epoch] {
-               const auto it = workers_.find(worker_key);
-               if (it == workers_.end()) return;
-               WorkerBook& worker = it->second;
-               if (worker.busy || worker.idle_epoch != epoch) return;
-               index_.RemoveIdle(IdleEntryFor(worker));
-               RecordWorkerUtilization(worker, Now());
-               const Status released = cloud_.Release(worker.id, Now());
-               assert(released.ok());
-               (void)released;
-               workers_.erase(it);
-               live_workers_.erase(worker_key);
-               ++metrics_.releases;
-               if (obs::TraceEnabled()) {
-                 obs::TraceEmit(obs::EventKind::kWorkerRelease, Now().value(),
-                                worker_key, 0);
-               }
-               if (obs::MetricsEnabled()) pmetrics_.releases->Increment();
-               TryDispatchAll();
-             });
-}
-
-bool RuntimePlatform::TryFreePrivateCapacity(int needed_cores) {
-  std::size_t available = cloud_.AvailableCores(cloud::Tier::kPrivate);
-  if (available == cloud::TierConfig::kUnlimited) return true;
-  if (static_cast<std::size_t>(needed_cores) >
-      cloud_.config().private_tier.core_capacity) {
-    return false;
-  }
-
-  // Mirrors Scheduler::TryFreePrivateCapacity: the index's (cores, key)
-  // order is the release order; collect the prefix before mutating.
-  std::vector<std::uint64_t> victims;
-  {
-    std::size_t would_have = available;
-    for (const auto& [cores, key] : index_.idle_private()) {
-      if (would_have >= static_cast<std::size_t>(needed_cores)) break;
-      victims.push_back(key);
-      would_have += static_cast<std::size_t>(cores);
-    }
-  }
-
-  const SimTime now = Now();
-  for (const std::uint64_t key : victims) {
-    if (available >= static_cast<std::size_t>(needed_cores)) break;
-    WorkerBook& worker = workers_.at(key);
-    const int cores = worker.cores;
-    index_.RemoveIdle(IdleEntryFor(worker));
-    RecordWorkerUtilization(worker, now);
-    const Status released = cloud_.Release(worker.id, now);
-    assert(released.ok());
-    (void)released;
-    workers_.erase(key);
-    live_workers_.erase(key);
-    ++metrics_.releases;
-    if (obs::TraceEnabled()) {
-      obs::TraceEmit(obs::EventKind::kWorkerRelease, now.value(), key, 0);
-    }
-    if (obs::MetricsEnabled()) pmetrics_.releases->Increment();
-    available += static_cast<std::size_t>(cores);
-  }
-  return available >= static_cast<std::size_t>(needed_cores);
-}
-
-std::optional<SimTime> RuntimePlatform::NextWorkerFreeTime() const {
-  // Lazy-invalidation heap; see Scheduler::NextWorkerFreeTime.
-  const std::optional<double> earliest =
-      index_.MinBusyUntil([this](std::uint64_t key, std::uint64_t seq) {
-        const auto it = workers_.find(key);
-        return it != workers_.end() && it->second.busy &&
-               it->second.assignment_seq == seq;
-      });
-  if (!earliest) return std::nullopt;
-  return SimTime{*earliest};
-}
-
-std::vector<core::QueuedJobSnapshot> RuntimePlatform::SnapshotQueue(
-    std::size_t stage) const {
-  std::vector<core::QueuedJobSnapshot> snapshot;
-  snapshot.reserve(queues_[stage].size());
-  const SimTime now = Now();
-  for (const std::uint64_t job_id : queues_[stage]) {
-    const JobState& job = jobs_.at(job_id);
-    snapshot.push_back({job.size, now - job.arrival, stage,
-                        std::span<const int>(job.plan)});
-  }
-  return snapshot;
-}
-
-void RuntimePlatform::BanditEpoch() {
-  const cloud::CostReport bill = cloud_.CostUpTo(Now());
-  policy_.BanditEpoch(metrics_.total_reward, bill.total.value());
-}
-
-void RuntimePlatform::SampleTimeline() {
-  core::TimelinePoint point;
-  point.time = Now();
-  for (const auto& queue : queues_) point.queued_jobs += queue.size();
-  // Non-busy <=> in the idle index at event boundaries (see scheduler.cpp).
-  point.idle_workers = index_.idle_count();
-  point.busy_workers = workers_.size() - point.idle_workers;
-  point.private_cores = cloud_.CoresInUse(cloud::Tier::kPrivate);
-  point.public_cores = cloud_.CoresInUse(cloud::Tier::kPublic);
-  point.cost_rate = cloud_.CostRate().value();
-  metrics_.timeline.push_back(point);
-}
-
-bool RuntimePlatform::PredictiveShouldHire(std::size_t stage, int threads,
-                                           DataSize head_size,
-                                           core::HireEvaluation* eval) {
-  std::optional<SimTime> next_free_delay;
-  if (const auto next_free = NextWorkerFreeTime()) {
-    next_free_delay = *next_free - Now();
-  }
-  return policy_.PredictiveShouldHire(SnapshotQueue(stage), stage, threads,
-                                      head_size, next_free_delay,
-                                      cloud_.config().boot_penalty, eval);
+void RuntimePlatform::OnDispatchRound(double micros) {
+  dispatch_micros_.Add(micros);
+  if (obs::MetricsEnabled()) dispatch_micros_hist_->Observe(micros);
 }
 
 }  // namespace scan::runtime

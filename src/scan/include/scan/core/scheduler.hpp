@@ -22,32 +22,22 @@
 //    minus the cloud bill.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "scan/cloud/cloud_manager.hpp"
-#include "scan/common/rng.hpp"
 #include "scan/common/stats.hpp"
 #include "scan/core/allocation.hpp"
 #include "scan/core/config.hpp"
 #include "scan/core/policy.hpp"
-#include "scan/core/worker_index.hpp"
-#include "scan/fault/health.hpp"
-#include "scan/fault/injector.hpp"
-#include "scan/fault/retry.hpp"
 #include "scan/gatk/pipeline_model.hpp"
-#include "scan/obs/audit.hpp"
-#include "scan/obs/metrics.hpp"
-#include "scan/sim/simulator.hpp"
-#include "scan/workload/arrivals.hpp"
 #include "scan/workload/trace.hpp"
-#include "scan/workload/reward.hpp"
 
 namespace scan::core {
+
+class Engine;
 
 /// One sampled point of the run's time series (enabled via
 /// SchedulerOptions::timeline_sample_period).
@@ -63,7 +53,7 @@ struct TimelinePoint {
 
 /// One task assignment, recorded when record_schedule is enabled. This is
 /// the parity payload between the simulator and the live runtime: for
-/// pinned seeds under the runtime's VirtualClock, both must produce the
+/// pinned seeds under the runtime's virtual clock, both must produce the
 /// identical sequence of StageRecords.
 struct StageRecord {
   std::uint64_t job_id = 0;
@@ -72,7 +62,7 @@ struct StageRecord {
   int threads = 0;
   SimTime dispatched{0.0};  ///< the dispatch decision instant
   SimTime start{0.0};       ///< includes any boot/reconfiguration delay
-  SimTime end{0.0};         ///< planned completion (actual, under VirtualClock)
+  SimTime end{0.0};         ///< planned completion (actual, virtual clock)
   /// The assignment ends in an injected worker crash instead of completing
   /// (known at assignment time: the failure draw precedes the finish).
   bool preempted_by_failure = false;
@@ -214,11 +204,16 @@ struct SchedulerOptions {
   bool record_schedule = false;
 };
 
-/// One simulated SCAN deployment. Construct, then Run() exactly once.
+/// One simulated SCAN deployment: the mechanics core (engine.hpp) run on
+/// its own calendar with no live host. Construct, then Run() exactly once.
 class Scheduler {
  public:
   Scheduler(const SimulationConfig& config, gatk::PipelineModel model,
             std::uint64_t seed, SchedulerOptions options = {});
+  ~Scheduler();
+
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
 
   /// Runs the simulation for config.duration and returns the metrics.
   /// Jobs still in flight at the horizon are not counted as completed, and
@@ -231,213 +226,8 @@ class Scheduler {
   [[nodiscard]] ThreadPlan PlanFor(DataSize size) const;
 
  private:
-  /// Per-stage readiness and recovery state of one job. DAG-readiness:
-  /// a task joins its stage queue when remaining_deps reaches zero, and
-  /// the job completes when every task has. For a linear chain exactly one
-  /// task is live at a time, reproducing the legacy single-cursor walk.
-  struct StageTask {
-    SimTime enqueued_at{0.0};
-    /// Predecessor stages not yet completed; ready at zero.
-    std::size_t remaining_deps = 0;
-    bool completed = false;
-    // --- recovery bookkeeping (inert without fault injection) ----------
-    /// Fraction of the stage already checkpointed; a new assignment only
-    /// executes the remaining (1 - stage_done) share.
-    double stage_done = 0.0;
-    /// Bumped on completion and on every retry: in-flight events carrying
-    /// an older epoch are stale and must not advance the task.
-    std::uint64_t epoch = 0;
-    /// Same-epoch assignments currently executing (2 with a live
-    /// speculative copy).
-    int active = 0;
-    /// Sitting out a retry backoff (not queued, not executing).
-    bool in_backoff = false;
-    /// A speculation check was already scheduled for this epoch.
-    bool speculated = false;
-    /// Causal parent recorded at the latest enqueue (span.hpp id of the
-    /// predecessor attempt / job / retried attempt that made this task
-    /// ready); read back when the dispatch emits its exec span. Pure
-    /// bookkeeping for the trace — never feeds a decision.
-    std::uint64_t enqueue_parent_span = 0;
-  };
-
-  struct JobState {
-    std::uint64_t id = 0;
-    DataSize size{0.0};
-    SimTime arrival{0.0};
-    ThreadPlan plan;
-    /// Times one of this job's tasks was lost and re-enqueued (the retry
-    /// budget is per job across stages).
-    int retries = 0;
-    /// Tasks not yet completed; the job settles its reward at zero.
-    std::size_t stages_remaining = 0;
-    std::vector<StageTask> tasks;  ///< one per pipeline stage
-  };
-
-  struct WorkerBook {
-    cloud::WorkerId id{};
-    cloud::Tier tier = cloud::Tier::kPrivate;  ///< fixed at hire
-    int cores = 0;    ///< instance size (fixed at hire)
-    int threads = 0;  ///< current software configuration (<= cores)
-    bool busy = false;
-    std::uint64_t current_job = 0;  ///< meaningful only while busy
-    SimTime busy_until{0.0};
-    SimTime idle_since{0.0};
-    SimTime busy_accumulated{0.0};  ///< total task-execution time served
-    std::uint64_t idle_epoch = 0;
-    /// Stage of the current assignment; meaningful only while busy.
-    std::size_t current_stage = 0;
-    /// Epoch of the task when the current assignment started (staleness
-    /// detection for speculative duplicates).
-    std::uint64_t assignment_epoch = 0;
-    /// Unique id of the current assignment (distinguishes the original
-    /// from a speculative copy on re-assignment of the same worker).
-    std::uint64_t assignment_seq = 0;
-  };
-
-  /// Worker feedback (§III-A-3): fold the released worker's lifetime
-  /// utilization into the run metrics.
-  void RecordWorkerUtilization(const WorkerBook& worker, SimTime now);
-
-  /// Pulls the next arrival batch (trace cursor or synthetic generator)
-  /// and schedules it; each fired batch pulls its successor, so the
-  /// horizon is never materialized up front. The generator draws from its
-  /// own RNG streams in the same order the eager path did, so schedules
-  /// are bit-identical.
-  void PumpArrivals();
-  void OnBatchArrival(const workload::ArrivalBatch& batch);
-  /// Enqueues one ready stage task of a job onto its stage queue.
-  /// `parent_span` is the causal origin of the readiness (job span on
-  /// admission, completing predecessor's attempt span on a dependency
-  /// release, the lost attempt's span on a retry, the running attempt's
-  /// span for a speculative copy); recorded on the trace event and kept
-  /// for the eventual exec span.
-  void EnqueueTask(std::uint64_t job_id, std::size_t stage,
-                   std::uint64_t parent_span);
-  void TryDispatchAll();
-  /// Attempts to dispatch the head of one stage queue; true on success.
-  bool TryDispatchHead(std::size_t stage);
-  void AssignTask(std::uint64_t job_id, std::size_t stage,
-                  WorkerBook& worker, SimTime start_time);
-  /// `epoch` is the task epoch the assignment started under (stale
-  /// completions free the worker but do not advance the task); `extra` is
-  /// the straggle overrun beyond the planned end (0 normally).
-  void OnTaskComplete(std::uint64_t job_id, std::size_t stage,
-                      std::uint64_t worker_key, std::uint64_t epoch,
-                      SimTime extra);
-  /// Failure-injection: the worker crashed mid-task; bill and discard it,
-  /// then run recovery for the interrupted assignment (checkpoint resume,
-  /// retry budget, backoff). `start_time`/`planned_exec` describe the
-  /// interrupted assignment for checkpoint accounting.
-  void OnWorkerFailure(std::uint64_t job_id, std::size_t stage,
-                       std::uint64_t worker_key, std::uint64_t epoch,
-                       SimTime start_time, SimTime planned_exec);
-  /// Flap-injection: the worker drops its task but survives and returns
-  /// to the idle pool; feeds the per-worker circuit breaker.
-  void OnWorkerFlap(std::uint64_t job_id, std::size_t stage,
-                    std::uint64_t worker_key, std::uint64_t epoch,
-                    SimTime start_time, SimTime planned_exec);
-  /// Shared recovery path for a valid-epoch task loss (crash or flap):
-  /// checkpoint credit, sibling check, retry budget, backoff scheduling.
-  void HandleTaskLoss(JobState& job, std::size_t stage, SimTime served,
-                      SimTime planned_exec);
-  /// Retry budget exhausted: purge the job's queued tasks (a DAG job may
-  /// have parallel branches queued) and drop it.
-  void AbandonJob(std::uint64_t job_id);
-  /// Straggler detection: fires at start + slowdown * modeled_exec; if
-  /// the same assignment is still running, enqueues a speculative copy.
-  void OnSpeculationCheck(std::uint64_t job_id, std::size_t stage,
-                          std::uint64_t epoch, std::uint64_t worker_key,
-                          std::uint64_t assignment_seq);
-  void ScheduleIdleRelease(std::uint64_t worker_key);
-
-  /// Key of one (job, stage) task for the speculative-copy ledger. Stage
-  /// indices fit 8 bits (PipelineModel::kMaxStages).
-  [[nodiscard]] static std::uint64_t TaskKey(std::uint64_t job_id,
-                                             std::size_t stage) {
-    return (job_id << 8) | static_cast<std::uint64_t>(stage);
-  }
-
-  /// The predictive hire-or-wait inequality for the head of `stage`'s
-  /// queue; true = hire public capacity now. Delegates to the shared
-  /// SchedulingPolicy with a snapshot of the stage queue. `eval` (may be
-  /// null) receives the priced inputs for the decision audit.
-  [[nodiscard]] bool PredictiveShouldHire(std::size_t stage, int threads,
-                                          DataSize head_size,
-                                          HireEvaluation* eval = nullptr);
-
-  /// Records one hire-vs-wait decision into the scan_obs audit log and
-  /// trace (no-op unless one of them is enabled).
-  void AuditHire(obs::HireChoice choice, std::size_t stage,
-                 const JobState& job, int threads, std::size_t queue_length,
-                 const HireEvaluation* eval);
-
-  /// Records the thread-allocation decision for a newly admitted job
-  /// (no-op unless the decision audit is enabled).
-  void AuditPlan(std::uint64_t job_id, DataSize size, const ThreadPlan& plan);
-  /// Earliest time an existing busy worker frees; nullopt if none busy.
-  [[nodiscard]] std::optional<SimTime> NextWorkerFreeTime() const;
-  /// Snapshot of `stage`'s queue for the policy's delay-cost evaluation.
-  [[nodiscard]] std::vector<QueuedJobSnapshot> SnapshotQueue(
-      std::size_t stage) const;
-
-  /// The candidate-index view of one worker (key derives from its id).
-  [[nodiscard]] static WorkerIndex::IdleEntry IdleEntryFor(
-      const WorkerBook& worker);
-
-  /// Oracle check (SCAN_TESTKIT_VERIFY_CANDIDATES): recomputes the
-  /// candidate sets from the worker book with the legacy O(workers) scan
-  /// and throws std::logic_error if the incremental index diverges.
-  void VerifyCandidateIndex() const;
-
-  /// Builds the inspection snapshot for the event about to execute.
-  [[nodiscard]] SchedulerView BuildView(SimTime when, std::uint64_t seq) const;
-
-  /// Compaction: releases idle private-tier workers (smallest first) until
-  /// the private tier can fit `needed_cores` more. Returns true on
-  /// success. Prevents fragmentation stalls where small idle workers pin
-  /// capacity a larger queued task needs.
-  bool TryFreePrivateCapacity(int needed_cores);
-
-  /// Bandit epoch boundary: settle the bill and hand the totals to the
-  /// policy's arm-selection step.
-  void BanditEpoch();
-
-  SimulationConfig config_;
-  SchedulerOptions options_;
-  SchedulingPolicy policy_;  ///< shared decision core (also in the runtime)
-  cloud::CloudManager cloud_;
-  workload::ArrivalGenerator arrivals_;
-  sim::Simulator sim_;
-
-  /// Trace replay batches + cursor (options_.trace only; the trace is
-  /// already materialized, so streaming it costs nothing extra).
-  std::vector<workload::ArrivalBatch> trace_batches_;
-  std::size_t next_trace_batch_ = 0;
-
-  std::vector<std::deque<std::uint64_t>> queues_;  ///< job ids per stage
-  std::unordered_map<std::uint64_t, JobState> jobs_;
-  std::unordered_map<std::uint64_t, WorkerBook> workers_;
-  /// Incremental candidate index over workers_ (see worker_index.hpp);
-  /// updated on every idle/busy transition, replacing per-decision scans.
-  WorkerIndex index_;
-
-  fault::FaultInjector injector_;      ///< owns the "worker-failures" RNG
-  fault::RetryPolicy retry_;
-  fault::WorkerHealthTracker health_;  ///< circuit breaker (off by default)
-  /// TaskKeys whose queue entry is a speculative straggler copy (at most
-  /// one per task); consumed by AssignTask, cancelled on valid completion.
-  std::unordered_set<std::uint64_t> speculative_queued_;
-  std::uint64_t next_assignment_seq_ = 1;
-
-  RunMetrics metrics_;
-  /// scan_obs instruments, resolved once; updates are gated on
-  /// obs::MetricsEnabled() so the disabled cost is one load + branch.
-  obs::PlatformMetrics pmetrics_ = obs::PlatformMetrics::Resolve();
+  std::unique_ptr<Engine> engine_;
   bool ran_ = false;
-  /// Cached SCAN_TESTKIT_VERIFY_CANDIDATES; when set, every dispatch
-  /// round cross-checks index_ against a from-scratch rescan.
-  bool verify_candidates_ = false;
 };
 
 }  // namespace scan::core

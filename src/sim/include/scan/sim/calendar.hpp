@@ -50,8 +50,9 @@ namespace scan::sim {
 class Simulator;
 
 /// Inline-buffer callback type for calendar events. 64 bytes covers every
-/// capture in the scheduler and runtime hot paths (the largest is 48
-/// bytes), so steady-state event scheduling performs no heap allocation.
+/// capture in the engine's hot paths (the largest, a crash event, is
+/// exactly 64 bytes), so steady-state event scheduling performs no heap
+/// allocation.
 using EventCallback = InplaceFunction<void(Simulator&), 64>;
 
 /// Counters exposed for benchmarks and the boundary tests.
@@ -138,6 +139,9 @@ class LadderCalendar {
 
  private:
   static constexpr std::size_t kBuckets = 512;
+  /// Buffer capacity (entries) a bucket may always keep for reuse after
+  /// activation, however few events are pending.
+  static constexpr std::size_t kParkedCapacity = 16;
 
   static bool Descending(const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when > b.when;
@@ -175,6 +179,14 @@ class LadderCalendar {
         current_hi_ = base_ + static_cast<double>(cursor_) * width_;
         if (!bucket.empty()) {
           current_.swap(bucket);
+          // The bucket now parks current_'s old (empty) buffer for its
+          // next fill. Parked buffers circulate, so without a bound every
+          // bucket would end up retaining the largest capacity current_
+          // ever reached: with few events pending but clustered in a few
+          // buckets, hundreds of times the pending set. A buffer larger
+          // than an eighth of the pending set is freed instead.
+          const std::size_t keep = std::max(kParkedCapacity, size_ / 8);
+          if (bucket.capacity() > keep) std::vector<Entry>().swap(bucket);
           std::sort(current_.begin(), current_.end(), Descending);
           ++stats_.bucket_sorts;
         }

@@ -1,14 +1,15 @@
 #pragma once
 
 // Sim <-> runtime parity oracle: the cross-validation contract of the live
-// runtime. Under the runtime's VirtualClock, a pinned seed must make the
+// runtime. Under the runtime's virtual clock, a pinned seed must make the
 // simulator and the live platform produce the *same run* — the identical
 // per-job stage schedule (worker, threads, start, end for every
 // assignment), the identical completions, and a bit-identical
 // MetricsFingerprint — even though the runtime executed every stage task
-// on real OS threads. The two sides share only the SchedulingPolicy
-// decision core; queues, worker books, and the event loop are independent
-// implementations, so agreement here checks both against each other.
+// on real OS threads. Both hosts run one mechanics core (core::Engine),
+// so agreement here checks the host seam: ticket gating (each terminal
+// event waits for its worker's completion message), LiveWorker fan-out
+// onto the execution pool, and the shared calendar's event order.
 
 #include <cstdint>
 #include <string>
@@ -34,8 +35,9 @@ struct ParityResult {
   std::vector<std::string> mismatches;
   /// Per-job critical paths and profile-ledger rows compared (non-zero
   /// only under SCAN_OBS_FULL=1, which runs both engines with tracing,
-  /// metric sketches, and audit all enabled and derives both artifacts
-  /// from each side's span graph).
+  /// metric sketches, and audit all enabled, derives both artifacts from
+  /// each side's span graph, and also compares the decision audit's hire
+  /// and plan records in order).
   std::size_t critical_paths_compared = 0;
   std::size_t ledger_rows_compared = 0;
 
@@ -43,11 +45,11 @@ struct ParityResult {
   [[nodiscard]] std::string Describe() const;
 };
 
-/// Runs the discrete-event simulator and the live runtime (forced to
-/// VirtualClock, schedule recording on) with the same config and seed and
-/// compares the full parity payload. Remaining `runtime_options` fields
-/// (forced plan, price hint, trace, timeline sampling) are honored and
-/// mirrored onto the simulator's options.
+/// Runs the discrete-event simulator and the live runtime (forced to the
+/// virtual clock, schedule recording on) with the same config and seed
+/// and compares the full parity payload. Remaining `runtime_options`
+/// fields (forced plan, price hint, trace, timeline sampling) are honored;
+/// the simulator runs with runtime::EngineOptions of them.
 [[nodiscard]] ParityResult CheckSimRuntimeParity(
     const core::SimulationConfig& config, const gatk::PipelineModel& model,
     std::uint64_t seed, runtime::RuntimeOptions runtime_options = {});

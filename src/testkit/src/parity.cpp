@@ -1,8 +1,10 @@
 #include "scan/testkit/parity.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "scan/core/scheduler.hpp"
@@ -96,15 +98,78 @@ bool ObsFullEnabled() {
 struct ObsArtifacts {
   obs::SpanGraph graph;
   obs::ProfileLedger ledger;
+  std::vector<obs::HireDecisionRecord> hires;
+  std::vector<obs::PlanDecisionRecord> plans;
 };
 
+/// Takes the run's trace and decision audit, leaving both cleared for
+/// the next engine.
 ObsArtifacts CollectObsArtifacts() {
   const std::vector<obs::TraceEvent> events =
       obs::TraceRecorder::Global().Collect();
   ObsArtifacts artifacts;
   artifacts.graph = obs::SpanGraph::Build(events);
   artifacts.ledger = obs::ProfileLedger::FromEvents(events);
+  artifacts.hires = obs::DecisionAudit::Global().hires();
+  artifacts.plans = obs::DecisionAudit::Global().plans();
+  obs::TraceRecorder::Global().Clear();
+  obs::DecisionAudit::Global().Clear();
   return artifacts;
+}
+
+/// Bitwise double equality (the audit's unpriced cost fields are NaN).
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool SameHire(const obs::HireDecisionRecord& a,
+              const obs::HireDecisionRecord& b) {
+  return SameBits(a.time_tu, b.time_tu) && a.job_id == b.job_id &&
+         a.stage == b.stage && a.threads == b.threads &&
+         a.choice == b.choice &&
+         std::string_view(a.scaling) == std::string_view(b.scaling) &&
+         a.queue_length == b.queue_length &&
+         SameBits(a.head_size_du, b.head_size_du) &&
+         SameBits(a.delay_cost, b.delay_cost) &&
+         SameBits(a.hire_cost, b.hire_cost) &&
+         SameBits(a.next_free_delay_tu, b.next_free_delay_tu) &&
+         SameBits(a.boot_penalty_tu, b.boot_penalty_tu) &&
+         SameBits(a.public_core_price, b.public_core_price) &&
+         SameBits(a.rework_factor, b.rework_factor);
+}
+
+bool SamePlan(const obs::PlanDecisionRecord& a,
+              const obs::PlanDecisionRecord& b) {
+  return SameBits(a.time_tu, b.time_tu) && a.job_id == b.job_id &&
+         SameBits(a.size_du, b.size_du) &&
+         std::string_view(a.allocation) == std::string_view(b.allocation) &&
+         a.plan == b.plan && SameBits(a.price_hint, b.price_hint) &&
+         SameBits(a.predicted_exec_tu, b.predicted_exec_tu) &&
+         SameBits(a.predicted_reward, b.predicted_reward);
+}
+
+/// The decision audit of both engines, record by record in order: every
+/// hire-vs-wait evaluation (including each kWait a dispatch round
+/// re-prices) and every admission plan.
+template <class Record, class Same>
+void CompareAudit(const char* what, const std::vector<Record>& sim,
+                  const std::vector<Record>& live, Same same,
+                  ParityResult& result) {
+  if (sim.size() != live.size()) {
+    Note(result.mismatches, std::string(what) + " records: sim=" +
+                                std::to_string(sim.size()) +
+                                " runtime=" + std::to_string(live.size()));
+  }
+  const std::size_t n = std::min(sim.size(), live.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!same(sim[i], live[i])) {
+      Note(result.mismatches,
+           std::string(what) + " record[" + std::to_string(i) + "] (job " +
+               std::to_string(sim[i].job_id) + " @" +
+               std::to_string(sim[i].time_tu) + ") differs between engines");
+      return;
+    }
+  }
 }
 
 void CompareObsArtifacts(const ObsArtifacts& sim, const ObsArtifacts& live,
@@ -168,6 +233,9 @@ void CompareObsArtifacts(const ObsArtifacts& sim, const ObsArtifacts& live,
       Note(result.mismatches, oss.str());
     }
   }
+
+  CompareAudit("audit hire", sim.hires, live.hires, SameHire, result);
+  CompareAudit("audit plan", sim.plans, live.plans, SamePlan, result);
 }
 
 }  // namespace
@@ -207,19 +275,16 @@ ParityResult CheckSimRuntimeParity(const core::SimulationConfig& config,
   runtime_options.clock = runtime::ClockMode::kVirtual;
   runtime_options.record_schedule = true;
 
-  core::SchedulerOptions sim_options;
-  sim_options.forced_plan = runtime_options.forced_plan;
-  sim_options.allocation_price_hint = runtime_options.allocation_price_hint;
-  sim_options.trace = runtime_options.trace;
-  sim_options.timeline_sample_period = runtime_options.timeline_sample_period;
-  sim_options.record_schedule = true;
+  const core::SchedulerOptions sim_options =
+      runtime::EngineOptions(runtime_options);
 
   // Per-check artifact capture under SCAN_OBS_FULL: each engine runs
-  // against a cleared recorder (quiescent here — no run is in flight)
-  // with trace + metrics + audit all on.
+  // against a cleared recorder and audit (quiescent here — no run is in
+  // flight) with trace + metrics + audit all on.
   const bool obs_full = ObsFullEnabled();
   if (obs_full) {
     obs::TraceRecorder::Global().Clear();
+    obs::DecisionAudit::Global().Clear();
     obs::TraceRecorder::Global().Enable();
     obs::EnableMetrics();
     obs::DecisionAudit::Global().Enable();
@@ -229,19 +294,13 @@ ParityResult CheckSimRuntimeParity(const core::SimulationConfig& config,
   const core::RunMetrics sim_metrics = scheduler.Run();
 
   ObsArtifacts sim_artifacts;
-  if (obs_full) {
-    sim_artifacts = CollectObsArtifacts();
-    obs::TraceRecorder::Global().Clear();
-  }
+  if (obs_full) sim_artifacts = CollectObsArtifacts();
 
   runtime::RuntimePlatform platform(config, model, seed, runtime_options);
   const runtime::RuntimeReport report = platform.Serve();
 
   ObsArtifacts runtime_artifacts;
-  if (obs_full) {
-    runtime_artifacts = CollectObsArtifacts();
-    obs::TraceRecorder::Global().Clear();
-  }
+  if (obs_full) runtime_artifacts = CollectObsArtifacts();
 
   ParityResult result;
   result.seed = seed;

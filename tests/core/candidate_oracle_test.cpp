@@ -1,13 +1,14 @@
 // Regression harness for the incremental candidate index (DESIGN.md §11).
 //
-// With SCAN_TESTKIT_VERIFY_CANDIDATES set, both engines re-derive the
+// With SCAN_TESTKIT_VERIFY_CANDIDATES set, the engine re-derives the
 // candidate sets from scratch (the legacy O(workers) rescan) after every
-// scheduler decision and throw std::logic_error on any divergence from the
+// scheduler decision and throws std::logic_error on any divergence from the
 // incremental WorkerIndex. This suite runs drawn scenarios — including the
 // fault knobs that exercise flapping, breakers, and compaction — under
-// that oracle, for the discrete-event Scheduler and the live runtime.
+// that oracle, on both of the engine's hosts: the discrete-event
+// Scheduler and the live runtime.
 //
-// The env flag is read once in each engine's constructor, so the fixture
+// The env flag is read once in the engine's constructor, so the fixture
 // sets it before any engine is built and clears it afterwards.
 
 #include <gtest/gtest.h>
@@ -51,8 +52,8 @@ TEST_F(CandidateOracleTest, FaultScenariosMatchRescan) {
 }
 
 TEST_F(CandidateOracleTest, RuntimeParityHoldsUnderOracle) {
-  // The live runtime maintains its own WorkerIndex; parity under the
-  // rescan oracle checks both engines' indexes in one run.
+  // Parity under the rescan oracle checks the index on both hosts in one
+  // run (the live host dispatches on real threads between checks).
   core::SimulationConfig config = DrawScenario(0xBEEFu);
   const ParityResult result = CheckSimRuntimeParity(config, 0xBEEFu);
   EXPECT_TRUE(result.ok()) << result.Describe();

@@ -1,10 +1,11 @@
-// The headline correctness claim of the live runtime: under VirtualClock
-// with a pinned seed, RuntimePlatform completes the same job set with the
-// same per-job stage schedule as the discrete-event Scheduler — bit for
-// bit, across the scaling x allocation matrix, including failure
-// injection and timeline sampling. The two sides share only the
-// SchedulingPolicy decision core, so this cross-validates two independent
-// implementations of the dispatch mechanics against each other.
+// The headline correctness claim of the live runtime: under the virtual
+// clock with a pinned seed, RuntimePlatform completes the same job set
+// with the same per-job stage schedule as the discrete-event Scheduler —
+// bit for bit, across the scaling x allocation matrix, including failure
+// injection and timeline sampling. Both are hosts of one mechanics core
+// (core::Engine), so this checks the host seam: each terminal event gated
+// on its worker's completion ticket, LiveWorker fan-out onto the real
+// execution pool, and the shared calendar's event order.
 
 #include "scan/testkit/parity.hpp"
 

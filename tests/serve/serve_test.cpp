@@ -261,6 +261,37 @@ TEST(ServeTest, WorkerTuBudgetMetersEpochs) {
   EXPECT_LE(stats.worker_tu_charged, 5 * 60.0 + 1e-9);
 }
 
+TEST(ServeTest, FourTenantDigestIsPinned) {
+  // One 4-tenant episode (steady, diurnal, bursty, flash crowd) at one
+  // seed, pinned to its digest: any change to the platform mechanics, the
+  // front end, or their calendar interleaving that moves a modeled
+  // outcome shows up here.
+  using P = workload::ArrivalPattern;
+  std::vector<TenantSpec> tenants;
+  const auto add = [&tenants](std::uint64_t id, const char* name, P pattern,
+                              double weight, double rate_scale) {
+    TenantSpec spec = MakeTenant(id, name);
+    spec.pattern.pattern = pattern;
+    spec.weight = weight;
+    spec.rate_scale = rate_scale;
+    tenants.push_back(spec);
+  };
+  add(1, "steady", P::kHomogeneous, 1.0, 1.0);
+  add(2, "diurnal", P::kDiurnal, 2.0, 1.0);
+  add(3, "bursty", P::kBursty, 1.0, 1.5);
+  add(4, "flash", P::kFlashCrowd, 1.0, 1.0);
+
+  ServeOptions options;
+  options.global_max_in_flight = 32;
+
+  const ServeReport report =
+      RunMultiTenantServe(BaseConfig(), tenants, /*seed=*/0x5E12, options);
+  const testkit::TenancyCheck check = testkit::CheckServeInvariants(report);
+  EXPECT_TRUE(check.ok()) << check.Describe();
+  EXPECT_GT(report.jobs_completed, 0u);
+  EXPECT_EQ(report.digest, 0xe70b02abe396cb25ULL) << std::hex << report.digest;
+}
+
 TEST(ServeTest, MultiSeedInvariantSweep) {
   core::SimulationConfig config = BaseConfig();
   config.duration = SimTime{150.0};

@@ -2,11 +2,18 @@
 // ingest paths. The contract everywhere: a batch at exactly the horizon
 // is kept (<=), the straddling batch beyond it is dropped, and the lazy
 // streaming path (NextBatch pulled one at a time) sees the identical
-// batch sequence as the eager path (GenerateUntil).
+// batch sequence as the eager path (GenerateUntil). A streaming
+// IngestSource that breaks its own contract (an instant in the past, or
+// NaN) fails the run loudly instead of warping the clock.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "scan/core/scheduler.hpp"
@@ -171,6 +178,65 @@ TEST(ArrivalBoundaryTest, SyntheticEnginesAgreeOnArrivalCountAtHorizon) {
   runtime::RuntimePlatform platform(config, gatk::PipelineModel::PaperGatk(),
                                     7);
   EXPECT_EQ(platform.Serve().metrics.jobs_arrived, expected_jobs);
+}
+
+/// Answers NextEventTime() from a script and injects one job per pull.
+class ScriptedSource final : public runtime::IngestSource {
+ public:
+  explicit ScriptedSource(std::vector<double> times)
+      : times_(std::move(times)) {}
+
+  std::optional<SimTime> NextEventTime() override {
+    if (pulled_ >= times_.size()) return std::nullopt;
+    return SimTime{times_[pulled_]};
+  }
+  std::vector<Job> PullDue(SimTime now) override {
+    ++pulled_;
+    return {Job{pulled_, DataSize{4.0}, now}};
+  }
+  std::vector<Job> OnJobOutcome(const runtime::JobOutcome&) override {
+    return {};
+  }
+
+ private:
+  std::vector<double> times_;
+  std::uint64_t pulled_ = 0;
+};
+
+/// Serves `source` and returns the error the run raised ("" if none).
+std::string ServeError(ScriptedSource& source) {
+  core::SimulationConfig config;
+  config.duration = SimTime{100.0};
+  runtime::RuntimeOptions options;
+  options.exec_threads = 2;
+  options.ingest = &source;
+  runtime::RuntimePlatform platform(config, gatk::PipelineModel::PaperGatk(),
+                                    3, options);
+  try {
+    (void)platform.Serve();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ArrivalBoundaryTest, IngestInstantInThePastFailsLoudly) {
+  // Jobs pulled at 10 and 20 are executing when the source answers 5:
+  // the run must throw (not run the clock backwards) and Serve() must
+  // unwind past those in-flight tickets without hanging.
+  ScriptedSource source({10.0, 20.0, 5.0, 30.0});
+  const std::string error = ServeError(source);
+  EXPECT_NE(error.find("IngestSource"), std::string::npos) << error;
+  EXPECT_NE(error.find("NextEventTime() returned 5 at time 20"),
+            std::string::npos)
+      << error;
+}
+
+TEST(ArrivalBoundaryTest, IngestNaNInstantFailsLoudly) {
+  ScriptedSource source({10.0, std::numeric_limits<double>::quiet_NaN()});
+  const std::string error = ServeError(source);
+  EXPECT_NE(error.find("IngestSource"), std::string::npos) << error;
+  EXPECT_NE(error.find("returned nan"), std::string::npos) << error;
 }
 
 }  // namespace
