@@ -1,8 +1,9 @@
-// KB serving hot path: the frozen dictionary-encoded index vs the legacy
-// hash-map TripleStore on a bulk-loaded profile graph (DESIGN.md §13).
-// Both legs answer the identical seeded query script and must agree on a
-// result checksum, so every speedup is measured on provably identical
-// answers.
+// KB serving hot path: the frozen index vs the legacy reads on a
+// bulk-loaded profile graph (DESIGN.md §13). The legacy leg reads the
+// hash-map TripleStore directly and, for advice, runs the testkit oracle's
+// SPARQL path. Both legs answer the identical seeded query script and must
+// agree on a result checksum, so every speedup is measured on provably
+// identical answers.
 //
 // The default instance is the ISSUE target: --profiles=1250000 stages
 // ~10M triples (8 per profile on average) through AddProfilesBulk, then
@@ -22,8 +23,10 @@
 //   instances_scan — InstancesOf(Application) over every profile. Legacy
 //                    copies a million-id vector per call; frozen returns
 //                    a span into the type index.
-//   advise_query   — full AdviseShardSize (SPARQL-path vs frozen-native);
-//                    answers must be bit-identical, not just checksummed.
+//   advise_query   — shard advice: testkit::OracleAdviseShardSize (the
+//                    paper's SPARQL query, parsed and run by the greedy
+//                    evaluator over the store) vs AdviseShardSize on the
+//                    frozen KB (streaming ranking, span reads).
 //
 // Each leg runs --reps times after one untimed warm-up and reports its
 // best repetition; the frozen leg additionally reports the median
@@ -48,6 +51,7 @@
 #include "scan/kb/frozen_index.hpp"
 #include "scan/kb/knowledge_base.hpp"
 #include "scan/kb/ontology.hpp"
+#include "scan/testkit/kb_oracle.hpp"
 
 namespace scan::bench {
 namespace {
@@ -138,8 +142,8 @@ Workload BuildWorkload(std::size_t profiles) {
   }
 
   // Both KBs bulk-load (per-triple Add would hit the quadratic posting-
-  // insert path at millions of profiles); only w.kb is ever frozen, so
-  // legacy_kb keeps serving through the hash-map store. Identical staging
+  // insert path at millions of profiles); only w.kb is ever frozen, and
+  // the legacy leg reads legacy_kb's hash-map store. Identical staging
   // order means identical term ids on both sides.
   w.individuals = w.kb.AddProfilesBulk(batch);
   w.legacy_kb.AddProfilesBulk(batch);
@@ -316,8 +320,8 @@ int main(int argc, char** argv) {
        [&] {
          return TimeOps(advise_ops, [&](std::uint64_t i) {
            const auto& [app, bounds] = advises[i];
-           return HashAdvice(
-               w.legacy_kb.AdviseShardSize(app, bounds.first, bounds.second));
+           return HashAdvice(testkit::OracleAdviseShardSize(
+               store, app, bounds.first, bounds.second));
          });
        },
        [&] {

@@ -52,7 +52,7 @@ void BM_TripleStoreInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_TripleStoreInsert)->Arg(1000)->Arg(10000);
 
-void BM_SparqlAdviseQuery(benchmark::State& state) {
+void BM_AdviseShardSize(benchmark::State& state) {
   kb::KnowledgeBase knowledge;
   for (int i = 0; i < state.range(0); ++i) {
     kb::ApplicationProfile profile;
@@ -66,7 +66,7 @@ void BM_SparqlAdviseQuery(benchmark::State& state) {
     benchmark::DoNotOptimize(advice.ok());
   }
 }
-BENCHMARK(BM_SparqlAdviseQuery)->Arg(10)->Arg(100)->Arg(1000);
+BENCHMARK(BM_AdviseShardSize)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_FastqParse(benchmark::State& state) {
   genomics::SyntheticGenerator gen(1);

@@ -23,10 +23,10 @@
 //    source.
 //
 // Ids are the TermTable's ids (not remapped), so every answer is
-// id-compatible with the staging store: the legacy TripleStore doubles as
-// the differential oracle (tests/kb/frozen_differential_test.cpp), and
-// Match() emits triples in exactly the legacy scan order for every pattern
-// shape.
+// id-compatible with the staging store. Match() emits triples in exactly
+// the TripleStore scan order for every pattern shape, and the planner
+// statistics equal the store's, so the one executor (plan.hpp) returns the
+// same rows in the same order over either (frozen_differential_test.cpp).
 //
 // Thread-safety: immutable after Freeze(); concurrent reads are safe.
 
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "scan/common/function_ref.hpp"
-#include "scan/kb/dictionary.hpp"
 #include "scan/kb/triple_store.hpp"
 #include "scan/kb/vbyte.hpp"
 
@@ -87,8 +86,8 @@ class FrozenIndex {
 
   // --- Planner statistics ---
 
-  /// Estimated (exact for fully-constant positions) match count for a
-  /// pattern; nullopt positions are wildcards.
+  /// Match count for a pattern; nullopt positions are wildcards. Exact,
+  /// except (s, ?, o), which reports the subject's full degree. O(log).
   [[nodiscard]] std::uint64_t CountEstimate(
       const TriplePatternIds& pattern) const;
 
@@ -120,14 +119,11 @@ class FrozenIndex {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  [[nodiscard]] std::size_t size() const { return stats_.triples; }
-
-  [[nodiscard]] const Dictionary& dictionary() const { return dictionary_; }
-
-  /// Resolves a term against the frozen dictionary (binary search).
-  [[nodiscard]] std::optional<TermId> Lookup(const Term& term) const {
-    return dictionary_.Lookup(term);
+  [[nodiscard]] DistinctCounts distinct_counts() const {
+    return {stats_.subjects, stats_.predicates, stats_.objects};
   }
+
+  [[nodiscard]] std::size_t size() const { return stats_.triples; }
 
  private:
   static constexpr std::uint32_t kNoRow = 0xffffffffu;
@@ -142,6 +138,8 @@ class FrozenIndex {
   };
 
   [[nodiscard]] const PredEntry* Pred(TermId p) const;
+  /// The subject posting of (p, o), or nullptr.
+  [[nodiscard]] const CompressedPostings* Posting(TermId p, TermId o) const;
   [[nodiscard]] std::uint32_t SubjectRow(TermId s) const;
 
   // Subject-major layout. subject_row_ is indexed by raw TermId.
@@ -171,7 +169,6 @@ class FrozenIndex {
   std::vector<TermId> type_instances_;
 
   std::vector<CharacteristicSet> charsets_;
-  Dictionary dictionary_;
   Stats stats_;
 };
 

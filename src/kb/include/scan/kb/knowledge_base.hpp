@@ -10,6 +10,10 @@
 //  2. expand from the logs of every task run on the platform
 //     (RecordTaskLog),
 //  3. query for advice (AdviseShardSize / AdviseThreads / FitETimeModel).
+//
+// Reads run one code path over the fresh FrozenIndex snapshot, or over the
+// staging TripleStore once a write made it stale: answers (advice, profiles,
+// SPARQL rows in order) never depend on freshness, only speed does.
 
 #include <optional>
 #include <span>
@@ -82,9 +86,11 @@ class KnowledgeBase {
       std::optional<int> stage = std::nullopt) const;
 
   /// Chooses a shard size for `application` with size clamped to
-  /// [min_gb, max_gb]: queries the instance store via SPARQL and picks the
-  /// profile with the lowest eTime per GB. NotFound if no profile
-  /// qualifies.
+  /// [min_gb, max_gb]: ranks the application's profile individuals by
+  /// eTime per GB and picks the lowest (ties: lower eTime, then earlier
+  /// individual). NotFound if no profile qualifies.
+  /// testkit::OracleAdviseShardSize states the same ranking as the
+  /// paper's SPARQL query.
   [[nodiscard]] Result<ShardAdvice> AdviseShardSize(
       std::string_view application, double min_gb, double max_gb) const;
 
@@ -100,15 +106,14 @@ class KnowledgeBase {
                                         std::optional<int> stage,
                                         int threads = 1) const;
 
-  /// Raw SPARQL access (used by examples and the Data Broker). Routed to
-  /// the frozen planner-driven engine when a fresh snapshot exists, to the
-  /// legacy staging-store engine otherwise. Solution multisets are
-  /// identical either way; row order of unordered queries may differ.
+  /// Raw SPARQL access (examples, diagnostics). Runs the planner-driven
+  /// executor over the serving backend; rows and their order are the same
+  /// whether or not the snapshot is fresh.
   [[nodiscard]] Result<ResultSet> Query(std::string_view sparql) const;
 
   /// Builds (or rebuilds) the read-optimized serving index from the current
-  /// staging store. Advice and query entry points route to it until the
-  /// next mutation makes it stale.
+  /// staging store. Reads use it until the next mutation makes it stale;
+  /// the returned reference is valid until the KB's next write.
   const FrozenIndex& Freeze();
 
   /// True if a frozen snapshot exists and reflects the current store
@@ -136,11 +141,10 @@ class KnowledgeBase {
   TermId StageProfileTriples(const ApplicationProfile& profile,
                              const std::string& name,
                              std::vector<Triple>& out);
-  [[nodiscard]] Result<ShardAdvice> AdviseShardSizeFrozen(
-      const FrozenIndex& frozen, std::string_view application, double min_gb,
-      double max_gb) const;
 
   TripleStore store_;
+  /// Released by the KB's own writes once stale: revisions only grow, so a
+  /// stale snapshot never serves again.
   std::optional<FrozenIndex> frozen_;
   std::uint64_t frozen_revision_ = 0;
   std::size_t auto_name_counter_ = 0;

@@ -1,9 +1,11 @@
 #pragma once
 
-// Cardinality-driven query planning and execution over the FrozenIndex.
+// Cardinality-driven query planning and execution: the one SPARQL
+// evaluator of the knowledge base, run over either backend — the mutable
+// TripleStore or a FrozenIndex snapshot of it.
 //
 // PlanBgp orders a basic graph pattern greedily by estimated match count,
-// using the frozen index's exact per-pattern counts plus characteristic-set
+// using the backend's exact per-pattern counts plus characteristic-set
 // statistics for star joins (several patterns sharing a subject variable):
 // the number of subjects whose predicate signature includes every constant
 // predicate seen so far is an exact star-cardinality bound, which the plain
@@ -12,20 +14,24 @@
 // Each chosen step also carries its join strategy:
 //  * kCross        — the pattern shares no bound variable with the rows
 //                    accumulated so far: scan its matches ONCE and
-//                    cross-join (the legacy engine rescans per row).
+//                    cross-join.
 //  * kMergeFilter  — subject variable already bound, predicate and object
 //                    constant: sort the rows by the variable and merge
-//                    against the (p, o) compressed posting list — a merge
+//                    against the ascending (p, o) subject posting — a merge
 //                    semi-join over sorted ids, one linear pass.
-//  * kProbe        — general case: per-row index probe via FrozenIndex::Match
-//                    with the row's bindings substituted.
+//  * kProbe        — general case: per-row index probe via Match with the
+//                    row's bindings substituted.
 //
-// FrozenQueryEngine is the drop-in counterpart of QueryEngine: same SPARQL
-// subset, same result semantics (solution multisets are identical; row
-// order may differ for unordered queries).
+// Both backends compute the statistics exactly from their postings and
+// emit Match / SubjectsVisit in the same order, so PlanBgp picks the same
+// plan on both and a query returns the same rows in the same order whether
+// or not the knowledge base is frozen.
+//
+// The templates below are instantiated for TripleStore and FrozenIndex in
+// plan.cpp; a Source provides Match, SubjectsVisit, CountEstimate,
+// CountSubjectsWithPredicates and distinct_counts.
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "scan/kb/frozen_index.hpp"
@@ -42,7 +48,7 @@ enum class JoinStrategy {
 struct PlanStep {
   const TriplePattern* pattern = nullptr;
   /// Constant positions resolved to ids at plan time (variables stay
-  /// nullopt). kInvalidTermId marks a constant absent from the dictionary:
+  /// nullopt). kInvalidTermId marks a constant absent from the term table:
   /// the step — and with it the whole BGP — matches nothing.
   TriplePatternIds constants;
   std::uint64_t estimate = 0;  ///< match-count estimate when chosen
@@ -56,26 +62,16 @@ struct BgpPlan {
 /// Orders the patterns of one BGP. `bound` is indexed by interned variable
 /// id and marks variables already bound by the enclosing context; the
 /// planner simulates binding propagation across its own copy.
+template <typename Source>
 [[nodiscard]] BgpPlan PlanBgp(const std::vector<TriplePattern>& triples,
-                              std::vector<bool> bound,
-                              const FrozenIndex& index,
+                              std::vector<bool> bound, const Source& source,
                               const TermTable& terms);
 
-/// Executes parsed queries against a frozen index. The term table must be
-/// the one the index was frozen from (ids are shared, not remapped).
-class FrozenQueryEngine {
- public:
-  FrozenQueryEngine(const FrozenIndex& index, const TermTable& terms)
-      : index_(index), terms_(terms) {}
-
-  [[nodiscard]] Result<ResultSet> Execute(const SelectQuery& query) const;
-
-  /// Parse + execute in one step.
-  [[nodiscard]] Result<ResultSet> Execute(std::string_view text) const;
-
- private:
-  const FrozenIndex& index_;
-  const TermTable& terms_;
-};
+/// Evaluates a parsed query over `source`, whose ids `terms` issued.
+/// InvalidArgument if a variable id does not index query.var_names.
+template <typename Source>
+[[nodiscard]] Result<ResultSet> ExecuteQuery(const SelectQuery& query,
+                                             const Source& source,
+                                             const TermTable& terms);
 
 }  // namespace scan::kb

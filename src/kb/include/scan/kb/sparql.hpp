@@ -20,6 +20,9 @@
 // join via shared variables, OPTIONAL is a left outer join, FILTER drops
 // rows whose expression is false or errors (an unbound variable inside a
 // comparison is an error, not false — use BOUND to test presence).
+//
+// QueryEngine runs the one executor (plan.hpp) over a TripleStore or a
+// FrozenIndex snapshot of it, with the same rows in the same order on both.
 
 #include <memory>
 #include <optional>
@@ -32,7 +35,9 @@
 
 namespace scan::kb {
 
-/// Dense id of a query variable, interned at parse time so the engines
+class FrozenIndex;
+
+/// Dense id of a query variable, interned at parse time so the executor
 /// carry flat `vector<TermId>` solution rows instead of per-row
 /// name -> id hash maps. Ids index SelectQuery::var_names.
 inline constexpr std::uint32_t kNoVarId = 0xffffffffu;
@@ -158,18 +163,29 @@ struct ResultSet {
   [[nodiscard]] std::string ToString() const;
 };
 
-/// Executes parsed queries against a store.
+/// Executes parsed queries over one backend; holds references only.
 class QueryEngine {
  public:
-  explicit QueryEngine(const TripleStore& store) : store_(store) {}
+  /// Over the mutable staging store.
+  explicit QueryEngine(const TripleStore& store)
+      : store_(&store), terms_(store.terms()) {}
 
+  /// Over a frozen snapshot. `terms` must be the table of the store the
+  /// index was frozen from (ids are shared, not remapped).
+  QueryEngine(const FrozenIndex& index, const TermTable& terms)
+      : frozen_(&index), terms_(terms) {}
+
+  /// InvalidArgument if a pattern or FILTER variable id does not index
+  /// query.var_names (possible only for hand-built queries).
   [[nodiscard]] Result<ResultSet> Execute(const SelectQuery& query) const;
 
   /// Parse + execute in one step.
   [[nodiscard]] Result<ResultSet> Execute(std::string_view text) const;
 
  private:
-  const TripleStore& store_;
+  const TripleStore* store_ = nullptr;
+  const FrozenIndex* frozen_ = nullptr;
+  const TermTable& terms_;
 };
 
 }  // namespace scan::kb

@@ -2,10 +2,11 @@
 
 // In-memory RDF triple store with SPO / POS / OSP hash indexes.
 //
-// This is the instance store backing the SCAN knowledge base. Query access
-// is by triple pattern (any of subject / predicate / object may be
-// wildcards); the store picks the most selective index. The SPARQL engine
-// (sparql_engine.hpp) performs joins over these pattern matches.
+// This is the mutable staging store backing the SCAN knowledge base. Query
+// access is by triple pattern (any of subject / predicate / object may be
+// wildcards); the store picks the most selective index. Its read surface
+// matches FrozenIndex's, with exact planner statistics, so the one SPARQL
+// planner and executor (plan.hpp) run over either backend.
 
 #include <cstdint>
 #include <optional>
@@ -34,6 +35,17 @@ struct TriplePatternIds {
   std::optional<TermId> o;
 };
 
+/// Number of distinct terms in each triple position: the planner's
+/// bound-variable deflation divisors.
+struct DistinctCounts {
+  std::size_t subjects = 0;
+  std::size_t predicates = 0;
+  std::size_t objects = 0;
+
+  friend bool operator==(const DistinctCounts&, const DistinctCounts&) =
+      default;
+};
+
 /// The triple store. Not thread-safe for concurrent mutation; concurrent
 /// reads are safe once loading is done (the SCAN platform builds the KB up
 /// front and then queries it from the broker).
@@ -45,7 +57,8 @@ class TripleStore {
   [[nodiscard]] TermTable& terms() { return terms_; }
   [[nodiscard]] const TermTable& terms() const { return terms_; }
 
-  /// Adds a triple; returns false if it was already present.
+  /// Adds a triple; returns false if it was already present. Throws
+  /// std::invalid_argument if an id is 0 or was never issued by terms().
   bool Add(const Term& s, const Term& p, const Term& o);
   bool Add(Triple t);
 
@@ -54,6 +67,8 @@ class TripleStore {
   /// per-triple Add into large posting lists is quadratic — the path for
   /// staging-layer loads of millions of triples before Freeze().
   /// Returns the number of triples actually added (duplicates collapse).
+  /// Validates every id first, like Add: a rejected batch leaves the store
+  /// and its revision() untouched.
   std::size_t AddBatch(std::span<const Triple> triples);
 
   /// Removes a triple; returns false if absent. (Used by knowledge
@@ -82,6 +97,9 @@ class TripleStore {
   /// Objects o with (s, p, o) in the store.
   [[nodiscard]] std::vector<TermId> Objects(TermId s, TermId p) const;
 
+  /// Subjects s with (s, p, o), ascending; `fn` returning false stops.
+  void SubjectsVisit(TermId p, TermId o, FunctionRef<bool(TermId)> fn) const;
+
   /// Subjects s with (s, p, o) in the store.
   [[nodiscard]] std::vector<TermId> Subjects(TermId p, TermId o) const;
 
@@ -90,6 +108,22 @@ class TripleStore {
 
   /// All distinct subjects with rdf:type == type.
   [[nodiscard]] std::vector<TermId> InstancesOf(TermId type) const;
+
+  // --- Planner statistics (exact; same values as FrozenIndex) ---
+
+  /// Match count for a pattern; nullopt positions are wildcards. Exact,
+  /// except (s, ?, o), which reports the subject's full degree. O(log).
+  [[nodiscard]] std::uint64_t CountEstimate(
+      const TriplePatternIds& pattern) const;
+
+  /// Subjects having every given predicate (any order, duplicates allowed).
+  /// Time linear in the smallest posting list among the predicates.
+  [[nodiscard]] std::uint64_t CountSubjectsWithPredicates(
+      std::span<const TermId> predicates) const;
+
+  [[nodiscard]] DistinctCounts distinct_counts() const {
+    return {spo_.size(), pos_.size(), osp_.size()};
+  }
 
  private:
   // key -> postings of the remaining two positions; postings kept sorted for

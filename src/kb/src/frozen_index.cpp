@@ -167,7 +167,6 @@ FrozenIndex FrozenIndex::Freeze(const TripleStore& store) {
     }
   }
 
-  out.dictionary_ = Dictionary::Build(store.terms());
   out.stats_.triples = triples.size();
   out.stats_.subjects = out.subjects_.size();
   out.stats_.predicates = out.preds_.size();
@@ -236,17 +235,22 @@ bool FrozenIndex::Contains(Triple t) const {
                             });
 }
 
-void FrozenIndex::SubjectsVisit(TermId p, TermId o,
-                                FunctionRef<bool(TermId)> fn) const {
+const CompressedPostings* FrozenIndex::Posting(TermId p, TermId o) const {
   const PredEntry* entry = Pred(p);
-  if (entry == nullptr) return;
+  if (entry == nullptr) return nullptr;
   const auto it = std::lower_bound(
       entry->objects.begin(), entry->objects.end(), o,
       [](TermId a, TermId b) { return Index(a) < Index(b); });
-  if (it == entry->objects.end() || *it != o) return;
+  if (it == entry->objects.end() || *it != o) return nullptr;
   const auto slot = static_cast<std::size_t>(it - entry->objects.begin());
-  entry->postings[slot].ForEach(
-      [&](std::uint32_t s) { return fn(TermId{s}); });
+  return &entry->postings[slot];
+}
+
+void FrozenIndex::SubjectsVisit(TermId p, TermId o,
+                                FunctionRef<bool(TermId)> fn) const {
+  if (const CompressedPostings* posting = Posting(p, o)) {
+    posting->ForEach([&](std::uint32_t s) { return fn(TermId{s}); });
+  }
 }
 
 std::vector<TermId> FrozenIndex::Subjects(TermId p, TermId o) const {
@@ -260,14 +264,8 @@ std::vector<TermId> FrozenIndex::Subjects(TermId p, TermId o) const {
 }
 
 std::size_t FrozenIndex::SubjectCount(TermId p, TermId o) const {
-  const PredEntry* entry = Pred(p);
-  if (entry == nullptr) return 0;
-  const auto it = std::lower_bound(
-      entry->objects.begin(), entry->objects.end(), o,
-      [](TermId a, TermId b) { return Index(a) < Index(b); });
-  if (it == entry->objects.end() || *it != o) return 0;
-  return entry->postings[static_cast<std::size_t>(it - entry->objects.begin())]
-      .size();
+  const CompressedPostings* posting = Posting(p, o);
+  return posting == nullptr ? 0 : posting->size();
 }
 
 void FrozenIndex::Match(const TriplePatternIds& pattern,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <tuple>
 
 #include "scan/common/str.hpp"
 #include "scan/kb/plan.hpp"
@@ -77,6 +78,7 @@ TermId KnowledgeBase::InsertIndividual(const ApplicationProfile& profile,
   staged.reserve(10);
   const TermId individual = StageProfileTriples(profile, name, staged);
   for (const Triple& t : staged) store_.Add(t);
+  if (!FrozenFresh()) frozen_.reset();
   return individual;
 }
 
@@ -106,6 +108,7 @@ std::vector<TermId> KnowledgeBase::AddProfilesBulk(
     ids.push_back(StageProfileTriples(profile, name, staged));
   }
   store_.AddBatch(staged);
+  if (!FrozenFresh()) frozen_.reset();
   return ids;
 }
 
@@ -119,47 +122,47 @@ std::size_t KnowledgeBase::ProfileCount(std::string_view application) const {
   return Profiles(application).size();
 }
 
-std::vector<ApplicationProfile> KnowledgeBase::Profiles(
-    std::string_view application, std::optional<int> stage) const {
+namespace {
+
+/// "...#GATK1" -> "GATK1".
+std::string LocalName(const std::string& iri) {
+  const std::size_t hash_pos = iri.rfind('#');
+  return hash_pos == std::string::npos ? iri : iri.substr(hash_pos + 1);
+}
+
+/// The one place the knowledge base picks a read backend: the fresh frozen
+/// snapshot when there is one, the staging store otherwise. Each read below
+/// is one template run over either; both backends yield subjects and
+/// objects in ascending id order, so the answers are identical.
+template <typename Read>
+auto Serve(const KnowledgeBase& kb, Read&& read) {
+  if (const FrozenIndex* fz = kb.frozen()) return read(*fz);
+  return read(kb.store());
+}
+
+template <typename Source>
+std::vector<ApplicationProfile> ReadProfiles(const Source& source,
+                                             const TermTable& terms,
+                                             std::string_view application,
+                                             std::optional<int> stage) {
   std::vector<ApplicationProfile> out;
-  const auto app_prop = store_.terms().Lookup(PropApplication());
+  const auto app_prop = terms.Lookup(PropApplication());
   const auto app_value =
-      store_.terms().Lookup(MakeStringLiteral(std::string(application)));
+      terms.Lookup(MakeStringLiteral(std::string(application)));
   if (!app_prop || !app_value) return out;
-
-  // Serve from the frozen index when fresh: FirstObject becomes an O(1)
-  // span lookup instead of a hash probe + binary search, and the subject
-  // posting decodes straight off the compressed list. Both sides emit
-  // subjects and objects in ascending id order, so results are identical.
-  const FrozenIndex* fz = frozen();
-  auto first_object = [&](TermId subject, TermId pid) {
-    return fz ? fz->FirstObject(subject, pid)
-              : store_.FirstObject(subject, pid);
+  auto first_term = [&](TermId subject, const Term& prop) -> const Term* {
+    const auto pid = terms.Lookup(prop);
+    const auto obj = pid ? source.FirstObject(subject, *pid) : std::nullopt;
+    return obj ? &terms.Get(*obj) : nullptr;
   };
-  auto numeric_of = [&](TermId subject, const Term& prop) -> double {
-    const auto pid = store_.terms().Lookup(prop);
-    if (!pid) return 0.0;
-    const auto obj = first_object(subject, *pid);
-    if (!obj) return 0.0;
-    return NumericValue(store_.terms().Get(*obj)).value_or(0.0);
-  };
-  auto string_of = [&](TermId subject, const Term& prop) -> std::string {
-    const auto pid = store_.terms().Lookup(prop);
-    if (!pid) return {};
-    const auto obj = first_object(subject, *pid);
-    if (!obj) return {};
-    return store_.terms().Get(*obj).lexical;
+  auto numeric_of = [&](TermId subject, const Term& prop) {
+    const Term* term = first_term(subject, prop);
+    return term ? NumericValue(*term).value_or(0.0) : 0.0;
   };
 
-  const std::vector<TermId> subjects =
-      fz ? fz->Subjects(*app_prop, *app_value)
-         : store_.Subjects(*app_prop, *app_value);
-  for (const TermId subject : subjects) {
+  source.SubjectsVisit(*app_prop, *app_value, [&](TermId subject) {
     ApplicationProfile profile;
-    const std::string& iri = store_.terms().Get(subject).lexical;
-    const std::size_t hash_pos = iri.rfind('#');
-    profile.individual =
-        hash_pos == std::string::npos ? iri : iri.substr(hash_pos + 1);
+    profile.individual = LocalName(terms.Get(subject).lexical);
     profile.application = std::string(application);
     profile.stage = static_cast<int>(numeric_of(subject, PropStage()));
     profile.input_file_size_gb = numeric_of(subject, PropInputFileSize());
@@ -169,95 +172,26 @@ std::vector<ApplicationProfile> KnowledgeBase::Profiles(
     profile.etime = numeric_of(subject, PropETime());
     const int threads = static_cast<int>(numeric_of(subject, PropThreads()));
     profile.threads = threads > 0 ? threads : 1;
-    profile.performance = string_of(subject, PropPerformance());
-    if (stage && profile.stage != *stage) continue;
-    out.push_back(std::move(profile));
-  }
+    const Term* performance = first_term(subject, PropPerformance());
+    if (performance != nullptr) profile.performance = performance->lexical;
+    if (!stage || profile.stage == *stage) out.push_back(std::move(profile));
+    return true;
+  });
   return out;
 }
 
-Result<ShardAdvice> KnowledgeBase::AdviseShardSize(
-    std::string_view application, double min_gb, double max_gb) const {
-  if (min_gb < 0.0 || max_gb < min_gb) {
-    return InvalidArgumentError("AdviseShardSize: bad size bounds");
-  }
-  if (const FrozenIndex* fz = frozen()) {
-    return AdviseShardSizeFrozen(*fz, application, min_gb, max_gb);
-  }
-  // The broker's query, in SPARQL as the paper prescribes. OPTIONAL blocks
-  // tolerate profiles missing CPU/RAM attributes.
-  const std::string query_text =
-      QueryPrefixes() +
-      StrFormat(
-          "SELECT ?ind ?size ?etime ?cpu ?ram WHERE {\n"
-          "  ?ind a scan:Application .\n"
-          "  ?ind scan:application \"%s\" .\n"
-          "  ?ind scan:inputFileSize ?size .\n"
-          "  ?ind scan:eTime ?etime .\n"
-          "  OPTIONAL { ?ind scan:CPU ?cpu . }\n"
-          "  OPTIONAL { ?ind scan:RAM ?ram . }\n"
-          "  FILTER(?size >= %.17g && ?size <= %.17g && ?etime > 0)\n"
-          "} ORDER BY ASC(?etime)",
-          std::string(application).c_str(), min_gb, max_gb);
-
-  const QueryEngine engine(store_);
-  auto result = engine.Execute(query_text);
-  if (!result.ok()) return result.status();
-
-  const auto& rs = result.value();
-  const auto ind_col = rs.ColumnOf("ind");
-  const auto size_col = rs.ColumnOf("size");
-  const auto etime_col = rs.ColumnOf("etime");
-  const auto cpu_col = rs.ColumnOf("cpu");
-  const auto ram_col = rs.ColumnOf("ram");
-  if (!ind_col || !size_col || !etime_col) {
-    return InternalError("AdviseShardSize: projection mismatch");
-  }
-
-  ShardAdvice best;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (const auto& row : rs.rows) {
-    const auto size = NumericValue(*row[*size_col]);
-    const auto etime = NumericValue(*row[*etime_col]);
-    if (!size || !etime || *size <= 0.0) continue;
-    const double score = *etime / *size;
-    if (score < best_score) {
-      best_score = score;
-      best.shard_size_gb = *size;
-      best.time_per_gb = score;
-      const std::string& iri = row[*ind_col]->lexical;
-      const std::size_t hash_pos = iri.rfind('#');
-      best.source_individual =
-          hash_pos == std::string::npos ? iri : iri.substr(hash_pos + 1);
-      best.recommended_cpu =
-          (cpu_col && row[*cpu_col])
-              ? static_cast<int>(NumericValue(*row[*cpu_col]).value_or(0.0))
-              : 0;
-      best.recommended_ram_gb =
-          (ram_col && row[*ram_col])
-              ? NumericValue(*row[*ram_col]).value_or(0.0)
-              : 0.0;
-    }
-  }
-  if (best_score == std::numeric_limits<double>::infinity()) {
-    return NotFoundError("AdviseShardSize: no profile for application '" +
-                         std::string(application) + "' within bounds");
-  }
-  return best;
-}
-
-Result<ShardAdvice> KnowledgeBase::AdviseShardSizeFrozen(
-    const FrozenIndex& frozen, std::string_view application, double min_gb,
-    double max_gb) const {
-  // Reproduces the SPARQL path bit-for-bit without materializing a result
-  // set. The legacy engine sorts its solutions by (etime, subject id, size)
-  // — stable sort over the join's production order — and keeps the first
-  // row whose etime/size score is strictly minimal, so the winner is the
-  // lexicographic minimum by (score, etime, subject id, size). Candidates
-  // stream off the compressed (application, name) posting list in
-  // ascending subject order; per-candidate attribute reads are span
-  // lookups.
-  const TermTable& terms = store_.terms();
+/// Ranks the application's profiles by eTime per GB (§III-A-2) without
+/// materializing a result set. The winner is the lexicographic minimum by
+/// (score, etime, subject id, size): the selection the broker's SPARQL
+/// query (ORDER BY ASC(?etime), first strictly-best score) makes, kept as
+/// testkit::OracleAdviseShardSize. Candidates stream off the
+/// (application, name) subject posting in ascending id order; attribute
+/// reads are span lookups on the frozen index.
+template <typename Source>
+Result<ShardAdvice> RankShardAdvice(const Source& source,
+                                    const TermTable& terms,
+                                    std::string_view application,
+                                    double min_gb, double max_gb) {
   const auto app_prop = terms.Lookup(PropApplication());
   const auto app_value =
       terms.Lookup(MakeStringLiteral(std::string(application)));
@@ -265,67 +199,67 @@ Result<ShardAdvice> KnowledgeBase::AdviseShardSizeFrozen(
   const auto app_class = terms.Lookup(ClassApplication());
   const auto size_prop = terms.Lookup(PropInputFileSize());
   const auto etime_prop = terms.Lookup(PropETime());
-  const auto cpu_prop = terms.Lookup(PropCpu());
-  const auto ram_prop = terms.Lookup(PropRam());
 
-  ShardAdvice best;
-  bool found = false;
-  double best_score = 0.0;
-  double best_etime = 0.0;
-  double best_size = 0.0;
-  TermId best_ind = kInvalidTermId;
-
+  // (score, etime, subject id, size) of the best candidate so far.
+  std::optional<std::tuple<double, double, std::uint32_t, double>> best;
   if (app_prop && app_value && rdf_type && app_class && size_prop &&
       etime_prop) {
-    frozen.SubjectsVisit(*app_prop, *app_value, [&](TermId ind) {
-      if (!frozen.Contains(Triple{ind, *rdf_type, *app_class})) return true;
-      for (const TermId size_id : frozen.Objects(ind, *size_prop)) {
+    source.SubjectsVisit(*app_prop, *app_value, [&](TermId ind) {
+      if (!source.Contains(Triple{ind, *rdf_type, *app_class})) return true;
+      for (const TermId size_id : source.Objects(ind, *size_prop)) {
+        // Written as the query's FILTER, so NaN never qualifies.
         const auto size = NumericValue(terms.Get(size_id));
-        if (!size || *size < min_gb || *size > max_gb || *size <= 0.0) {
+        if (!size || !(*size >= min_gb && *size <= max_gb && *size > 0.0)) {
           continue;
         }
-        for (const TermId etime_id : frozen.Objects(ind, *etime_prop)) {
+        for (const TermId etime_id : source.Objects(ind, *etime_prop)) {
           const auto etime = NumericValue(terms.Get(etime_id));
-          if (!etime || *etime <= 0.0) continue;
-          const double score = *etime / *size;
-          const bool better =
-              !found || score < best_score ||
-              (score == best_score &&
-               (*etime < best_etime ||
-                (*etime == best_etime &&
-                 (Index(ind) < Index(best_ind) ||
-                  (ind == best_ind && *size < best_size)))));
-          if (!better) continue;
-          found = true;
-          best_score = score;
-          best_etime = *etime;
-          best_size = *size;
-          best_ind = ind;
+          if (!etime || !(*etime > 0.0)) continue;
+          const std::tuple candidate(*etime / *size, *etime, Index(ind), *size);
+          if (!best || candidate < *best) best = candidate;
         }
       }
       return true;
     });
   }
-
-  if (!found) {
+  if (!best) {
     return NotFoundError("AdviseShardSize: no profile for application '" +
                          std::string(application) + "' within bounds");
   }
-  best.shard_size_gb = best_size;
-  best.time_per_gb = best_score;
-  const std::string& iri = terms.Get(best_ind).lexical;
-  const std::size_t hash_pos = iri.rfind('#');
-  best.source_individual =
-      hash_pos == std::string::npos ? iri : iri.substr(hash_pos + 1);
-  auto numeric_attr = [&](const std::optional<TermId>& prop) -> double {
-    if (!prop) return 0.0;
-    const auto obj = frozen.FirstObject(best_ind, *prop);
-    if (!obj) return 0.0;
-    return NumericValue(terms.Get(*obj)).value_or(0.0);
+
+  const auto [score, etime, ind, size] = *best;
+  auto numeric_attr = [&](const Term& prop) {
+    const auto pid = terms.Lookup(prop);
+    const auto obj = pid ? source.FirstObject(TermId{ind}, *pid) : std::nullopt;
+    return obj ? NumericValue(terms.Get(*obj)).value_or(0.0) : 0.0;
   };
-  best.recommended_cpu = static_cast<int>(numeric_attr(cpu_prop));
-  best.recommended_ram_gb = numeric_attr(ram_prop);
-  return best;
+  ShardAdvice advice;
+  advice.shard_size_gb = size;
+  advice.recommended_cpu = static_cast<int>(numeric_attr(PropCpu()));
+  advice.recommended_ram_gb = numeric_attr(PropRam());
+  advice.source_individual = LocalName(terms.Get(TermId{ind}).lexical);
+  advice.time_per_gb = score;
+  return advice;
+}
+
+}  // namespace
+
+std::vector<ApplicationProfile> KnowledgeBase::Profiles(
+    std::string_view application, std::optional<int> stage) const {
+  return Serve(*this, [&](const auto& source) {
+    return ReadProfiles(source, store_.terms(), application, stage);
+  });
+}
+
+Result<ShardAdvice> KnowledgeBase::AdviseShardSize(
+    std::string_view application, double min_gb, double max_gb) const {
+  if (min_gb < 0.0 || max_gb < min_gb) {
+    return InvalidArgumentError("AdviseShardSize: bad size bounds");
+  }
+  return Serve(*this, [&](const auto& source) {
+    return RankShardAdvice(source, store_.terms(), application, min_gb,
+                           max_gb);
+  });
 }
 
 Result<int> KnowledgeBase::AdviseThreads(std::string_view application,
@@ -368,12 +302,11 @@ LinearFit KnowledgeBase::FitETimeModel(std::string_view application,
 }
 
 Result<ResultSet> KnowledgeBase::Query(std::string_view sparql) const {
-  if (const FrozenIndex* fz = frozen()) {
-    const FrozenQueryEngine engine(*fz, store_.terms());
-    return engine.Execute(sparql);
-  }
-  const QueryEngine engine(store_);
-  return engine.Execute(sparql);
+  const auto query = ParseSparql(sparql);
+  if (!query.ok()) return query.status();
+  return Serve(*this, [&](const auto& source) {
+    return ExecuteQuery(query.value(), source, store_.terms());
+  });
 }
 
 }  // namespace scan::kb

@@ -1,18 +1,15 @@
 #include "scan/kb/plan.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cassert>
 #include <limits>
 #include <unordered_map>
 
-#include "query_common.hpp"
+#include "scan/kb/query_common.hpp"
 
 namespace scan::kb {
 
 namespace {
 
-using detail::Ebv;
 using detail::Row;
 
 /// True if the node is a variable currently marked bound.
@@ -30,7 +27,7 @@ void CollectVars(const TriplePattern& tp, std::vector<bool>& bound) {
 }
 
 /// Resolves the constant positions of a pattern to ids (kInvalidTermId for
-/// constants the dictionary has never seen — such a step matches nothing).
+/// constants the term table has never seen — such a step matches nothing).
 TriplePatternIds ResolveConstants(const TriplePattern& tp,
                                   const TermTable& terms) {
   TriplePatternIds out;
@@ -53,18 +50,19 @@ bool HasImpossibleConstant(const TriplePatternIds& c) {
 
 /// Match-count estimate for one step given the simulated bound set and the
 /// constant predicates accumulated per subject variable (star context).
+template <typename Source>
 std::uint64_t EstimateStep(
     const TriplePattern& tp, const TriplePatternIds& constants,
     const std::vector<bool>& bound,
     const std::unordered_map<std::uint32_t, std::vector<TermId>>& star_preds,
-    const FrozenIndex& index) {
+    const Source& source) {
   if (HasImpossibleConstant(constants)) return 0;
-  std::uint64_t est = index.CountEstimate(constants);
+  std::uint64_t est = source.CountEstimate(constants);
 
   // Star refinement: (?s, p, ?o) where ?s already carries constant
-  // predicates from chosen patterns. Characteristic sets give the exact
-  // number of subjects having the whole predicate set; scale by the average
-  // object fan-out of p.
+  // predicates from chosen patterns. CountSubjectsWithPredicates gives the
+  // exact number of subjects having the whole predicate set; scale by the
+  // average object fan-out of p.
   const auto* s_var = std::get_if<Variable>(&tp.s);
   if (s_var != nullptr && constants.p && !constants.o &&
       std::holds_alternative<Variable>(tp.o)) {
@@ -73,8 +71,8 @@ std::uint64_t EstimateStep(
       std::vector<TermId> preds = it->second;
       preds.push_back(*constants.p);
       const std::uint64_t star_subjects =
-          index.CountSubjectsWithPredicates(preds);
-      const std::uint64_t p_subjects = index.CountSubjectsWithPredicates(
+          source.CountSubjectsWithPredicates(preds);
+      const std::uint64_t p_subjects = source.CountSubjectsWithPredicates(
           std::span<const TermId>(&*constants.p, 1));
       const std::uint64_t fan_out =
           p_subjects == 0 ? 1 : std::max<std::uint64_t>(1, est / p_subjects);
@@ -84,13 +82,13 @@ std::uint64_t EstimateStep(
 
   // Bound variables narrow the pattern: deflate by the matched dimension's
   // distinct count (a uniformity assumption, only used for ordering).
-  const FrozenIndex::Stats& stats = index.stats();
+  const DistinctCounts distinct = source.distinct_counts();
   auto deflate = [&](std::uint64_t dim) {
     if (est > 0) est = std::max<std::uint64_t>(1, est / std::max<std::uint64_t>(1, dim));
   };
-  if (IsBoundVar(tp.s, bound)) deflate(stats.subjects);
-  if (IsBoundVar(tp.p, bound)) deflate(stats.predicates);
-  if (IsBoundVar(tp.o, bound)) deflate(stats.objects);
+  if (IsBoundVar(tp.s, bound)) deflate(distinct.subjects);
+  if (IsBoundVar(tp.p, bound)) deflate(distinct.predicates);
+  if (IsBoundVar(tp.o, bound)) deflate(distinct.objects);
   return est;
 }
 
@@ -106,86 +104,20 @@ JoinStrategy ChooseStrategy(const TriplePattern& tp,
   return JoinStrategy::kProbe;
 }
 
-/// Binds a variable node to `value`; false if a same-row repeated variable
-/// conflicts.
-bool BindIfVar(const PatternNode& node, TermId value, Row& row) {
-  const auto* var = std::get_if<Variable>(&node);
-  if (var == nullptr) return true;
-  assert(var->id < row.size());
-  if (row[var->id] == kInvalidTermId) {
-    row[var->id] = value;
-    return true;
-  }
-  return row[var->id] == value;
-}
-
-class FrozenEvaluator {
+template <typename Source>
+class Executor {
  public:
-  FrozenEvaluator(const FrozenIndex& index, const TermTable& terms,
-                  std::size_t var_count)
-      : index_(index), terms_(terms), var_count_(var_count) {}
+  Executor(const Source& source, const TermTable& terms)
+      : source_(source), terms_(terms) {}
 
-  std::vector<Row> EvaluateGroup(const GroupPattern& group,
-                                 std::vector<Row> seeds) const {
-    std::vector<Row> current = std::move(seeds);
-    std::vector<bool> bound(var_count_, false);
-    if (!current.empty()) {
-      const Row& front = current.front();
-      for (std::size_t i = 0; i < front.size(); ++i) {
-        bound[i] = front[i] != kInvalidTermId;
-      }
+  /// Runs the BGP in planned order over `rows` (the group skeleton's hook).
+  void operator()(const std::vector<TriplePattern>& triples,
+                  std::vector<bool> bound, std::vector<Row>& rows) const {
+    const BgpPlan plan = PlanBgp(triples, std::move(bound), source_, terms_);
+    for (const PlanStep& step : plan.steps) {
+      if (rows.empty()) return;
+      ApplyStep(step, rows);
     }
-
-    // 1. Basic graph pattern, in planned order.
-    if (!group.triples.empty() && !current.empty()) {
-      const BgpPlan plan = PlanBgp(group.triples, bound, index_, terms_);
-      for (const PlanStep& step : plan.steps) {
-        if (current.empty()) break;
-        ApplyStep(step, current);
-        CollectVars(*step.pattern, bound);
-      }
-    }
-    if (!group.triples.empty() && current.empty()) return {};
-
-    // 2. UNION alternations.
-    for (const auto& branches : group.unions) {
-      std::vector<Row> next;
-      for (const Row& row : current) {
-        for (const GroupPattern& branch : branches) {
-          for (auto& extended : EvaluateGroup(branch, {row})) {
-            next.push_back(std::move(extended));
-          }
-        }
-      }
-      current = std::move(next);
-      if (current.empty()) break;
-    }
-
-    // 3. OPTIONAL groups: left outer join, in source order.
-    for (const GroupPattern& opt : group.optionals) {
-      std::vector<Row> next;
-      for (const Row& row : current) {
-        auto extended = EvaluateGroup(opt, {row});
-        if (extended.empty()) {
-          next.push_back(row);
-        } else {
-          for (auto& e : extended) next.push_back(std::move(e));
-        }
-      }
-      current = std::move(next);
-    }
-
-    // 4. FILTERs.
-    for (const ExprPtr& filter : group.filters) {
-      std::vector<Row> kept;
-      for (Row& row : current) {
-        if (detail::EvalExpr(*filter, row, terms_) == Ebv::kTrue) {
-          kept.push_back(std::move(row));
-        }
-      }
-      current = std::move(kept);
-    }
-    return current;
   }
 
  private:
@@ -208,59 +140,15 @@ class FrozenEvaluator {
   }
 
   /// No bound variables: scan the pattern's matches once, then cross-join
-  /// with every accumulated row (whose bindings are disjoint by
-  /// construction).
+  /// them with every accumulated row (whose bindings are disjoint by
+  /// construction; only a variable repeated in the pattern can clash).
   void ApplyCross(const PlanStep& step, std::vector<Row>& rows) const {
-    const TriplePattern& tp = *step.pattern;
-    // Map each position to a slot in the per-match value tuple; repeated
-    // variables share a slot and must agree.
-    std::array<int, 3> pos_slot{-1, -1, -1};
-    std::vector<std::uint32_t> slot_vars;
-    auto reg = [&](const PatternNode& node, int pos) {
-      if (const auto* v = std::get_if<Variable>(&node)) {
-        for (std::size_t k = 0; k < slot_vars.size(); ++k) {
-          if (slot_vars[k] == v->id) {
-            pos_slot[static_cast<std::size_t>(pos)] = static_cast<int>(k);
-            return;
-          }
-        }
-        pos_slot[static_cast<std::size_t>(pos)] =
-            static_cast<int>(slot_vars.size());
-        slot_vars.push_back(v->id);
-      }
-    };
-    reg(tp.s, 0);
-    reg(tp.p, 1);
-    reg(tp.o, 2);
-
-    std::vector<std::array<TermId, 3>> extensions;
-    index_.Match(step.constants, [&](const Triple& t) {
-      std::array<TermId, 3> vals{kInvalidTermId, kInvalidTermId,
-                                 kInvalidTermId};
-      const std::array<TermId, 3> tv{t.s, t.p, t.o};
-      for (std::size_t pos = 0; pos < 3; ++pos) {
-        const int slot = pos_slot[pos];
-        if (slot < 0) continue;
-        auto& v = vals[static_cast<std::size_t>(slot)];
-        if (v == kInvalidTermId) {
-          v = tv[pos];
-        } else if (v != tv[pos]) {
-          return true;  // repeated-variable conflict within the triple
-        }
-      }
-      extensions.push_back(vals);
-      return true;
-    });
-
+    const std::vector<Triple> matches = source_.MatchAll(step.constants);
     std::vector<Row> next;
-    next.reserve(rows.size() * extensions.size());
+    next.reserve(rows.size() * matches.size());
     for (const Row& row : rows) {
-      for (const auto& vals : extensions) {
-        Row extended = row;
-        for (std::size_t k = 0; k < slot_vars.size(); ++k) {
-          extended[slot_vars[k]] = vals[k];
-        }
-        next.push_back(std::move(extended));
+      for (const Triple& t : matches) {
+        detail::ExtendRow(*step.pattern, t, row, next);
       }
     }
     rows = std::move(next);
@@ -279,7 +167,7 @@ class FrozenEvaluator {
                      });
     std::vector<Row> kept;
     std::size_t i = 0;
-    index_.SubjectsVisit(p, o, [&](TermId s) {
+    source_.SubjectsVisit(p, o, [&](TermId s) {
       while (i < rows.size() && Index(rows[i][vid]) < Index(s)) ++i;
       while (i < rows.size() && rows[i][vid] == s) {
         kept.push_back(std::move(rows[i]));
@@ -305,27 +193,23 @@ class FrozenEvaluator {
       fill(tp.s, ids.s);
       fill(tp.p, ids.p);
       fill(tp.o, ids.o);
-      index_.Match(ids, [&](const Triple& t) {
-        Row extended = row;
-        if (!BindIfVar(tp.s, t.s, extended)) return true;
-        if (!BindIfVar(tp.p, t.p, extended)) return true;
-        if (!BindIfVar(tp.o, t.o, extended)) return true;
-        next.push_back(std::move(extended));
+      source_.Match(ids, [&](const Triple& t) {
+        detail::ExtendRow(tp, t, row, next);
         return true;
       });
     }
     rows = std::move(next);
   }
 
-  const FrozenIndex& index_;
+  const Source& source_;
   const TermTable& terms_;
-  std::size_t var_count_;
 };
 
 }  // namespace
 
+template <typename Source>
 BgpPlan PlanBgp(const std::vector<TriplePattern>& triples,
-                std::vector<bool> bound, const FrozenIndex& index,
+                std::vector<bool> bound, const Source& source,
                 const TermTable& terms) {
   BgpPlan plan;
   plan.steps.reserve(triples.size());
@@ -359,7 +243,7 @@ BgpPlan PlanBgp(const std::vector<TriplePattern>& triples,
     std::uint64_t best_estimate = std::numeric_limits<std::uint64_t>::max();
     for (std::size_t i = 0; i < remaining.size(); ++i) {
       const std::uint64_t est =
-          EstimateStep(*remaining[i], constants[i], bound, star_preds, index);
+          EstimateStep(*remaining[i], constants[i], bound, star_preds, source);
       if (est < best_estimate) {  // ties: keep the earliest (deterministic)
         best_estimate = est;
         best = i;
@@ -385,14 +269,31 @@ BgpPlan PlanBgp(const std::vector<TriplePattern>& triples,
   return plan;
 }
 
-Result<ResultSet> FrozenQueryEngine::Execute(const SelectQuery& query) const {
-  FrozenEvaluator evaluator(index_, terms_, query.var_names.size());
-  std::vector<Row> solutions = evaluator.EvaluateGroup(
-      query.where, {Row(query.var_names.size(), kInvalidTermId)});
-  return detail::MaterializeResults(query, terms_, std::move(solutions));
+template <typename Source>
+Result<ResultSet> ExecuteQuery(const SelectQuery& query, const Source& source,
+                               const TermTable& terms) {
+  if (Status ids = detail::CheckVarIds(query); !ids.ok()) return ids;
+  std::vector<Row> solutions = detail::EvaluateGroup(
+      query.where, {Row(query.var_names.size(), kInvalidTermId)}, terms,
+      Executor<Source>(source, terms));
+  return detail::MaterializeResults(query, terms, std::move(solutions));
 }
 
-Result<ResultSet> FrozenQueryEngine::Execute(std::string_view text) const {
+template BgpPlan PlanBgp(const std::vector<TriplePattern>&, std::vector<bool>,
+                         const TripleStore&, const TermTable&);
+template BgpPlan PlanBgp(const std::vector<TriplePattern>&, std::vector<bool>,
+                         const FrozenIndex&, const TermTable&);
+template Result<ResultSet> ExecuteQuery(const SelectQuery&, const TripleStore&,
+                                        const TermTable&);
+template Result<ResultSet> ExecuteQuery(const SelectQuery&, const FrozenIndex&,
+                                        const TermTable&);
+
+Result<ResultSet> QueryEngine::Execute(const SelectQuery& query) const {
+  return frozen_ != nullptr ? ExecuteQuery(query, *frozen_, terms_)
+                            : ExecuteQuery(query, *store_, terms_);
+}
+
+Result<ResultSet> QueryEngine::Execute(std::string_view text) const {
   auto query = ParseSparql(text);
   if (!query.ok()) return query.status();
   return Execute(query.value());

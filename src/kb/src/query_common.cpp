@@ -1,10 +1,38 @@
-#include "query_common.hpp"
+#include "scan/kb/query_common.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
+
+namespace scan::kb {
+
+std::optional<std::size_t> ResultSet::ColumnOf(std::string_view var) const {
+  for (std::size_t i = 0; i < variables.size(); ++i) {
+    if (variables[i] == var) return i;
+  }
+  return std::nullopt;
+}
+
+std::string ResultSet::ToString() const {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < variables.size(); ++i) {
+    os << (i ? "\t" : "") << "?" << variables[i];
+  }
+  os << "\n";
+  for (const auto& row : rows) {
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      os << (i ? "\t" : "");
+      os << (row[i] ? kb::ToString(*row[i]) : std::string("UNBOUND"));
+    }
+    os << "\n";
+  }
+  return os.str();
+}
+
+}  // namespace scan::kb
 
 namespace scan::kb::detail {
 
@@ -15,14 +43,20 @@ namespace {
   return row[var_id];
 }
 
+/// The term a row binds to a variable; nullopt if unbound.
+std::optional<Term> TermAt(const Row& row, std::uint32_t var_id,
+                           const TermTable& terms) {
+  const TermId id = RowValue(row, var_id);
+  if (id == kInvalidTermId) return std::nullopt;
+  return terms.Get(id);
+}
+
 /// Resolves a kVar/kLiteral operand to a Term; nullopt if unbound.
 std::optional<Term> OperandTerm(const Expr& expr, const Row& row,
                                 const TermTable& terms) {
   if (expr.op == ExprOp::kLiteral) return expr.literal;
   assert(expr.op == ExprOp::kVar);
-  const TermId id = RowValue(row, expr.var_id);
-  if (id == kInvalidTermId) return std::nullopt;
-  return terms.Get(id);
+  return TermAt(row, expr.var_id, terms);
 }
 
 Ebv Compare(const Expr& expr, const Row& row, const TermTable& terms) {
@@ -75,24 +109,38 @@ Ebv Compare(const Expr& expr, const Row& row, const TermTable& terms) {
   return truth ? Ebv::kTrue : Ebv::kFalse;
 }
 
-/// Collects the variables appearing anywhere in a group (for SELECT *), in
-/// first-appearance order: triples, then optionals, then union branches.
-void CollectGroupVars(const GroupPattern& group, std::vector<std::string>& out,
-                      std::set<std::string>& seen) {
-  auto add = [&](const PatternNode& node) {
-    if (const auto* v = std::get_if<Variable>(&node)) {
-      if (seen.insert(v->name).second) out.push_back(v->name);
-    }
-  };
-  for (const auto& tp : group.triples) {
-    add(tp.s);
-    add(tp.p);
-    add(tp.o);
-  }
-  for (const auto& opt : group.optionals) CollectGroupVars(opt, out, seen);
+/// Calls `fn` on the group and every nested OPTIONAL and UNION group,
+/// pre-order: a group, then its optionals, then its union branches.
+template <typename Fn>
+void ForEachGroup(const GroupPattern& group, const Fn& fn) {
+  fn(group);
+  for (const auto& opt : group.optionals) ForEachGroup(opt, fn);
   for (const auto& branches : group.unions) {
-    for (const auto& branch : branches) CollectGroupVars(branch, out, seen);
+    for (const auto& branch : branches) ForEachGroup(branch, fn);
   }
+}
+
+/// Calls `fn` on every triple-pattern variable of the group and its nested
+/// groups, in first-appearance order.
+template <typename Fn>
+void ForEachPatternVar(const GroupPattern& group, const Fn& fn) {
+  ForEachGroup(group, [&](const GroupPattern& g) {
+    for (const TriplePattern& tp : g.triples) {
+      for (const PatternNode* node : {&tp.s, &tp.p, &tp.o}) {
+        if (const auto* v = std::get_if<Variable>(node)) fn(*v);
+      }
+    }
+  });
+}
+
+/// True if every variable id in the expression indexes `n` variables.
+bool IdsInRange(const Expr& expr, std::size_t n) {
+  if ((expr.op == ExprOp::kVar || expr.op == ExprOp::kBound) &&
+      expr.var_id >= n) {
+    return false;
+  }
+  return (!expr.lhs || IdsInRange(*expr.lhs, n)) &&
+         (!expr.rhs || IdsInRange(*expr.rhs, n));
 }
 
 /// Shared ORDER BY comparison over two optional terms. Unbound sorts first
@@ -107,6 +155,21 @@ int CompareOrderTerms(const std::optional<Term>& ta,
   if (na && nb) return (*na < *nb) ? -1 : (*na > *nb ? 1 : 0);
   const int c = ta->lexical.compare(tb->lexical);
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
+}
+
+/// Stable ORDER BY (ties keep their order): `key(row, k)` is the row's
+/// term for the k-th sort key.
+template <typename Rows, typename Key>
+void SortByKeys(const SelectQuery& query, Rows& rows, const Key& key) {
+  if (query.order_by.empty()) return;
+  std::stable_sort(rows.begin(), rows.end(), [&](const auto& a,
+                                                 const auto& b) {
+    for (std::size_t k = 0; k < query.order_by.size(); ++k) {
+      const int cmp = CompareOrderTerms(key(a, k), key(b, k));
+      if (cmp != 0) return query.order_by[k].ascending ? cmp < 0 : cmp > 0;
+    }
+    return false;
+  });
 }
 
 void ApplyLimitOffset(const SelectQuery& query, ResultSet& result) {
@@ -181,10 +244,7 @@ Result<ResultSet> ExecuteAggregates(const SelectQuery& query,
           row.emplace_back(std::nullopt);
           continue;
         }
-        const TermId value = RowValue(*members.front(), var_id);
-        row.emplace_back(value == kInvalidTermId
-                             ? std::optional<Term>{}
-                             : std::optional<Term>(terms.Get(value)));
+        row.push_back(TermAt(*members.front(), var_id, terms));
         continue;
       }
       if (p.fn == AggregateFn::kCount) {
@@ -239,25 +299,14 @@ Result<ResultSet> ExecuteAggregates(const SelectQuery& query,
   }
 
   // ORDER BY over output columns (alias names).
-  if (!query.order_by.empty()) {
-    std::stable_sort(result.rows.begin(), result.rows.end(),
-                     [&](const auto& a, const auto& b) {
-                       for (const OrderKey& keyspec : query.order_by) {
-                         const auto col = result.ColumnOf(keyspec.var);
-                         if (!col) continue;
-                         const int cmp = CompareOrderTerms(a[*col], b[*col]);
-                         if (cmp != 0) {
-                           return keyspec.ascending ? cmp < 0 : cmp > 0;
-                         }
-                       }
-                       return false;
-                     });
-  }
+  SortByKeys(query, result.rows,
+             [&](const std::vector<std::optional<Term>>& row, std::size_t k) {
+               const auto col = result.ColumnOf(query.order_by[k].var);
+               return col ? row[*col] : std::optional<Term>{};
+             });
   ApplyLimitOffset(query, result);
   return result;
 }
-
-}  // namespace
 
 Ebv Not(Ebv v) {
   switch (v) {
@@ -269,6 +318,29 @@ Ebv Not(Ebv v) {
       return Ebv::kError;
   }
   return Ebv::kError;
+}
+
+/// Binds a variable node to `value`; false if the variable already holds a
+/// different value.
+bool BindIfVar(const PatternNode& node, TermId value, Row& row) {
+  const auto* var = std::get_if<Variable>(&node);
+  if (var == nullptr) return true;
+  if (row[var->id] == kInvalidTermId) {
+    row[var->id] = value;
+    return true;
+  }
+  return row[var->id] == value;
+}
+
+}  // namespace
+
+void ExtendRow(const TriplePattern& tp, const Triple& t, const Row& row,
+               std::vector<Row>& out) {
+  Row extended = row;
+  if (BindIfVar(tp.s, t.s, extended) && BindIfVar(tp.p, t.p, extended) &&
+      BindIfVar(tp.o, t.o, extended)) {
+    out.push_back(std::move(extended));
+  }
 }
 
 Ebv EvalExpr(const Expr& expr, const Row& row, const TermTable& terms) {
@@ -318,6 +390,19 @@ Ebv EvalExpr(const Expr& expr, const Row& row, const TermTable& terms) {
   return Ebv::kError;
 }
 
+Status CheckVarIds(const SelectQuery& query) {
+  const std::size_t n = query.var_names.size();
+  bool ok = true;
+  ForEachPatternVar(query.where, [&](const Variable& v) { ok &= v.id < n; });
+  ForEachGroup(query.where, [&](const GroupPattern& g) {
+    for (const ExprPtr& filter : g.filters) ok &= IdsInRange(*filter, n);
+  });
+  if (ok) return Status::Ok();
+  return InvalidArgumentError(
+      "SPARQL: a variable id is out of range of the query's " +
+      std::to_string(query.var_names.size()) + " interned variables");
+}
+
 std::optional<std::uint32_t> VarIdOf(const SelectQuery& query,
                                      std::string_view name) {
   for (std::uint32_t i = 0; i < query.var_names.size(); ++i) {
@@ -335,9 +420,11 @@ Result<ResultSet> MaterializeResults(const SelectQuery& query,
 
   // Projection list.
   ResultSet result;
-  if (query.variables.empty()) {
+  if (query.variables.empty()) {  // SELECT *
     std::set<std::string> seen;
-    CollectGroupVars(query.where, result.variables, seen);
+    ForEachPatternVar(query.where, [&](const Variable& v) {
+      if (seen.insert(v.name).second) result.variables.push_back(v.name);
+    });
   } else {
     result.variables = query.variables;
   }
@@ -347,33 +434,14 @@ Result<ResultSet> MaterializeResults(const SelectQuery& query,
     column_ids.push_back(VarIdOf(query, var).value_or(kNoVarId));
   }
 
-  // ORDER BY (stable sort for determinism among ties).
-  if (!query.order_by.empty()) {
-    std::vector<std::uint32_t> order_ids;
-    order_ids.reserve(query.order_by.size());
-    for (const OrderKey& key : query.order_by) {
-      order_ids.push_back(VarIdOf(query, key.var).value_or(kNoVarId));
-    }
-    auto key_term = [&](const Row& row,
-                        std::uint32_t var_id) -> std::optional<Term> {
-      const TermId id = RowValue(row, var_id);
-      if (id == kInvalidTermId) return std::nullopt;
-      return terms.Get(id);
-    };
-    std::stable_sort(rows.begin(), rows.end(),
-                     [&](const Row& a, const Row& b) {
-                       for (std::size_t k = 0; k < query.order_by.size(); ++k) {
-                         const int cmp =
-                             CompareOrderTerms(key_term(a, order_ids[k]),
-                                               key_term(b, order_ids[k]));
-                         if (cmp != 0) {
-                           return query.order_by[k].ascending ? cmp < 0
-                                                              : cmp > 0;
-                         }
-                       }
-                       return false;
-                     });
+  // ORDER BY over solution variables (they need not be projected).
+  std::vector<std::uint32_t> order_ids;
+  for (const OrderKey& key : query.order_by) {
+    order_ids.push_back(VarIdOf(query, key.var).value_or(kNoVarId));
   }
+  SortByKeys(query, rows, [&](const Row& row, std::size_t k) {
+    return TermAt(row, order_ids[k], terms);
+  });
 
   // Materialize rows (projection). DISTINCT compares the projected term ids
   // (equivalent to the rendered forms: ids are interned one-to-one).
@@ -390,10 +458,7 @@ Result<ResultSet> MaterializeResults(const SelectQuery& query,
     std::vector<std::optional<Term>> row;
     row.reserve(column_ids.size());
     for (const std::uint32_t id : column_ids) {
-      const TermId value = RowValue(solution, id);
-      row.emplace_back(value == kInvalidTermId
-                           ? std::optional<Term>{}
-                           : std::optional<Term>(terms.Get(value)));
+      row.push_back(TermAt(solution, id, terms));
     }
     result.rows.push_back(std::move(row));
   }

@@ -1,7 +1,9 @@
 #include "scan/kb/triple_store.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+
+#include "scan/common/str.hpp"
 
 namespace scan::kb {
 
@@ -13,6 +15,41 @@ bool PairLess(std::pair<TermId, TermId> a, std::pair<TermId, TermId> b) {
     return Index(a.first) < Index(b.first);
   }
   return Index(a.second) < Index(b.second);
+}
+
+using PostingSpan = std::span<const std::pair<TermId, TermId>>;
+
+/// The postings under `key` in one of the three indexes, empty if none.
+template <typename PostingMap>
+PostingSpan PostingsOf(const PostingMap& index, TermId key) {
+  const auto it = index.find(Index(key));
+  return it == index.end() ? PostingSpan{} : PostingSpan{it->second};
+}
+
+/// The run of sorted postings whose first component is `first`. O(log).
+PostingSpan RunIn(PostingSpan postings, TermId first) {
+  const auto begin = std::lower_bound(
+      postings.begin(), postings.end(), first,
+      [](std::pair<TermId, TermId> a, TermId b) {
+        return Index(a.first) < Index(b);
+      });
+  const auto end = std::upper_bound(
+      begin, postings.end(), first, [](TermId a, std::pair<TermId, TermId> b) {
+        return Index(a) < Index(b.first);
+      });
+  return {begin, end};
+}
+
+/// Throws std::invalid_argument unless the term table (of `issued` terms)
+/// issued every id of `t`.
+void CheckIds(const Triple& t, std::size_t issued, const char* caller) {
+  for (const TermId id : {t.s, t.p, t.o}) {
+    if (Index(id) == 0 || Index(id) > issued) {
+      throw std::invalid_argument(StrFormat(
+          "%s: triple (%u, %u, %u) holds an id the term table (%zu terms) "
+          "never issued", caller, Index(t.s), Index(t.p), Index(t.o), issued));
+    }
+  }
 }
 
 }  // namespace
@@ -40,7 +77,7 @@ bool TripleStore::Add(const Term& s, const Term& p, const Term& o) {
 }
 
 bool TripleStore::Add(Triple t) {
-  assert(Index(t.s) != 0 && Index(t.p) != 0 && Index(t.o) != 0);
+  CheckIds(t, terms_.size(), "TripleStore::Add");
   if (!InsertSorted(spo_[Index(t.s)], {t.p, t.o})) return false;
   InsertSorted(pos_[Index(t.p)], {t.o, t.s});
   InsertSorted(osp_[Index(t.o)], {t.s, t.p});
@@ -51,6 +88,9 @@ bool TripleStore::Add(Triple t) {
 
 std::size_t TripleStore::AddBatch(std::span<const Triple> triples) {
   if (triples.empty()) return 0;
+  for (const Triple& t : triples) {
+    CheckIds(t, terms_.size(), "TripleStore::AddBatch");
+  }
   const std::size_t before = count_;
 
   // Append everything, tracking touched keys per index.
@@ -61,7 +101,6 @@ std::size_t TripleStore::AddBatch(std::span<const Triple> triples) {
   touched_p.reserve(triples.size());
   touched_o.reserve(triples.size());
   for (const Triple& t : triples) {
-    assert(Index(t.s) != 0 && Index(t.p) != 0 && Index(t.o) != 0);
     spo_[Index(t.s)].emplace_back(t.p, t.o);
     pos_[Index(t.p)].emplace_back(t.o, t.s);
     osp_[Index(t.o)].emplace_back(t.s, t.p);
@@ -188,6 +227,13 @@ std::vector<TermId> TripleStore::Objects(TermId s, TermId p) const {
   return out;
 }
 
+void TripleStore::SubjectsVisit(TermId p, TermId o,
+                                FunctionRef<bool(TermId)> fn) const {
+  for (const auto& [object, s] : RunIn(PostingsOf(pos_, p), o)) {
+    if (!fn(s)) return;
+  }
+}
+
 std::vector<TermId> TripleStore::Subjects(TermId p, TermId o) const {
   std::vector<TermId> out;
   Match(TriplePatternIds{std::nullopt, p, o}, [&](const Triple& t) {
@@ -210,6 +256,43 @@ std::vector<TermId> TripleStore::InstancesOf(TermId type) const {
   const auto rdf_type = terms_.Lookup(MakeIri(std::string(kRdfType)));
   if (!rdf_type) return {};
   return Subjects(*rdf_type, type);
+}
+
+std::uint64_t TripleStore::CountEstimate(
+    const TriplePatternIds& pattern) const {
+  if (pattern.s && pattern.p && pattern.o) {
+    return Contains(Triple{*pattern.s, *pattern.p, *pattern.o}) ? 1 : 0;
+  }
+  if (pattern.s && pattern.p) {
+    return RunIn(PostingsOf(spo_, *pattern.s), *pattern.p).size();
+  }
+  if (pattern.p && pattern.o) {
+    return RunIn(PostingsOf(pos_, *pattern.p), *pattern.o).size();
+  }
+  // (s, ?, o) is bounded by the subject's full degree, as in FrozenIndex.
+  if (pattern.s) return PostingsOf(spo_, *pattern.s).size();
+  if (pattern.p) return PostingsOf(pos_, *pattern.p).size();
+  if (pattern.o) return PostingsOf(osp_, *pattern.o).size();
+  return count_;
+}
+
+std::uint64_t TripleStore::CountSubjectsWithPredicates(
+    std::span<const TermId> predicates) const {
+  if (predicates.empty()) return spo_.size();
+  // Walk the smallest predicate posting. A subject appears there once per
+  // object: count it at its first object, if it has every predicate.
+  const TermId driver = *std::min_element(
+      predicates.begin(), predicates.end(), [&](TermId a, TermId b) {
+        return PostingsOf(pos_, a).size() < PostingsOf(pos_, b).size();
+      });
+  std::uint64_t count = 0;
+  for (const auto& [o, s] : PostingsOf(pos_, driver)) {
+    const PostingSpan own = PostingsOf(spo_, s);
+    if (RunIn(own, driver).front().second != o) continue;
+    count += std::all_of(predicates.begin(), predicates.end(),
+                         [&](TermId p) { return !RunIn(own, p).empty(); });
+  }
+  return count;
 }
 
 }  // namespace scan::kb

@@ -1,17 +1,21 @@
-// Randomized differential fuzz: FrozenIndex vs the legacy TripleStore
-// oracle. Because Freeze() keeps the staging store's term ids, every frozen
-// answer must be id-identical to the legacy one — pattern scans in the
-// exact legacy emission order, broker accessors element-for-element, SPARQL
-// solution multisets query-for-query, and AdviseShardSize bit-for-bit.
+// Randomized differential fuzz over the KB's two backends. Because Freeze()
+// keeps the staging store's term ids, every FrozenIndex answer must be
+// id-identical to the TripleStore's — pattern scans in the same emission
+// order, broker accessors element-for-element, and the planner statistics
+// value-for-value. On top of that, the one executor returns the same
+// ResultSet row for row over either backend, and both agree with the
+// testkit oracle (greedy evaluator, SPARQL advice): solution multisets
+// query-for-query, ORDER BY rows in sequence, AdviseShardSize field-equal.
 //
 // The suites run under ASan/UBSan/TSan in CI (see .github/workflows/ci.yml);
-// the concurrency test at the bottom exercises FrozenIndex's immutable-
-// after-Freeze contract under TSan.
+// the concurrency test at the bottom exercises the const, cache-free read
+// paths of both backends under TSan.
 
 #include <algorithm>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +26,7 @@
 #include "scan/kb/plan.hpp"
 #include "scan/kb/sparql.hpp"
 #include "scan/kb/triple_store.hpp"
+#include "scan/testkit/kb_oracle.hpp"
 
 namespace scan::kb {
 namespace {
@@ -150,6 +155,51 @@ TEST(FrozenDifferential, MatchOrderAndAccessorsAgreeWithLegacy) {
   }
 }
 
+TEST(FrozenDifferential, PlannerStatisticsAgreeAcrossBackends) {
+  for (const std::uint64_t seed : {11ull, 22ull, 33ull, 44ull}) {
+    const TripleStore store = RandomStore(seed, 600);
+    const FrozenIndex frozen = FrozenIndex::Freeze(store);
+    EXPECT_EQ(store.distinct_counts(), frozen.distinct_counts())
+        << "seed=" << seed;
+
+    RandomStream rng(seed, "differential/statistics");
+    const auto id_in_range = [&] {
+      return TermId{1 + rng.UniformBelow(
+                        static_cast<std::uint32_t>(store.terms().size()))};
+    };
+    // Every one of the 8 pattern shapes, over random constants.
+    for (int i = 0; i < 200; ++i) {
+      const TermId s = id_in_range();
+      const TermId p = id_in_range();
+      const TermId o = id_in_range();
+      for (unsigned shape = 0; shape < 8; ++shape) {
+        TriplePatternIds pattern;
+        if (shape & 1u) pattern.s = s;
+        if (shape & 2u) pattern.p = p;
+        if (shape & 4u) pattern.o = o;
+        ASSERT_EQ(store.CountEstimate(pattern), frozen.CountEstimate(pattern))
+            << "seed=" << seed << " shape=" << shape;
+      }
+    }
+    // Random predicate sets, drawn mostly from predicates in use, with
+    // repeats and the odd absent id.
+    for (int i = 0; i < 200; ++i) {
+      std::vector<TermId> predicates;
+      const std::uint32_t n = rng.UniformBelow(4);
+      for (std::uint32_t k = 0; k < n; ++k) {
+        predicates.push_back(rng.UniformBelow(10) == 0
+                                 ? id_in_range()
+                                 : store.terms()
+                                       .Lookup(RandomPredicate(rng))
+                                       .value_or(kInvalidTermId));
+      }
+      ASSERT_EQ(store.CountSubjectsWithPredicates(predicates),
+                frozen.CountSubjectsWithPredicates(predicates))
+          << "seed=" << seed << " iter=" << i;
+    }
+  }
+}
+
 TEST(FrozenDifferential, FreezeAfterMutationTracksTheStore) {
   RandomStream rng(77, "differential/mutation");
   TripleStore store;
@@ -216,10 +266,6 @@ TEST(FrozenDifferential, SparqlResultSetsAgreeOnRandomProfileGraphs) {
       if (rng.UniformBelow(3) == 0) p.ram_gb = 8.0 * (1 + rng.UniformBelow(4));
       kb.AddProfile(p);
     }
-    const TripleStore& store = kb.store();
-    const FrozenIndex frozen = FrozenIndex::Freeze(store);
-    const QueryEngine legacy(store);
-    const FrozenQueryEngine planned(frozen, store.terms());
 
     const std::string prefixes = KnowledgeBase::QueryPrefixes();
     std::vector<std::string> queries;
@@ -246,18 +292,77 @@ TEST(FrozenDifferential, SparqlResultSetsAgreeOnRandomProfileGraphs) {
         "SELECT ?ind ?etime WHERE { ?ind scan:eTime ?etime . ?ind "
         "scan:threads ?t . FILTER(?t < 3) } ORDER BY ASC(?etime) ASC(?ind) "
         "LIMIT 20");
+    // Star and object-join shapes where a greedy order and the planner's
+    // order produce rows in different sequences.
+    queries.push_back(
+        "SELECT ?ind ?size WHERE { ?ind scan:inputFileSize ?size . ?ind "
+        "scan:threads ?t . ?ind scan:stage ?st . }");
+    queries.push_back(
+        "SELECT ?a ?b WHERE { ?a scan:eTime ?e . ?b scan:eTime ?e . ?a "
+        "scan:CPU ?c . }");
 
+    // The staging store answers first (the KB has never been frozen) ...
+    std::vector<std::string> staged_answers;
     for (const std::string& body : queries) {
+      const auto rs = kb.Query(prefixes + body);
+      ASSERT_TRUE(rs.ok()) << rs.status().ToString() << "\n" << body;
+      staged_answers.push_back(rs.value().ToString());
+    }
+    // ... then the frozen snapshot: the same rows in the same order.
+    kb.Freeze();
+    ASSERT_TRUE(kb.FrozenFresh());
+    const TripleStore& store = kb.store();
+    const QueryEngine over_store(store);
+    const QueryEngine over_frozen(*kb.frozen(), store.terms());
+
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const std::string& body = queries[q];
       const std::string text = prefixes + body;
-      const auto a = legacy.Execute(text);
-      const auto b = planned.Execute(text);
-      ASSERT_TRUE(a.ok()) << a.status().ToString() << "\n" << body;
-      ASSERT_TRUE(b.ok()) << b.status().ToString() << "\n" << body;
-      ASSERT_EQ(a.value().variables, b.value().variables) << body;
-      ASSERT_EQ(SortedRows(a.value()), SortedRows(b.value()))
+      const auto fresh = kb.Query(text);
+      const auto a = over_store.Execute(text);
+      const auto b = over_frozen.Execute(text);
+      const auto oracle = testkit::OracleQuery(store, text);
+      ASSERT_TRUE(fresh.ok() && a.ok() && b.ok()) << body;
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString() << "\n" << body;
+      EXPECT_EQ(fresh.value().ToString(), staged_answers[q])
           << "seed=" << seed << "\n" << body;
+      EXPECT_EQ(a.value().ToString(), b.value().ToString())
+          << "seed=" << seed << "\n" << body;
+      ASSERT_EQ(oracle.value().variables, b.value().variables) << body;
+      ASSERT_EQ(SortedRows(oracle.value()), SortedRows(b.value()))
+          << "seed=" << seed << "\n" << body;
+      if (body.find("ORDER BY") != std::string::npos) {
+        EXPECT_EQ(oracle.value().ToString(), b.value().ToString())
+            << "seed=" << seed << "\n" << body;
+      }
     }
   }
+}
+
+/// Field-by-field advice comparison, errors included.
+void ExpectSameAdvice(const Result<ShardAdvice>& expected,
+                      const Result<ShardAdvice>& actual,
+                      const std::string& where) {
+  ASSERT_EQ(expected.ok(), actual.ok())
+      << where << " expected=" << expected.status().ToString()
+      << " actual=" << actual.status().ToString();
+  if (!expected.ok()) {
+    EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
+        << where;
+    return;
+  }
+  EXPECT_EQ(expected.value().shard_size_gb, actual.value().shard_size_gb)
+      << where;
+  EXPECT_EQ(expected.value().time_per_gb, actual.value().time_per_gb)
+      << where;
+  EXPECT_EQ(expected.value().source_individual,
+            actual.value().source_individual)
+      << where;
+  EXPECT_EQ(expected.value().recommended_cpu, actual.value().recommended_cpu)
+      << where;
+  EXPECT_EQ(expected.value().recommended_ram_gb,
+            actual.value().recommended_ram_gb)
+      << where;
 }
 
 TEST(FrozenDifferential, BrokerAdvicePathsAreBitIdentical) {
@@ -277,35 +382,30 @@ TEST(FrozenDifferential, BrokerAdvicePathsAreBitIdentical) {
       profiles.push_back(p);
     }
 
-    KnowledgeBase legacy_kb;
-    for (const auto& p : profiles) legacy_kb.AddProfile(p);
+    KnowledgeBase staged_kb;  // never frozen: served by the staging store
+    for (const auto& p : profiles) staged_kb.AddProfile(p);
     KnowledgeBase frozen_kb;
     frozen_kb.AddProfilesBulk(profiles);
     frozen_kb.Freeze();
     ASSERT_TRUE(frozen_kb.FrozenFresh());
 
+    const std::vector<std::pair<double, double>> bounds = {
+        {0.5, 10.0}, {2.0, 3.0}, {3.5, 4.0}, {9.0, 9.5}, {3.0, 2.0}};
     for (const std::string& app : apps) {
-      for (const auto& [lo, hi] : std::vector<std::pair<double, double>>{
-               {0.5, 10.0}, {2.0, 3.0}, {3.5, 4.0}, {9.0, 9.5}}) {
-        const auto a = legacy_kb.AdviseShardSize(app, lo, hi);
-        const auto b = frozen_kb.AdviseShardSize(app, lo, hi);
-        ASSERT_EQ(a.ok(), b.ok())
-            << "seed=" << seed << " app=" << app << " [" << lo << "," << hi
-            << "] legacy=" << a.status().ToString()
-            << " frozen=" << b.status().ToString();
-        if (!a.ok()) {
-          EXPECT_EQ(a.status().ToString(), b.status().ToString());
-          continue;
-        }
-        EXPECT_EQ(a.value().shard_size_gb, b.value().shard_size_gb);
-        EXPECT_EQ(a.value().time_per_gb, b.value().time_per_gb);
-        EXPECT_EQ(a.value().source_individual, b.value().source_individual);
-        EXPECT_EQ(a.value().recommended_cpu, b.value().recommended_cpu);
-        EXPECT_EQ(a.value().recommended_ram_gb, b.value().recommended_ram_gb);
+      for (const auto& [lo, hi] : bounds) {
+        const std::string where = "seed=" + std::to_string(seed) + " app=" +
+                                  app + " [" + std::to_string(lo) + "," +
+                                  std::to_string(hi) + "]";
+        const auto oracle =
+            testkit::OracleAdviseShardSize(staged_kb.store(), app, lo, hi);
+        ExpectSameAdvice(oracle, staged_kb.AdviseShardSize(app, lo, hi),
+                         where + " staged");
+        ExpectSameAdvice(oracle, frozen_kb.AdviseShardSize(app, lo, hi),
+                         where + " fresh");
       }
 
-      // Profiles() answers element-for-element through either path.
-      const auto pa = legacy_kb.Profiles(app);
+      // Profiles() answers element-for-element through either backend.
+      const auto pa = staged_kb.Profiles(app);
       const auto pb = frozen_kb.Profiles(app);
       ASSERT_EQ(pa.size(), pb.size());
       for (std::size_t i = 0; i < pa.size(); ++i) {
@@ -314,6 +414,23 @@ TEST(FrozenDifferential, BrokerAdvicePathsAreBitIdentical) {
         EXPECT_EQ(pa[i].etime, pb[i].etime);
         EXPECT_EQ(pa[i].cpu, pb[i].cpu);
         EXPECT_EQ(pa[i].ram_gb, pb[i].ram_gb);
+      }
+    }
+
+    // A task log makes the snapshot stale: advice now comes from the
+    // staging store and must still match the oracle over it.
+    ApplicationProfile log;
+    log.application = "GATK";
+    log.input_file_size_gb = 2.0;
+    log.etime = 4.0;
+    frozen_kb.RecordTaskLog(log);
+    ASSERT_FALSE(frozen_kb.FrozenFresh());
+    for (const std::string& app : apps) {
+      for (const auto& [lo, hi] : bounds) {
+        ExpectSameAdvice(
+            testkit::OracleAdviseShardSize(frozen_kb.store(), app, lo, hi),
+            frozen_kb.AdviseShardSize(app, lo, hi),
+            "seed=" + std::to_string(seed) + " app=" + app + " stale");
       }
     }
   }
@@ -325,8 +442,36 @@ TEST(FrozenDifferential, ConcurrentReadsAreRaceFree) {
   const auto expected =
       frozen.MatchAll({std::nullopt, std::nullopt, std::nullopt});
 
+  // Two KBs with the same content: one served by its frozen snapshot, one
+  // by its staging store.
+  std::vector<ApplicationProfile> profiles;
+  RandomStream profile_rng(999, "differential/concurrent-profiles");
+  for (int i = 0; i < 60; ++i) {
+    ApplicationProfile p;
+    p.application = profile_rng.UniformBelow(2) == 0 ? "GATK" : "BWA";
+    p.input_file_size_gb = 1.0 * (1 + profile_rng.UniformBelow(4));
+    p.etime = 4.0 * (1 + profile_rng.UniformBelow(3));
+    p.threads = 1 + static_cast<int>(profile_rng.UniformBelow(4));
+    if (profile_rng.UniformBelow(2) == 0) p.cpu = 8;
+    profiles.push_back(p);
+  }
+  KnowledgeBase staged_kb;
+  staged_kb.AddProfilesBulk(profiles);
+  KnowledgeBase frozen_kb;
+  frozen_kb.AddProfilesBulk(profiles);
+  frozen_kb.Freeze();
+  const QueryEngine over_store(staged_kb.store());
+  const QueryEngine over_frozen(*frozen_kb.frozen(), frozen_kb.store().terms());
+  const std::string query =
+      KnowledgeBase::QueryPrefixes() +
+      "SELECT ?ind ?size WHERE { ?ind scan:inputFileSize ?size . ?ind "
+      "scan:threads ?t . FILTER(?t >= 2) }";
+  const std::string expected_rows = over_store.Execute(query)->ToString();
+  const auto expected_advice = staged_kb.AdviseShardSize("GATK", 0.5, 10.0);
+  ASSERT_TRUE(expected_advice.ok());
+
   std::vector<std::thread> readers;
-  std::vector<bool> ok(4, false);
+  std::vector<char> ok(4, 0);  // not vector<bool>: its bits share bytes
   for (std::size_t t = 0; t < ok.size(); ++t) {
     readers.emplace_back([&, t] {
       bool all_good = true;
@@ -348,6 +493,19 @@ TEST(FrozenDifferential, ConcurrentReadsAreRaceFree) {
           all_good &&
           frozen.MatchAll({std::nullopt, std::nullopt, std::nullopt}) ==
               expected;
+      for (int i = 0; i < 5; ++i) {
+        for (const QueryEngine* engine : {&over_store, &over_frozen}) {
+          const auto rows = engine->Execute(query);
+          all_good = all_good && rows.ok() && rows->ToString() == expected_rows;
+        }
+        for (const KnowledgeBase* kb : {&staged_kb, &frozen_kb}) {
+          const auto advice = kb->AdviseShardSize("GATK", 0.5, 10.0);
+          all_good = all_good && advice.ok() &&
+                     advice->source_individual ==
+                         expected_advice->source_individual &&
+                     advice->shard_size_gb == expected_advice->shard_size_gb;
+        }
+      }
       ok[t] = all_good;
     });
   }

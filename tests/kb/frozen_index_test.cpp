@@ -1,6 +1,6 @@
-// Units for the frozen KB index stack: varbyte posting arrays, the sorted
-// term dictionary, FrozenIndex accessors, the BGP planner, and the frozen
-// query engine (against the legacy engine on small fixtures; the randomized
+// Units for the frozen KB index stack: varbyte posting arrays, FrozenIndex
+// accessors, the BGP planner, and the query engine over a frozen snapshot
+// (against the testkit oracle on small fixtures; the randomized
 // differential suite lives in frozen_differential_test.cpp).
 
 #include <algorithm>
@@ -10,13 +10,13 @@
 #include <gtest/gtest.h>
 
 #include "scan/common/rng.hpp"
-#include "scan/kb/dictionary.hpp"
 #include "scan/kb/frozen_index.hpp"
 #include "scan/kb/knowledge_base.hpp"
 #include "scan/kb/plan.hpp"
 #include "scan/kb/sparql.hpp"
 #include "scan/kb/triple_store.hpp"
 #include "scan/kb/vbyte.hpp"
+#include "scan/testkit/kb_oracle.hpp"
 
 namespace scan::kb {
 namespace {
@@ -94,41 +94,6 @@ TEST(CompressedPostings, EarlyStopAndCompression) {
   EXPECT_EQ(visited, 10u);
   // Gaps under 300 fit two varbyte bytes: well under 4 bytes/value raw.
   EXPECT_LT(postings.byte_size(), values.size() * 4);
-}
-
-TEST(Dictionary, SortedLookupAndPrefixRange) {
-  TermTable terms;
-  const TermId b = terms.Intern(MakeIri("http://x/b"));
-  const TermId a = terms.Intern(MakeIri("http://x/a"));
-  const TermId lit = terms.Intern(MakeStringLiteral("http://x/a"));
-  const TermId num = terms.Intern(MakeIntLiteral(42));
-  const TermId blank = terms.Intern(MakeBlank("n1"));
-  const TermId a2 = terms.Intern(MakeIri("http://x/a2"));
-
-  const Dictionary dict = Dictionary::Build(terms);
-  EXPECT_EQ(dict.size(), terms.size());
-
-  // Every interned term resolves to its original (non-remapped) id.
-  EXPECT_EQ(dict.Lookup(MakeIri("http://x/a")), a);
-  EXPECT_EQ(dict.Lookup(MakeIri("http://x/b")), b);
-  EXPECT_EQ(dict.Lookup(MakeStringLiteral("http://x/a")), lit);
-  EXPECT_EQ(dict.Lookup(MakeIntLiteral(42)), num);
-  EXPECT_EQ(dict.Lookup(MakeBlank("n1")), blank);
-  EXPECT_FALSE(dict.Lookup(MakeIri("http://x/zzz")).has_value());
-  EXPECT_FALSE(dict.Lookup(MakeStringLiteral("42")).has_value());
-
-  // sorted_ids is ordered by (kind, lexical, datatype).
-  const auto& ids = dict.sorted_ids();
-  for (std::size_t i = 1; i < ids.size(); ++i) {
-    const Term& lhs = dict.Get(ids[i - 1]);
-    const Term& rhs = dict.Get(ids[i]);
-    EXPECT_LE(std::tie(lhs.kind, lhs.lexical, lhs.datatype),
-              std::tie(rhs.kind, rhs.lexical, rhs.datatype));
-  }
-
-  const std::vector<TermId> prefix = dict.IriPrefixRange("http://x/a");
-  EXPECT_EQ(prefix, (std::vector<TermId>{a, a2}));
-  EXPECT_TRUE(dict.IriPrefixRange("zzz").empty());
 }
 
 /// Small mixed-shape graph used across the FrozenIndex tests.
@@ -248,14 +213,6 @@ TEST(FrozenIndex, StatsAndCharacteristicSets) {
             store.size());
 }
 
-TEST(FrozenIndex, DictionaryIsIdCompatible) {
-  const TripleStore store = MakeFixtureStore();
-  const FrozenIndex frozen = FrozenIndex::Freeze(store);
-  EXPECT_EQ(frozen.Lookup(MakeIri("s/alice")),
-            store.terms().Lookup(MakeIri("s/alice")));
-  EXPECT_FALSE(frozen.Lookup(MakeIri("s/nobody")).has_value());
-}
-
 TEST(PlanBgp, OrdersBySelectivityAndPicksMergeStrategies) {
   KnowledgeBase kb;
   for (int i = 0; i < 40; ++i) {
@@ -289,6 +246,18 @@ TEST(PlanBgp, OrdersBySelectivityAndPicksMergeStrategies) {
   EXPECT_EQ(plan.steps[0].estimate, 10u);
   EXPECT_EQ(plan.steps[1].strategy, JoinStrategy::kMergeFilter);
   EXPECT_EQ(plan.steps[2].strategy, JoinStrategy::kProbe);
+
+  // The staging store's statistics are exact too: the same plan.
+  const BgpPlan store_plan =
+      PlanBgp(query.value().where.triples,
+              std::vector<bool>(query.value().var_names.size(), false),
+              kb.store(), kb.store().terms());
+  ASSERT_EQ(store_plan.steps.size(), plan.steps.size());
+  for (std::size_t i = 0; i < plan.steps.size(); ++i) {
+    EXPECT_EQ(store_plan.steps[i].pattern, plan.steps[i].pattern);
+    EXPECT_EQ(store_plan.steps[i].estimate, plan.steps[i].estimate);
+    EXPECT_EQ(store_plan.steps[i].strategy, plan.steps[i].strategy);
+  }
 }
 
 /// Renders a result set as sorted row strings (order-insensitive compare).
@@ -307,7 +276,7 @@ std::vector<std::string> SortedRows(const ResultSet& rs) {
   return rows;
 }
 
-TEST(FrozenQueryEngine, MatchesLegacyEngineOnFixtureQueries) {
+TEST(QueryEngine, MatchesOracleOnFixtureQueries) {
   KnowledgeBase kb;
   for (int i = 0; i < 12; ++i) {
     ApplicationProfile p;
@@ -321,8 +290,7 @@ TEST(FrozenQueryEngine, MatchesLegacyEngineOnFixtureQueries) {
   }
   const TripleStore& store = kb.store();
   const FrozenIndex frozen = FrozenIndex::Freeze(store);
-  const QueryEngine legacy(store);
-  const FrozenQueryEngine planned(frozen, store.terms());
+  const QueryEngine planned(frozen, store.terms());
 
   const std::string prefixes = KnowledgeBase::QueryPrefixes();
   const std::vector<std::string> queries = {
@@ -350,7 +318,7 @@ TEST(FrozenQueryEngine, MatchesLegacyEngineOnFixtureQueries) {
   };
   for (const std::string& body : queries) {
     const std::string text = prefixes + body;
-    const auto a = legacy.Execute(text);
+    const auto a = testkit::OracleQuery(store, text);
     const auto b = planned.Execute(text);
     ASSERT_TRUE(a.ok()) << a.status().ToString() << "\n" << body;
     ASSERT_TRUE(b.ok()) << b.status().ToString() << "\n" << body;
@@ -363,7 +331,7 @@ TEST(FrozenQueryEngine, MatchesLegacyEngineOnFixtureQueries) {
       prefixes +
       "SELECT ?ind ?etime WHERE { ?ind scan:eTime ?etime . } "
       "ORDER BY ASC(?etime) ASC(?ind)";
-  const auto a = legacy.Execute(ordered);
+  const auto a = testkit::OracleQuery(store, ordered);
   const auto b = planned.Execute(ordered);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value().ToString(), b.value().ToString());
@@ -448,8 +416,8 @@ TEST(KnowledgeBase, FreezeLifecycleAndBulkLoad) {
     EXPECT_EQ(a[i].etime, b[i].etime);
   }
 
-  // Mutation invalidates the snapshot; advice falls back to the legacy
-  // path and still works.
+  // Mutation invalidates the snapshot; advice is then served by the
+  // staging store and sees the new log.
   ApplicationProfile extra;
   extra.application = "GATK";
   extra.input_file_size_gb = 2.0;

@@ -242,5 +242,33 @@ TEST_F(SparqlTest, PredicateObjectListShorthandsInPatterns) {
   EXPECT_EQ(rs->rows.size(), 4u);
 }
 
+TEST_F(SparqlTest, OutOfRangeVariableIdIsInvalidArgument) {
+  // SelectQuery is a plain struct: a hand-built query can carry ids that do
+  // not index var_names. The engine rejects them up front instead of
+  // indexing past its solution rows.
+  auto parsed = ParseSparql(
+      "PREFIX scan: <http://scan/>\n"
+      "SELECT ?app WHERE { ?app scan:inputFileSize ?s . FILTER(?s > 1) }");
+  ASSERT_TRUE(parsed.ok());
+  const QueryEngine engine(store_);
+  ASSERT_TRUE(engine.Execute(parsed.value()).ok());
+
+  SelectQuery bad_pattern = std::move(parsed.value());
+  std::get<Variable>(bad_pattern.where.triples[0].o).id = kNoVarId;
+  auto rs = engine.Execute(bad_pattern);
+  EXPECT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().code(), ErrorCode::kInvalidArgument);
+
+  auto reparsed = ParseSparql(
+      "PREFIX scan: <http://scan/>\n"
+      "SELECT ?app WHERE { ?app scan:inputFileSize ?s . FILTER(?s > 1) }");
+  ASSERT_TRUE(reparsed.ok());
+  SelectQuery bad_filter = std::move(reparsed.value());
+  bad_filter.where.filters[0]->lhs->var_id = 7;
+  rs = engine.Execute(bad_filter);
+  EXPECT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().code(), ErrorCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace scan::kb

@@ -1,7 +1,10 @@
 #include "scan/kb/triple_store.hpp"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
+#include "scan/kb/frozen_index.hpp"
 #include "scan/kb/ontology.hpp"
 
 namespace scan::kb {
@@ -184,6 +187,42 @@ TEST(OntologyTest, SeedIsIdempotentOnTripleCount) {
   const std::size_t first = store.size();
   SeedScanOntology(store);
   EXPECT_EQ(store.size(), first);
+}
+
+TEST(TripleStoreTest, AddRejectsIdsTheTableNeverIssued) {
+  TripleStore store;
+  store.Add(S(1), P(1), O(1));
+  const TermId s = *store.terms().Lookup(S(1));
+  const TermId p = *store.terms().Lookup(P(1));
+  const TermId unissued{static_cast<std::uint32_t>(store.terms().size() + 50)};
+  const std::uint64_t revision = store.revision();
+
+  EXPECT_THROW(store.Add(Triple{unissued, p, s}), std::invalid_argument);
+  EXPECT_THROW(store.Add(Triple{s, kInvalidTermId, s}), std::invalid_argument);
+  EXPECT_THROW(store.Add(Triple{s, p, unissued}), std::invalid_argument);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.revision(), revision);
+  // The store stays freezable: no posting holds an id past the table.
+  EXPECT_EQ(FrozenIndex::Freeze(store).size(), 1u);
+}
+
+TEST(TripleStoreTest, AddBatchRejectsTheWholeBatchOnAnUnissuedId) {
+  TripleStore store;
+  store.Add(S(1), P(1), O(1));
+  const TermId s2 = store.terms().Intern(S(2));
+  const TermId p = *store.terms().Lookup(P(1));
+  const TermId o = *store.terms().Lookup(O(1));
+  const TermId unissued{static_cast<std::uint32_t>(store.terms().size() + 1)};
+  const std::vector<Triple> batch = {Triple{s2, p, o}, Triple{s2, p, unissued}};
+  const std::uint64_t revision = store.revision();
+  const auto before = store.MatchAll({});
+
+  EXPECT_THROW(store.AddBatch(batch), std::invalid_argument);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.revision(), revision);
+  EXPECT_EQ(store.MatchAll({}), before);
+  EXPECT_TRUE(store.MatchAll({s2, std::nullopt, std::nullopt}).empty());
+  EXPECT_EQ(FrozenIndex::Freeze(store).size(), 1u);
 }
 
 }  // namespace
