@@ -7,30 +7,35 @@
 // FastqStream yields one validated record at a time over a byte view, and
 // StreamShardFastq splits a payload into shards in a single bounded-memory
 // pass (same boundaries as genomics::ShardFastq for the record-count
-// policy, produced without building the record vector).
+// policy, produced without building the record vector). FastqStream is the
+// one FASTQ scanner: every FASTQ reader runs on it and follows the
+// acceptance rule in fastq.hpp, so a blank line between records is an error.
 
 #include <functional>
 #include <string_view>
 
 #include "scan/common/status.hpp"
-#include "scan/genomics/records.hpp"
-#include "scan/genomics/sharder.hpp"
+#include "scan/genomics/fastq.hpp"
 
 namespace scan::genomics {
 
 /// Pull-based reader over FASTQ text. Typical loop:
 ///
 ///   FastqStream stream(text);
-///   FastqRecord record;
+///   FastqView record;             // or FastqRecord, to copy each record
 ///   while (stream.Next(record)) { ... }
 ///   if (!stream.status().ok()) { ... }   // malformed input
 class FastqStream {
  public:
   explicit FastqStream(std::string_view text) : text_(text) {}
 
-  /// Advances to the next record. Returns false at end-of-input or on a
-  /// parse error (check status()). The record is only valid when true is
+  /// Advances to the next record, as views into the text (no allocation).
+  /// Returns false at end-of-input or on a parse error (check status()); a
+  /// failed stream stays failed. The record is only valid when true is
   /// returned.
+  bool Next(FastqView& record);
+
+  /// Same, copying the fields into `record`.
   bool Next(FastqRecord& record);
 
   /// OK while records keep flowing and the input ends cleanly.
@@ -44,9 +49,6 @@ class FastqStream {
   [[nodiscard]] std::size_t offset() const { return pos_; }
 
  private:
-  /// Reads one line (without the newline); false at end of input.
-  bool NextLine(std::string_view& line);
-
   std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t line_number_ = 0;
@@ -56,8 +58,11 @@ class FastqStream {
 
 /// Streams `text` once, emitting a shard (substring view of the input —
 /// zero-copy) every `records_per_shard` records; the final partial shard
-/// is emitted too. The callback returning false stops the scan early.
-/// ParseError on malformed input.
+/// is emitted too and runs to the end of the text, so the shards of a
+/// successful scan concatenate back to the input (a text without records
+/// emits none). A shard is handed over once the record after it has
+/// parsed or the text has ended cleanly. The callback returning false
+/// stops the scan early. ParseError on malformed input.
 [[nodiscard]] Status StreamShardFastq(
     std::string_view text, std::size_t records_per_shard,
     const std::function<bool(std::string_view shard,

@@ -42,15 +42,20 @@ struct ShardSet {
   }
 };
 
-/// Splits FASTQ text into shards of whole records per `spec`.
-/// A record larger than max_bytes still goes into its own shard (no record
-/// is ever split). InvalidArgument if both bounds are 0; ParseError on
+/// Splits FASTQ text into shards of whole records per `spec` in one pass of
+/// the FASTQ scanner (FastqStream), which validates every record; the
+/// boundaries come from the canonical record sizes (FastqRecordBytes), and
+/// each shard is written once, in canonical form (AppendFastq), into its own
+/// string. Nothing is allocated per record. A record larger than max_bytes
+/// still goes into its own shard (no record is ever split).
+/// InvalidArgument if both bounds are 0; ParseError (see fastq.hpp) on
 /// malformed input.
 [[nodiscard]] Result<ShardSet> ShardFastq(std::string_view text,
                                           const ShardSpec& spec);
 
-/// Same split, but serializes shards in parallel on the pool. The shard
-/// boundaries (and therefore the output) are identical to ShardFastq.
+/// Same scan and writer, but writes the shards in parallel on the pool.
+/// The shard boundaries (and therefore the output) are identical to
+/// ShardFastq.
 [[nodiscard]] Result<ShardSet> ShardFastqParallel(std::string_view text,
                                                   const ShardSpec& spec,
                                                   ThreadPool& pool);
@@ -68,7 +73,8 @@ struct ShardSet {
 
 /// Computes how many shards a file of `total_size_gb` needs at the advised
 /// shard size — the broker's "divide a 100GB FASTQ file into 25 4GB files"
-/// arithmetic. Result is at least 1; InvalidArgument on non-positive sizes.
+/// arithmetic. Result is at least 1; InvalidArgument on non-positive or
+/// non-finite sizes and on a count a size_t cannot hold.
 [[nodiscard]] Result<std::size_t> PlanShardCount(double total_size_gb,
                                                  double shard_size_gb);
 

@@ -1,49 +1,28 @@
 #include "scan/genomics/fastq.hpp"
 
-#include "scan/common/str.hpp"
+#include "scan/genomics/fastq_stream.hpp"
 
 namespace scan::genomics {
 
 Result<std::vector<FastqRecord>> ParseFastq(std::string_view text) {
   std::vector<FastqRecord> records;
-  const auto lines = SplitView(text, '\n');
-  // A trailing newline yields one empty final field; ignore it.
-  std::size_t n = lines.size();
-  while (n > 0 && TrimView(lines[n - 1]).empty()) --n;
-
-  if (n % 4 != 0) {
-    return ParseError("FASTQ: record truncated (line count " +
-                      std::to_string(n) + " not divisible by 4)");
+  FastqStream stream(text);
+  for (FastqView view; stream.Next(view);) {
+    records.push_back({std::string(view.id), std::string(view.sequence),
+                       std::string(view.quality)});
   }
-  records.reserve(n / 4);
-  for (std::size_t i = 0; i < n; i += 4) {
-    const std::string_view header = TrimView(lines[i]);
-    const std::string_view seq = TrimView(lines[i + 1]);
-    const std::string_view plus = TrimView(lines[i + 2]);
-    const std::string_view qual = TrimView(lines[i + 3]);
-    const std::string where = " at line " + std::to_string(i + 1);
-    if (header.empty() || header.front() != '@') {
-      return ParseError("FASTQ: expected '@' header" + where);
-    }
-    if (plus.empty() || plus.front() != '+') {
-      return ParseError("FASTQ: expected '+' separator" + where);
-    }
-    if (!IsValidSequence(seq)) {
-      return ParseError("FASTQ: invalid sequence characters" + where);
-    }
-    if (seq.size() != qual.size()) {
-      return ParseError("FASTQ: quality length mismatch" + where);
-    }
-    FastqRecord record;
-    record.id = std::string(header.substr(1));
-    record.sequence = std::string(seq);
-    record.quality = std::string(qual);
-    if (record.id.empty()) {
-      return ParseError("FASTQ: empty read id" + where);
-    }
-    records.push_back(std::move(record));
-  }
+  if (!stream.status().ok()) return stream.status();
   return records;
+}
+
+void AppendFastq(std::string& out, const FastqView& record) {
+  out += '@';
+  out += record.id;
+  out += '\n';
+  out += record.sequence;
+  out += "\n+\n";
+  out += record.quality;
+  out += '\n';
 }
 
 std::string WriteFastq(const std::vector<FastqRecord>& records) {
@@ -52,46 +31,28 @@ std::string WriteFastq(const std::vector<FastqRecord>& records) {
   for (const FastqRecord& r : records) total += FastqRecordBytes(r);
   out.reserve(total);
   for (const FastqRecord& r : records) {
-    out += '@';
-    out += r.id;
-    out += '\n';
-    out += r.sequence;
-    out += "\n+\n";
-    out += r.quality;
-    out += '\n';
+    AppendFastq(out, {r.id, r.sequence, r.quality});
   }
   return out;
 }
 
-std::size_t FastqRecordBytes(const FastqRecord& record) {
+std::size_t FastqRecordBytes(const FastqView& record) {
   // "@id\n" + "seq\n" + "+\n" + "qual\n"
   return 1 + record.id.size() + 1 + record.sequence.size() + 1 + 2 +
          record.quality.size() + 1;
 }
 
+std::size_t FastqRecordBytes(const FastqRecord& record) {
+  return FastqRecordBytes(
+      FastqView{record.id, record.sequence, record.quality});
+}
+
 Result<std::size_t> CountFastqRecords(std::string_view text) {
-  std::size_t lines = 0;
-  bool last_line_nonempty = false;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    const std::size_t eol = text.find('\n', i);
-    const std::string_view line =
-        eol == std::string_view::npos ? text.substr(i)
-                                      : text.substr(i, eol - i);
-    if (!TrimView(line).empty()) {
-      ++lines;
-      last_line_nonempty = true;
-    } else {
-      last_line_nonempty = false;
-    }
-    if (eol == std::string_view::npos) break;
-    i = eol + 1;
+  FastqStream stream(text);
+  for (FastqView record; stream.Next(record);) {
   }
-  (void)last_line_nonempty;
-  if (lines % 4 != 0) {
-    return ParseError("FASTQ: truncated record in count scan");
-  }
-  return lines / 4;
+  if (!stream.status().ok()) return stream.status();
+  return stream.records_read();
 }
 
 }  // namespace scan::genomics

@@ -4,66 +4,64 @@
 
 namespace scan::genomics {
 
-bool FastqStream::NextLine(std::string_view& line) {
-  if (pos_ >= text_.size()) return false;
-  const std::size_t eol = text_.find('\n', pos_);
-  if (eol == std::string_view::npos) {
-    line = text_.substr(pos_);
-    pos_ = text_.size();
-  } else {
-    line = text_.substr(pos_, eol - pos_);
-    pos_ = eol + 1;
+bool FastqStream::Next(FastqView& record) {
+  if (!status_.ok()) return false;
+  // Reads one trimmed line; false once the text is used up.
+  const auto next_line = [this](std::string_view& line) {
+    if (pos_ >= text_.size()) return false;
+    const std::size_t eol = text_.find('\n', pos_);
+    const std::size_t end = eol == std::string_view::npos ? text_.size() : eol;
+    line = TrimView(text_.substr(pos_, end - pos_));
+    pos_ = end == text_.size() ? end : end + 1;
+    ++line_number_;
+    return true;
+  };
+  // The only place a message is built: when a record fails.
+  const auto fail = [this](std::string_view what, std::size_t line) {
+    status_ = ParseError("FASTQ: " + std::string(what) + " at line " +
+                         std::to_string(line));
+    return false;
+  };
+
+  std::string_view header;
+  if (!next_line(header)) return false;  // clean end of input
+  const std::size_t header_line = line_number_;
+  if (header.empty()) {
+    // Blank lines may only end the text.
+    for (std::string_view rest; next_line(rest);) {
+      if (!rest.empty()) {
+        return fail("non-blank line after a blank line", line_number_);
+      }
+    }
+    return false;
   }
-  ++line_number_;
+  if (header.front() != '@') return fail("expected '@' header", header_line);
+  std::string_view plus;
+  if (!next_line(record.sequence) || !next_line(plus) ||
+      !next_line(record.quality)) {
+    return fail("record truncated", header_line);
+  }
+  if (plus.empty() || plus.front() != '+') {
+    return fail("expected '+' separator", header_line);
+  }
+  if (!IsValidSequence(record.sequence)) {
+    return fail("invalid sequence characters", header_line);
+  }
+  if (record.sequence.size() != record.quality.size()) {
+    return fail("quality length mismatch", header_line);
+  }
+  if (header.size() == 1) return fail("empty read id", header_line);
+  record.id = header.substr(1);
+  ++records_read_;
   return true;
 }
 
 bool FastqStream::Next(FastqRecord& record) {
-  if (!status_.ok()) return false;
-
-  // Skip blank tail lines between/after records.
-  std::string_view header;
-  for (;;) {
-    if (!NextLine(header)) return false;  // clean end of input
-    header = TrimView(header);
-    if (!header.empty()) break;
-  }
-
-  const std::string where = " at line " + std::to_string(line_number_);
-  if (header.front() != '@') {
-    status_ = ParseError("FASTQ stream: expected '@' header" + where);
-    return false;
-  }
-  std::string_view seq;
-  std::string_view plus;
-  std::string_view qual;
-  if (!NextLine(seq) || !NextLine(plus) || !NextLine(qual)) {
-    status_ = ParseError("FASTQ stream: truncated record" + where);
-    return false;
-  }
-  seq = TrimView(seq);
-  plus = TrimView(plus);
-  qual = TrimView(qual);
-  if (plus.empty() || plus.front() != '+') {
-    status_ = ParseError("FASTQ stream: expected '+' separator" + where);
-    return false;
-  }
-  if (!IsValidSequence(seq)) {
-    status_ = ParseError("FASTQ stream: invalid sequence characters" + where);
-    return false;
-  }
-  if (seq.size() != qual.size()) {
-    status_ = ParseError("FASTQ stream: quality length mismatch" + where);
-    return false;
-  }
-  record.id = std::string(header.substr(1));
-  if (record.id.empty()) {
-    status_ = ParseError("FASTQ stream: empty read id" + where);
-    return false;
-  }
-  record.sequence = std::string(seq);
-  record.quality = std::string(qual);
-  ++records_read_;
+  FastqView view;
+  if (!Next(view)) return false;
+  record.id.assign(view.id);
+  record.sequence.assign(view.sequence);
+  record.quality.assign(view.quality);
   return true;
 }
 
@@ -74,25 +72,23 @@ Status StreamShardFastq(
     return InvalidArgumentError("StreamShardFastq: zero records per shard");
   }
   FastqStream stream(text);
-  FastqRecord record;
+  FastqView record;
   std::size_t shard_start = 0;
   std::size_t in_shard = 0;
-  while (stream.Next(record)) {
-    ++in_shard;
+  for (std::size_t record_start = 0; stream.Next(record);
+       record_start = stream.offset()) {
     if (in_shard == records_per_shard) {
-      if (!on_shard(text.substr(shard_start, stream.offset() - shard_start),
+      if (!on_shard(text.substr(shard_start, record_start - shard_start),
                     in_shard)) {
         return Status::Ok();  // consumer stopped early
       }
-      shard_start = stream.offset();
+      shard_start = record_start;
       in_shard = 0;
     }
+    ++in_shard;
   }
   SCAN_RETURN_IF_ERROR(stream.status());
-  if (in_shard > 0) {
-    on_shard(text.substr(shard_start, stream.offset() - shard_start),
-             in_shard);
-  }
+  if (in_shard > 0) on_shard(text.substr(shard_start), in_shard);
   return Status::Ok();
 }
 

@@ -2,83 +2,84 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
-#include "scan/genomics/fastq.hpp"
+#include "scan/genomics/fastq_stream.hpp"
 #include "scan/genomics/sam.hpp"
 
 namespace scan::genomics {
 
 namespace {
 
-/// Computes shard boundaries over parsed records: [begin, end) index pairs.
-std::vector<std::pair<std::size_t, std::size_t>> FastqBoundaries(
-    const std::vector<FastqRecord>& records, const ShardSpec& spec) {
-  std::vector<std::pair<std::size_t, std::size_t>> bounds;
+/// Records [begin, end) of one FASTQ shard and its canonical size.
+struct ShardRange {
   std::size_t begin = 0;
+  std::size_t end = 0;
   std::size_t bytes = 0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const std::size_t rec_bytes = FastqRecordBytes(records[i]);
-    const bool over_records =
-        spec.max_records != 0 && count + 1 > spec.max_records;
-    const bool over_bytes =
-        spec.max_bytes != 0 && count > 0 && bytes + rec_bytes > spec.max_bytes;
-    if (over_records || over_bytes) {
-      bounds.emplace_back(begin, i);
-      begin = i;
-      bytes = 0;
-      count = 0;
-    }
-    bytes += rec_bytes;
-    ++count;
-  }
-  if (count > 0) bounds.emplace_back(begin, records.size());
-  return bounds;
-}
+};
 
-std::string SerializeRange(const std::vector<FastqRecord>& records,
-                           std::size_t begin, std::size_t end) {
-  std::vector<FastqRecord> slice(records.begin() + static_cast<long>(begin),
-                                 records.begin() + static_cast<long>(end));
-  return WriteFastq(slice);
+/// The FASTQ shard path under both entry points: one scan validates the
+/// text and cuts shards by canonical record size, then each shard is
+/// written once, into a string reserved to its exact size — serially, or
+/// one shard per task on `pool`.
+Result<ShardSet> ShardFastqText(std::string_view text, const ShardSpec& spec,
+                                ThreadPool* pool) {
+  if (spec.max_records == 0 && spec.max_bytes == 0) {
+    return InvalidArgumentError(pool == nullptr
+                                    ? "ShardFastq: no shard bound set"
+                                    : "ShardFastqParallel: no shard bound set");
+  }
+  std::vector<FastqView> records;
+  std::vector<ShardRange> ranges;
+  ShardRange open;
+  const auto close_shard = [&] {
+    open.end = records.size();
+    ranges.push_back(open);
+    open = ShardRange{records.size(), 0, 0};
+  };
+  FastqStream stream(text);
+  for (FastqView record; stream.Next(record);) {
+    const std::size_t bytes = FastqRecordBytes(record);
+    const std::size_t count = records.size() - open.begin;
+    if ((spec.max_records != 0 && count == spec.max_records) ||
+        (spec.max_bytes != 0 && count > 0 &&
+         open.bytes + bytes > spec.max_bytes)) {
+      close_shard();
+    }
+    open.bytes += bytes;
+    records.push_back(record);
+  }
+  SCAN_RETURN_IF_ERROR(stream.status());
+  if (records.size() > open.begin) close_shard();
+
+  ShardSet out;
+  out.total_records = records.size();
+  out.shards.resize(ranges.size());
+  const auto write = [&](std::size_t i) {
+    std::string& shard = out.shards[i];
+    shard.reserve(ranges[i].bytes);
+    for (std::size_t r = ranges[i].begin; r < ranges[i].end; ++r) {
+      AppendFastq(shard, records[r]);
+    }
+  };
+  if (pool != nullptr) {
+    ParallelFor(*pool, 0, ranges.size(), write);
+  } else {
+    for (std::size_t i = 0; i < ranges.size(); ++i) write(i);
+  }
+  return out;
 }
 
 }  // namespace
 
 Result<ShardSet> ShardFastq(std::string_view text, const ShardSpec& spec) {
-  if (spec.max_records == 0 && spec.max_bytes == 0) {
-    return InvalidArgumentError("ShardFastq: no shard bound set");
-  }
-  auto parsed = ParseFastq(text);
-  if (!parsed.ok()) return parsed.status();
-  const auto& records = parsed.value();
-
-  ShardSet out;
-  out.total_records = records.size();
-  for (const auto& [begin, end] : FastqBoundaries(records, spec)) {
-    out.shards.push_back(SerializeRange(records, begin, end));
-  }
-  return out;
+  return ShardFastqText(text, spec, nullptr);
 }
 
 Result<ShardSet> ShardFastqParallel(std::string_view text,
                                     const ShardSpec& spec, ThreadPool& pool) {
-  if (spec.max_records == 0 && spec.max_bytes == 0) {
-    return InvalidArgumentError("ShardFastqParallel: no shard bound set");
-  }
-  auto parsed = ParseFastq(text);
-  if (!parsed.ok()) return parsed.status();
-  const auto& records = parsed.value();
-
-  const auto bounds = FastqBoundaries(records, spec);
-  ShardSet out;
-  out.total_records = records.size();
-  out.shards.resize(bounds.size());
-  ParallelFor(pool, 0, bounds.size(), [&](std::size_t i) {
-    out.shards[i] = SerializeRange(records, bounds[i].first, bounds[i].second);
-  });
-  return out;
+  return ShardFastqText(text, spec, &pool);
 }
 
 std::string MergeFastq(const std::vector<std::string>& shards) {
@@ -129,11 +130,16 @@ Result<ShardSet> ShardSamByRegion(std::string_view text,
 
 Result<std::size_t> PlanShardCount(double total_size_gb,
                                    double shard_size_gb) {
-  if (total_size_gb <= 0.0 || shard_size_gb <= 0.0) {
-    return InvalidArgumentError("PlanShardCount: sizes must be positive");
+  if (!std::isfinite(total_size_gb) || !std::isfinite(shard_size_gb) ||
+      total_size_gb <= 0.0 || shard_size_gb <= 0.0) {
+    return InvalidArgumentError(
+        "PlanShardCount: sizes must be positive and finite");
   }
-  return static_cast<std::size_t>(
-      std::max(1.0, std::ceil(total_size_gb / shard_size_gb)));
+  const double count = std::ceil(total_size_gb / shard_size_gb);
+  if (count >= static_cast<double>(std::numeric_limits<std::size_t>::max())) {
+    return InvalidArgumentError("PlanShardCount: too many shards");
+  }
+  return static_cast<std::size_t>(std::max(1.0, count));
 }
 
 }  // namespace scan::genomics

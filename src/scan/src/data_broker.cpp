@@ -12,6 +12,12 @@ namespace scan::core {
 
 namespace {
 
+/// Shard-size bounds are usable when finite and ordered, min >= 0.
+bool ValidBounds(const ShardBounds& bounds) {
+  return std::isfinite(bounds.min_gb) && std::isfinite(bounds.max_gb) &&
+         bounds.min_gb >= 0.0 && bounds.max_gb >= bounds.min_gb;
+}
+
 /// Broker calls happen outside any one scheduler event, so the shard-split
 /// trace instant is stamped with the ambient logging sim-time when one is
 /// set (see SetLogSimTime) and 0 otherwise.
@@ -39,10 +45,11 @@ Result<BrokerPlan> DataBroker::PlanJob(std::string_view application,
                                        double total_size_gb,
                                        ShardBounds bounds,
                                        double fallback_shard_gb) {
-  if (total_size_gb <= 0.0) {
-    return InvalidArgumentError("PlanJob: total size must be positive");
+  if (!std::isfinite(total_size_gb) || total_size_gb <= 0.0) {
+    return InvalidArgumentError(
+        "PlanJob: total size must be positive and finite");
   }
-  if (bounds.min_gb < 0.0 || bounds.max_gb < bounds.min_gb) {
+  if (!ValidBounds(bounds)) {
     return InvalidArgumentError("PlanJob: invalid shard bounds");
   }
   BrokerPlan plan;
@@ -78,12 +85,16 @@ Result<BrokerPlan> DataBroker::PlanJobProfitAware(
     std::string_view application, double total_size_gb,
     const workload::RewardFunction& reward, double core_price_per_tu,
     ShardBounds bounds) {
-  if (total_size_gb <= 0.0) {
+  if (!std::isfinite(total_size_gb) || total_size_gb <= 0.0) {
     return InvalidArgumentError(
-        "PlanJobProfitAware: total size must be positive");
+        "PlanJobProfitAware: total size must be positive and finite");
   }
-  if (core_price_per_tu < 0.0) {
-    return InvalidArgumentError("PlanJobProfitAware: negative price");
+  if (!std::isfinite(core_price_per_tu) || core_price_per_tu < 0.0) {
+    return InvalidArgumentError(
+        "PlanJobProfitAware: price must be non-negative and finite");
+  }
+  if (!ValidBounds(bounds)) {
+    return InvalidArgumentError("PlanJobProfitAware: invalid shard bounds");
   }
   // Candidate shard sizes = profiled sizes within bounds; use the fastest
   // eTime recorded per size.
@@ -134,15 +145,23 @@ Result<BrokerPlan> DataBroker::PlanJobProfitAware(
 Result<genomics::ShardSet> DataBroker::ShardFastqPayload(
     std::string_view payload, const BrokerPlan& plan, double bytes_per_gb,
     ThreadPool* pool) {
-  if (bytes_per_gb <= 0.0) {
-    return InvalidArgumentError("ShardFastqPayload: bytes_per_gb must be > 0");
+  if (!std::isfinite(bytes_per_gb) || bytes_per_gb <= 0.0) {
+    return InvalidArgumentError(
+        "ShardFastqPayload: bytes_per_gb must be positive and finite");
+  }
+  if (!std::isfinite(plan.shard_size_gb)) {
+    return InvalidArgumentError("ShardFastqPayload: shard size not finite");
   }
   if (plan.shard_size_gb <= 0.0) {
     return FailedPreconditionError("ShardFastqPayload: plan has no shard size");
   }
+  // The canonical shards of a payload total at most its size plus the one
+  // newline a missing final one adds, so a budget past that cuts the same
+  // single shard; clamping there keeps the cast in range.
+  const double payload_cap = static_cast<double>(payload.size()) + 1.0;
   genomics::ShardSpec spec;
   spec.max_bytes = static_cast<std::size_t>(
-      std::max(1.0, plan.shard_size_gb * bytes_per_gb));
+      std::clamp(plan.shard_size_gb * bytes_per_gb, 1.0, payload_cap));
   if (pool != nullptr) {
     return genomics::ShardFastqParallel(payload, spec, *pool);
   }

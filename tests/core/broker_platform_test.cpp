@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "scan/core/data_broker.hpp"
 #include "scan/core/platform.hpp"
 #include "scan/genomics/fastq.hpp"
@@ -103,6 +107,86 @@ TEST(DataBrokerTest, ShardPayloadValidation) {
   plan.shard_size_gb = 1.0;
   EXPECT_EQ(broker.ShardFastqPayload("", plan, 0.0).status().code(),
             ErrorCode::kInvalidArgument);
+}
+
+TEST(DataBrokerTest, PlanShardCountRejectsNonFiniteSizes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [total, shard] : std::vector<std::pair<double, double>>{
+           {nan, 2.0}, {inf, 2.0}, {2.0, nan}, {2.0, inf}, {1e300, 1e-300}}) {
+    EXPECT_EQ(genomics::PlanShardCount(total, shard).status().code(),
+              ErrorCode::kInvalidArgument)
+        << total << " / " << shard;
+  }
+}
+
+TEST(DataBrokerTest, PlansRejectNonFiniteSizesAndBounds) {
+  kb::KnowledgeBase knowledge = MakePaperKb();
+  DataBroker broker(knowledge);
+  const workload::RewardFunction reward{workload::RewardParams{}};
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    EXPECT_EQ(broker.PlanJob("GATK", bad).status().code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(broker.PlanJob("GATK", 10.0, ShardBounds{bad, 8.0})
+                  .status()
+                  .code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(broker.PlanJob("GATK", 10.0, ShardBounds{0.5, bad})
+                  .status()
+                  .code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(broker.PlanJobProfitAware("GATK", bad, reward, 5.0)
+                  .status()
+                  .code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(broker.PlanJobProfitAware("GATK", 10.0, reward, bad)
+                  .status()
+                  .code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(broker
+                  .PlanJobProfitAware("GATK", 10.0, reward, 5.0,
+                                      ShardBounds{bad, 8.0})
+                  .status()
+                  .code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(broker
+                  .PlanJobProfitAware("GATK", 10.0, reward, 5.0,
+                                      ShardBounds{0.5, bad})
+                  .status()
+                  .code(),
+              ErrorCode::kInvalidArgument);
+  }
+}
+
+TEST(DataBrokerTest, ShardPayloadRejectsNonFiniteSizes) {
+  kb::KnowledgeBase knowledge = MakePaperKb();
+  DataBroker broker(knowledge);
+  const std::string payload = genomics::WriteFastq(
+      {{"a", "ACGT", "IIII"}, {"b", "GG", "II"}, {"c", "T", "I"}});
+  const double inf = std::numeric_limits<double>::infinity();
+  BrokerPlan plan;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf}) {
+    plan.shard_size_gb = bad;
+    EXPECT_EQ(broker.ShardFastqPayload(payload, plan, 100.0).status().code(),
+              ErrorCode::kInvalidArgument);
+    plan.shard_size_gb = 1.0;
+    EXPECT_EQ(broker.ShardFastqPayload(payload, plan, bad).status().code(),
+              ErrorCode::kInvalidArgument);
+  }
+  // A finite budget past what a size_t holds is one whole-payload shard.
+  plan.shard_size_gb = 1e300;
+  const auto whole = broker.ShardFastqPayload(payload, plan, 1e300);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(whole->shards, std::vector<std::string>{payload});
+  // The clamp leaves room for the final newline canonical form adds to a
+  // payload that lacks it, so the cut still matches the unclamped budget.
+  const std::string_view unterminated(payload.data(), payload.size() - 1);
+  plan.shard_size_gb = 1.0;
+  const auto cut = broker.ShardFastqPayload(unterminated, plan, 1e9);
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  EXPECT_EQ(cut->shards, std::vector<std::string>{payload});
 }
 
 TEST(DataBrokerTest, MergeShardOutputs) {
