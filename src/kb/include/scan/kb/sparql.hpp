@@ -16,6 +16,14 @@
 // FILTER expressions support numeric/string comparisons (=, !=, <, <=, >,
 // >=), logical && || !, parentheses, and BOUND(?v).
 //
+// Terms follow the one rule of the shared RDF lexer (rdf_lexer.hpp): a
+// spelling means the same Term here as in Turtle; blank nodes are Turtle
+// only. LIMIT/OFFSET take an unsigned integer that fits in size_t. Groups,
+// parentheses, `!` and each `&&`/`||` link nest one level, up to
+// kMaxSparqlDepth, which bounds every later walk of the query too. Every
+// ParseError ends in "at line L, column C", naming the first character of
+// the offending token.
+//
 // Semantics follow the SPARQL spec for this subset: basic graph patterns
 // join via shared variables, OPTIONAL is a left outer join, FILTER drops
 // rows whose expression is false or errors (an unbound variable inside a
@@ -147,7 +155,11 @@ struct SelectQuery {
   }
 };
 
-/// Parses the SPARQL subset into an AST.
+/// The deepest a query may nest: levels of groups plus the height of a
+/// FILTER expression tree (see the header comment).
+inline constexpr std::size_t kMaxSparqlDepth = 256;
+
+/// Parses the SPARQL subset into an AST, or returns a located ParseError.
 [[nodiscard]] Result<SelectQuery> ParseSparql(std::string_view text);
 
 /// A result table. Missing optional bindings are nullopt.

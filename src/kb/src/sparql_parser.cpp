@@ -1,286 +1,68 @@
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <map>
+#include <optional>
 
-#include "scan/common/str.hpp"
+#include "scan/kb/rdf_lexer.hpp"
 #include "scan/kb/sparql.hpp"
 
 namespace scan::kb {
 
 namespace {
 
-enum class TokKind {
-  kEof,
-  kKeyword,   // upper-cased identifier (SELECT, WHERE, ...)
-  kVariable,  // ?name (text holds name without '?')
-  kIri,       // <...> (text holds the IRI)
-  kPrefixedName,  // pfx:local (text holds "pfx:local")
-  kString,    // "..." (text holds decoded value)
-  kNumber,    // integer or double literal (text holds lexical form)
-  kPunct,     // one of { } ( ) . ; , * = != < <= > >= && || !
-  kA,         // the `a` keyword (rdf:type)
+using Slot = TermReader::Slot;
+
+/// A FILTER subtree and its height in nodes.
+struct Sub {
+  ExprPtr expr;
+  std::size_t height = 0;
 };
 
-struct Token {
-  TokKind kind = TokKind::kEof;
-  std::string text;
-  bool is_double = false;  // for kNumber
-  std::size_t line = 1;
-};
+std::optional<AggregateFn> AggregateOf(RdfTok kind) {
+  switch (kind) {
+    case RdfTok::kCount: return AggregateFn::kCount;
+    case RdfTok::kSum: return AggregateFn::kSum;
+    case RdfTok::kAvg: return AggregateFn::kAvg;
+    case RdfTok::kMin: return AggregateFn::kMin;
+    case RdfTok::kMax: return AggregateFn::kMax;
+    default: return std::nullopt;
+  }
+}
 
-class Lexer {
+std::optional<ExprOp> ComparisonOf(RdfTok kind) {
+  switch (kind) {
+    case RdfTok::kEqual: return ExprOp::kEq;
+    case RdfTok::kNotEqual: return ExprOp::kNe;
+    case RdfTok::kLess: return ExprOp::kLt;
+    case RdfTok::kLessEqual: return ExprOp::kLe;
+    case RdfTok::kGreater: return ExprOp::kGt;
+    case RdfTok::kGreaterEqual: return ExprOp::kGe;
+    default: return std::nullopt;
+  }
+}
+
+/// Recursive-descent parser over the shared RDF lexer.
+class Parser : RdfCursor {
  public:
-  explicit Lexer(std::string_view text) : text_(text) {}
-
-  Result<std::vector<Token>> Run() {
-    std::vector<Token> tokens;
-    for (;;) {
-      SkipWhitespaceAndComments();
-      if (AtEnd()) {
-        tokens.push_back(Token{TokKind::kEof, "", false, line_});
-        return tokens;
-      }
-      const char c = Peek();
-      if (c == '?' || c == '$') {
-        Advance();
-        std::string name = ReadName();
-        if (name.empty()) return Err("empty variable name");
-        tokens.push_back(Token{TokKind::kVariable, std::move(name), false, line_});
-        continue;
-      }
-      if (c == '<') {
-        // '<' is ambiguous: IRI open bracket vs. less-than in FILTER.
-        // It is an IRI iff a '>' appears before any whitespace.
-        if (LooksLikeIri()) {
-          Advance();
-          std::string iri;
-          while (!AtEnd() && Peek() != '>') iri += Advance();
-          if (AtEnd()) return Err("unterminated IRI");
-          Advance();
-          tokens.push_back(Token{TokKind::kIri, std::move(iri), false, line_});
-        } else {
-          Advance();
-          if (Peek() == '=') {
-            Advance();
-            tokens.push_back(Token{TokKind::kPunct, "<=", false, line_});
-          } else {
-            tokens.push_back(Token{TokKind::kPunct, "<", false, line_});
-          }
-        }
-        continue;
-      }
-      if (c == '"' || c == '\'') {
-        const char quote = Advance();
-        std::string value;
-        for (;;) {
-          if (AtEnd()) return Err("unterminated string");
-          char ch = Advance();
-          if (ch == '\\') {
-            if (AtEnd()) return Err("dangling escape");
-            const char esc = Advance();
-            switch (esc) {
-              case 'n': value += '\n'; break;
-              case 't': value += '\t'; break;
-              case '"': value += '"'; break;
-              case '\'': value += '\''; break;
-              case '\\': value += '\\'; break;
-              default: return Err("unsupported escape");
-            }
-            continue;
-          }
-          if (ch == quote) break;
-          value += ch;
-        }
-        tokens.push_back(Token{TokKind::kString, std::move(value), false, line_});
-        continue;
-      }
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0 ||
-          ((c == '+' || c == '-') &&
-           std::isdigit(static_cast<unsigned char>(PeekAt(1))) != 0)) {
-        std::string num;
-        bool is_double = false;
-        if (c == '+' || c == '-') num += Advance();
-        while (!AtEnd()) {
-          const char d = Peek();
-          if (std::isdigit(static_cast<unsigned char>(d)) != 0) {
-            num += Advance();
-          } else if (d == '.' &&
-                     std::isdigit(static_cast<unsigned char>(PeekAt(1))) != 0) {
-            is_double = true;
-            num += Advance();
-          } else if (d == 'e' || d == 'E') {
-            is_double = true;
-            num += Advance();
-            if (Peek() == '+' || Peek() == '-') num += Advance();
-          } else {
-            break;
-          }
-        }
-        tokens.push_back(Token{TokKind::kNumber, std::move(num), is_double, line_});
-        continue;
-      }
-      // Multi-char punctuation first.
-      if (c == '!' && PeekAt(1) == '=') {
-        Advance(); Advance();
-        tokens.push_back(Token{TokKind::kPunct, "!=", false, line_});
-        continue;
-      }
-      if (c == '=' ) {
-        Advance();
-        tokens.push_back(Token{TokKind::kPunct, "=", false, line_});
-        continue;
-      }
-      if (c == '&' && PeekAt(1) == '&') {
-        Advance(); Advance();
-        tokens.push_back(Token{TokKind::kPunct, "&&", false, line_});
-        continue;
-      }
-      if (c == '|' && PeekAt(1) == '|') {
-        Advance(); Advance();
-        tokens.push_back(Token{TokKind::kPunct, "||", false, line_});
-        continue;
-      }
-      if (c == '>' ) {
-        Advance();
-        if (Peek() == '=') {
-          Advance();
-          tokens.push_back(Token{TokKind::kPunct, ">=", false, line_});
-        } else {
-          tokens.push_back(Token{TokKind::kPunct, ">", false, line_});
-        }
-        continue;
-      }
-      if (std::string_view("{}().;,*!").find(c) != std::string_view::npos) {
-        Advance();
-        tokens.push_back(Token{TokKind::kPunct, std::string(1, c), false, line_});
-        continue;
-      }
-      if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
-        std::string word = ReadName();
-        // Prefixed name?
-        if (Peek() == ':') {
-          Advance();
-          std::string local = ReadName();
-          tokens.push_back(Token{TokKind::kPrefixedName, word + ":" + local,
-                                 false, line_});
-          continue;
-        }
-        if (word == "a") {
-          tokens.push_back(Token{TokKind::kA, "a", false, line_});
-          continue;
-        }
-        // Keywords are case-insensitive.
-        std::string upper;
-        for (const char ch : word) {
-          upper += static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
-        }
-        tokens.push_back(Token{TokKind::kKeyword, std::move(upper), false, line_});
-        continue;
-      }
-      if (c == ':') {
-        // Default-prefix name `:local`.
-        Advance();
-        std::string local = ReadName();
-        tokens.push_back(Token{TokKind::kPrefixedName, ":" + local, false, line_});
-        continue;
-      }
-      return Err(std::string("unexpected character '") + c + "'");
-    }
-  }
-
- private:
-  [[nodiscard]] bool AtEnd() const { return pos_ >= text_.size(); }
-  [[nodiscard]] char Peek() const { return AtEnd() ? '\0' : text_[pos_]; }
-  [[nodiscard]] char PeekAt(std::size_t k) const {
-    return pos_ + k >= text_.size() ? '\0' : text_[pos_ + k];
-  }
-  char Advance() {
-    const char c = text_[pos_++];
-    if (c == '\n') ++line_;
-    return c;
-  }
-  void SkipWhitespaceAndComments() {
-    for (;;) {
-      while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek())) != 0) {
-        Advance();
-      }
-      if (!AtEnd() && Peek() == '#') {
-        while (!AtEnd() && Peek() != '\n') Advance();
-        continue;
-      }
-      return;
-    }
-  }
-  std::string ReadName() {
-    std::string word;
-    while (!AtEnd()) {
-      const char c = Peek();
-      if (std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' ||
-          c == '-') {
-        word += Advance();
-      } else {
-        break;
-      }
-    }
-    return word;
-  }
-
-  /// After '<': true if a '>' occurs before any whitespace (IRI form).
-  [[nodiscard]] bool LooksLikeIri() const {
-    for (std::size_t k = 1; pos_ + k < text_.size(); ++k) {
-      const char c = text_[pos_ + k];
-      if (c == '>') return true;
-      if (std::isspace(static_cast<unsigned char>(c)) != 0) return false;
-    }
-    return false;
-  }
-  Status Err(std::string msg) const {
-    return ParseError(msg + " at line " + std::to_string(line_));
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-};
-
-// Propagate errors from Status-returning subroutines inside
-// Result-returning functions.
-#define SCAN_RETURN_IF_ERROR_R(expr) \
-  do {                               \
-    ::scan::Status s_ = (expr);      \
-    if (!s_.ok()) return s_;         \
-  } while (false)
-
-class Parser {
- public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::string_view text) : RdfCursor(text) {}
 
   Result<SelectQuery> Run() {
     SelectQuery query;
-    // PREFIX declarations.
-    while (IsKeyword("PREFIX")) {
-      Next();
-      SCAN_RETURN_IF_ERROR_R(ParsePrefixDecl());
-    }
-    if (!IsKeyword("SELECT")) return Err("expected SELECT");
-    Next();
-    if (IsKeyword("DISTINCT")) {
-      query.distinct = true;
-      Next();
-    }
-    if (IsPunct("*")) {
-      Next();
-    } else {
+    while (Accept(RdfTok::kPrefix)) SCAN_RETURN_IF_ERROR(ParsePrefixDecl());
+    if (!Accept(RdfTok::kSelect)) return Err("expected SELECT");
+    query.distinct = Accept(RdfTok::kDistinct);
+    if (!Accept(RdfTok::kStar)) {
       for (;;) {
-        if (Cur().kind == TokKind::kVariable) {
+        if (Is(RdfTok::kVariable)) {
           Projection projection;
-          projection.var = Cur().text;
-          projection.alias = Cur().text;
-          query.variables.push_back(Cur().text);
+          projection.var = std::string(tok().text);
+          projection.alias = projection.var;
+          query.variables.push_back(projection.var);
           query.projections.push_back(std::move(projection));
           Next();
           continue;
         }
-        if (IsPunct("(")) {
+        if (Is(RdfTok::kLParen)) {
           auto aggregate = ParseAggregateProjection();
           if (!aggregate.ok()) return aggregate.status();
           query.variables.push_back(aggregate->alias);
@@ -289,444 +71,307 @@ class Parser {
         }
         break;
       }
-      if (query.projections.empty()) {
-        return Err("expected projection variables or *");
-      }
+      if (query.projections.empty()) return Err("expected variables or *");
     }
     // FROM <...> clauses are accepted and ignored (the engine queries the
     // single default graph; the paper's example uses FROM <scan-wxing.owl>).
-    while (IsKeyword("FROM")) {
-      Next();
-      if (Cur().kind != TokKind::kIri) return Err("expected IRI after FROM");
-      Next();
+    while (Accept(RdfTok::kFrom)) {
+      if (!Accept(RdfTok::kIri)) return Err("expected IRI after FROM");
     }
-    if (IsKeyword("WHERE")) Next();
+    Accept(RdfTok::kWhere);
     auto group = ParseGroup();
     if (!group.ok()) return group.status();
     query.where = std::move(group.value());
 
-    if (IsKeyword("GROUP")) {
-      Next();
-      if (!IsKeyword("BY")) return Err("expected BY after GROUP");
-      Next();
-      while (Cur().kind == TokKind::kVariable) {
-        query.group_by.push_back(Cur().text);
+    if (Accept(RdfTok::kGroup)) {
+      if (!Accept(RdfTok::kBy)) return Err("expected BY after GROUP");
+      while (Is(RdfTok::kVariable)) {
+        query.group_by.emplace_back(tok().text);
         Next();
       }
       if (query.group_by.empty()) return Err("empty GROUP BY");
     }
-    if (IsKeyword("ORDER")) {
-      Next();
-      if (!IsKeyword("BY")) return Err("expected BY after ORDER");
-      Next();
-      for (;;) {
+    if (Accept(RdfTok::kOrder)) {
+      if (!Accept(RdfTok::kBy)) return Err("expected BY after ORDER");
+      while (Is(RdfTok::kAsc) || Is(RdfTok::kDesc) || Is(RdfTok::kVariable)) {
         OrderKey key;
-        if (IsKeyword("ASC") || IsKeyword("DESC")) {
-          key.ascending = Cur().text == "ASC";
-          Next();
-          if (!IsPunct("(")) return Err("expected ( after ASC/DESC");
-          Next();
-          if (Cur().kind != TokKind::kVariable) {
-            return Err("expected variable in ORDER BY");
-          }
-          key.var = Cur().text;
-          Next();
-          if (!IsPunct(")")) return Err("expected ) in ORDER BY");
-          Next();
-        } else if (Cur().kind == TokKind::kVariable) {
-          key.var = Cur().text;
+        if (Is(RdfTok::kVariable)) {
+          key.var = std::string(tok().text);
           Next();
         } else {
-          break;
+          key.ascending = Is(RdfTok::kAsc);
+          Next();
+          if (!Accept(RdfTok::kLParen)) return Err("expected ( after ASC/DESC");
+          if (!Is(RdfTok::kVariable)) return Err("expected ORDER BY variable");
+          key.var = std::string(tok().text);
+          Next();
+          if (!Accept(RdfTok::kRParen)) return Err("expected ) in ORDER BY");
         }
         query.order_by.push_back(std::move(key));
-        if (Cur().kind != TokKind::kVariable && !IsKeyword("ASC") &&
-            !IsKeyword("DESC")) {
-          break;
-        }
       }
       if (query.order_by.empty()) return Err("empty ORDER BY");
     }
-    if (IsKeyword("LIMIT")) {
-      Next();
-      if (Cur().kind != TokKind::kNumber || Cur().is_double) {
-        return Err("expected integer after LIMIT");
-      }
-      query.limit = static_cast<std::size_t>(*ParseInt(Cur().text));
-      Next();
+    if (Accept(RdfTok::kLimit)) {
+      auto limit = ParseCount("LIMIT");
+      if (!limit.ok()) return limit.status();
+      query.limit = *limit;
     }
-    if (IsKeyword("OFFSET")) {
-      Next();
-      if (Cur().kind != TokKind::kNumber || Cur().is_double) {
-        return Err("expected integer after OFFSET");
-      }
-      query.offset = static_cast<std::size_t>(*ParseInt(Cur().text));
-      Next();
+    if (Accept(RdfTok::kOffset)) {
+      auto offset = ParseCount("OFFSET");
+      if (!offset.ok()) return offset.status();
+      query.offset = *offset;
     }
-    if (Cur().kind != TokKind::kEof) {
-      return Err("trailing input after query (near '" + Cur().text + "')");
-    }
+    if (!Is(RdfTok::kEof)) return Err("trailing " + DescribeToken(tok()));
     query.var_names = std::move(var_names_);
     return query;
   }
 
  private:
-  const Token& Cur() const { return tokens_[pos_]; }
-  void Next() {
-    if (pos_ + 1 < tokens_.size()) ++pos_;
-  }
-  bool IsKeyword(std::string_view kw) const {
-    return Cur().kind == TokKind::kKeyword && Cur().text == kw;
-  }
-  bool IsPunct(std::string_view p) const {
-    return Cur().kind == TokKind::kPunct && Cur().text == p;
-  }
-  Status Err(std::string msg) const {
-    return ParseError(msg + " at line " + std::to_string(Cur().line));
+  /// One more level of nesting (a group, a parenthesis, a `!`) for the
+  /// life of the guard.
+  struct Nest {
+    explicit Nest(std::size_t& d) : depth(d) { ++depth; }
+    ~Nest() { --depth; }
+    std::size_t& depth;
+  };
+
+  [[nodiscard]] Status TooDeep() const {
+    return Err("query nests deeper than the limit of " +
+               std::to_string(kMaxSparqlDepth) + " levels");
   }
 
   /// Interns a variable name to its dense id (satellite of the flat-row
   /// engines: a solution row is vector<TermId> indexed by these ids).
-  std::uint32_t InternVar(const std::string& name) {
+  std::uint32_t InternVar(std::string_view name) {
     const auto it = var_ids_.find(name);
     if (it != var_ids_.end()) return it->second;
     const auto id = static_cast<std::uint32_t>(var_names_.size());
-    var_names_.push_back(name);
+    var_names_.emplace_back(name);
     var_ids_.emplace(name, id);
     return id;
+  }
+
+  /// The LIMIT / OFFSET operand: an unsigned decimal integer that fits in
+  /// size_t.
+  Result<std::size_t> ParseCount(std::string_view clause) {
+    const auto fail = [&] {
+      return Err(std::string(clause) +
+                 " takes an unsigned integer that fits in 64 bits");
+    };
+    if (!Is(RdfTok::kInteger)) return fail();
+    std::size_t count = 0;
+    const char* end = tok().text.data() + tok().text.size();
+    const auto [ptr, ec] = std::from_chars(tok().text.data(), end, count);
+    if (ec != std::errc{} || ptr != end) return fail();  // a sign, overflow
+    Next();
+    return count;
   }
 
   /// Parses "( FN(?v | *) AS ?alias )" after the opening '(' is current.
   Result<Projection> ParseAggregateProjection() {
     Next();  // consume '('
-    static const std::map<std::string, AggregateFn, std::less<>> kFns = {
-        {"COUNT", AggregateFn::kCount}, {"SUM", AggregateFn::kSum},
-        {"AVG", AggregateFn::kAvg},     {"MIN", AggregateFn::kMin},
-        {"MAX", AggregateFn::kMax},
-    };
-    if (Cur().kind != TokKind::kKeyword || !kFns.contains(Cur().text)) {
-      return Err("expected aggregate function (COUNT/SUM/AVG/MIN/MAX)");
-    }
+    const auto fn = AggregateOf(tok().kind);
+    if (!fn) return Err("expected aggregate function (COUNT/SUM/AVG/MIN/MAX)");
     Projection projection;
-    projection.fn = kFns.at(Cur().text);
+    projection.fn = *fn;
     Next();
-    if (!IsPunct("(")) return Err("expected '(' after aggregate function");
-    Next();
-    if (IsPunct("*")) {
-      if (projection.fn != AggregateFn::kCount) {
-        return Err("only COUNT accepts *");
-      }
+    if (!Accept(RdfTok::kLParen)) return Err("expected '(' after function");
+    if (Is(RdfTok::kStar)) {
+      if (projection.fn != AggregateFn::kCount) return Err("only COUNT(*)");
       projection.star = true;
       Next();
-    } else if (Cur().kind == TokKind::kVariable) {
-      projection.var = Cur().text;
+    } else if (Is(RdfTok::kVariable)) {
+      projection.var = std::string(tok().text);
       Next();
     } else {
       return Err("expected variable or * inside aggregate");
     }
-    if (!IsPunct(")")) return Err("expected ')' closing aggregate argument");
+    if (!Accept(RdfTok::kRParen)) return Err("expected ')' after argument");
+    if (!Accept(RdfTok::kAs)) return Err("expected AS in aggregate projection");
+    if (!Is(RdfTok::kVariable)) return Err("expected alias variable after AS");
+    projection.alias = std::string(tok().text);
     Next();
-    if (!IsKeyword("AS")) return Err("expected AS in aggregate projection");
-    Next();
-    if (Cur().kind != TokKind::kVariable) {
-      return Err("expected alias variable after AS");
-    }
-    projection.alias = Cur().text;
-    Next();
-    if (!IsPunct(")")) return Err("expected ')' closing aggregate projection");
-    Next();
+    if (!Accept(RdfTok::kRParen)) return Err("expected ')' after alias");
     return projection;
   }
 
+  /// `PREFIX pfx: <iri>`; any local part after the colon is ignored.
   Status ParsePrefixDecl() {
-    if (Cur().kind != TokKind::kPrefixedName) {
-      return Err("expected prefix name in PREFIX");
-    }
-    std::string name = Cur().text;
-    // "pfx:" arrives as "pfx:" + "" local.
-    const std::size_t colon = name.find(':');
-    std::string prefix = name.substr(0, colon);
+    if (!Is(RdfTok::kPrefixedName)) return Err("expected 'prefix:' in PREFIX");
+    const std::string_view name = tok().text;
     Next();
-    if (Cur().kind != TokKind::kIri) return Err("expected IRI in PREFIX");
-    prefixes_[prefix] = Cur().text;
+    if (!Is(RdfTok::kIri)) return Err("expected IRI in PREFIX");
+    reader_.Declare(name.substr(0, name.find(':')), tok().text);
     Next();
     return Status::Ok();
   }
 
-  Result<Term> ResolvePrefixed(const std::string& text) {
-    const std::size_t colon = text.find(':');
-    const std::string prefix = text.substr(0, colon);
-    const std::string local = text.substr(colon + 1);
-    const auto it = prefixes_.find(prefix);
-    if (it == prefixes_.end()) {
-      return Err("unknown prefix '" + prefix + "'");
+  Result<PatternNode> ParseNode(Slot slot) {
+    if (Is(RdfTok::kVariable)) {
+      Variable v{std::string(tok().text), InternVar(tok().text)};
+      Next();
+      return PatternNode{std::move(v)};
     }
-    return MakeIri(it->second + local);
-  }
-
-  Result<PatternNode> ParseNode(bool allow_literal) {
-    switch (Cur().kind) {
-      case TokKind::kVariable: {
-        Variable v{Cur().text, InternVar(Cur().text)};
-        Next();
-        return PatternNode{std::move(v)};
-      }
-      case TokKind::kIri: {
-        Term t = MakeIri(Cur().text);
-        Next();
-        return PatternNode{std::move(t)};
-      }
-      case TokKind::kPrefixedName: {
-        auto term = ResolvePrefixed(Cur().text);
-        if (!term.ok()) return term.status();
-        Next();
-        return PatternNode{std::move(term.value())};
-      }
-      case TokKind::kA: {
-        Next();
-        return PatternNode{MakeIri(std::string(kRdfType))};
-      }
-      case TokKind::kString: {
-        if (!allow_literal) return Err("literal not allowed here");
-        Term t = MakeStringLiteral(Cur().text);
-        Next();
-        return PatternNode{std::move(t)};
-      }
-      case TokKind::kNumber: {
-        if (!allow_literal) return Err("literal not allowed here");
-        Term t{TermKind::kLiteral, Cur().text,
-               std::string(Cur().is_double ? kXsdDouble : kXsdInteger)};
-        Next();
-        return PatternNode{std::move(t)};
-      }
-      default:
-        return Err("expected variable, IRI, or literal (got '" + Cur().text +
-                   "')");
-    }
+    if (Is(RdfTok::kBlank)) return Err("blank nodes are Turtle only");
+    auto term = reader_.Read(tok(), slot);
+    if (!term.ok()) return term.status();
+    Next();
+    return PatternNode{std::move(term.value())};
   }
 
   Result<GroupPattern> ParseGroup() {
-    if (!IsPunct("{")) return Err("expected '{'");
-    Next();
+    const Nest nest(depth_);
+    if (depth_ > kMaxSparqlDepth) return TooDeep();
+    if (!Accept(RdfTok::kLBrace)) return Err("expected '{'");
     GroupPattern group;
     for (;;) {
-      if (IsPunct("}")) {
-        Next();
-        return group;
-      }
-      if (Cur().kind == TokKind::kEof) return Err("unterminated group");
-      if (IsKeyword("FILTER")) {
-        Next();
-        auto expr = ParseFilter();
+      if (Accept(RdfTok::kRBrace)) return group;
+      if (Is(RdfTok::kEof)) return Err("unterminated group");
+      if (Accept(RdfTok::kFilter)) {
+        if (!Is(RdfTok::kLParen)) return Err("expected '(' after FILTER");
+        auto expr = ParseBracketed();
         if (!expr.ok()) return expr.status();
-        group.filters.push_back(std::move(expr.value()));
-        if (IsPunct(".")) Next();
-        continue;
-      }
-      if (IsKeyword("OPTIONAL")) {
-        Next();
+        group.filters.push_back(std::move(expr->expr));
+      } else if (Accept(RdfTok::kOptional)) {
         auto inner = ParseGroup();
         if (!inner.ok()) return inner.status();
         group.optionals.push_back(std::move(inner.value()));
-        if (IsPunct(".")) Next();
-        continue;
-      }
-      if (IsPunct("{")) {
+      } else if (Is(RdfTok::kLBrace)) {
         // `{A} UNION {B} [UNION {C} ...]` alternation.
         std::vector<GroupPattern> branches;
-        auto first = ParseGroup();
-        if (!first.ok()) return first.status();
-        branches.push_back(std::move(first.value()));
-        while (IsKeyword("UNION")) {
-          Next();
+        do {
           auto branch = ParseGroup();
           if (!branch.ok()) return branch.status();
           branches.push_back(std::move(branch.value()));
-        }
-        if (branches.size() < 2) {
-          return Err("expected UNION after nested group");
-        }
+        } while (Accept(RdfTok::kUnion));
+        if (branches.size() < 2) return Err("expected UNION after group");
         group.unions.push_back(std::move(branches));
-        if (IsPunct(".")) Next();
-        continue;
+      } else {
+        SCAN_RETURN_IF_ERROR(ParseTriples(group));
       }
-      // Triple pattern with ; and , shorthands.
-      auto subject = ParseNode(/*allow_literal=*/false);
-      if (!subject.ok()) return subject.status();
-      for (;;) {
-        auto predicate = ParseNode(/*allow_literal=*/false);
-        if (!predicate.ok()) return predicate.status();
-        for (;;) {
-          auto object = ParseNode(/*allow_literal=*/true);
-          if (!object.ok()) return object.status();
-          group.triples.push_back(TriplePattern{subject.value(),
-                                                predicate.value(),
-                                                object.value()});
-          if (IsPunct(",")) {
-            Next();
-            continue;
-          }
-          break;
-        }
-        if (IsPunct(";")) {
-          Next();
-          if (IsPunct(".") || IsPunct("}")) break;  // tolerate trailing ;
-          continue;
-        }
-        break;
-      }
-      if (IsPunct(".")) Next();
+      Accept(RdfTok::kDot);
     }
   }
 
-  Result<ExprPtr> ParseFilter() {
-    if (!IsPunct("(")) return Err("expected '(' after FILTER");
+  /// A triple pattern with the `;` and `,` shorthands.
+  Status ParseTriples(GroupPattern& group) {
+    auto subject = ParseNode(Slot::kSubject);
+    if (!subject.ok()) return subject.status();
+    for (;;) {
+      auto predicate = ParseNode(Slot::kPredicate);
+      if (!predicate.ok()) return predicate.status();
+      do {
+        auto object = ParseNode(Slot::kObject);
+        if (!object.ok()) return object.status();
+        group.triples.push_back(TriplePattern{
+            subject.value(), predicate.value(), std::move(object.value())});
+      } while (Accept(RdfTok::kComma));
+      if (!Accept(RdfTok::kSemicolon)) return Status::Ok();
+      // Tolerate a trailing `;`.
+      if (Is(RdfTok::kDot) || Is(RdfTok::kRBrace)) return Status::Ok();
+    }
+  }
+
+  /// Makes `lhs op rhs` (rhs empty for `!`) in place of lhs; the new node
+  /// is one level taller than its taller child.
+  Status Join(ExprOp op, Sub& lhs, Sub rhs) {
+    const std::size_t height = 1 + std::max(lhs.height, rhs.height);
+    if (depth_ + height > kMaxSparqlDepth) return TooDeep();
+    auto node = std::make_unique<Expr>();
+    node->op = op;
+    node->lhs = std::move(lhs.expr);
+    node->rhs = std::move(rhs.expr);
+    lhs = Sub{std::move(node), height};
+    return Status::Ok();
+  }
+
+  /// `( expr )` with '(' current: one level of nesting, no node of its own.
+  Result<Sub> ParseBracketed() {
+    const Nest nest(depth_);
+    if (depth_ > kMaxSparqlDepth) return TooDeep();
     Next();
-    auto expr = ParseOr();
-    if (!expr.ok()) return expr.status();
-    if (!IsPunct(")")) return Err("expected ')' closing FILTER");
+    auto inner = ParseOr();
+    if (!inner.ok()) return inner.status();
+    if (!Accept(RdfTok::kRParen)) return Err("expected ')'");
+    return inner;
+  }
+
+  /// `operand (op operand)*`, left-associative: every link makes the chain
+  /// one level taller.
+  Result<Sub> ParseChain(RdfTok op_token, ExprOp op,
+                         Result<Sub> (Parser::*operand)()) {
+    auto chain = (this->*operand)();
+    if (!chain.ok()) return chain;
+    while (Accept(op_token)) {
+      auto rhs = (this->*operand)();
+      if (!rhs.ok()) return rhs;
+      SCAN_RETURN_IF_ERROR(Join(op, chain.value(), std::move(rhs.value())));
+    }
+    return chain;
+  }
+
+  Result<Sub> ParseOr() {
+    return ParseChain(RdfTok::kOrOr, ExprOp::kOr, &Parser::ParseAnd);
+  }
+
+  Result<Sub> ParseAnd() {
+    return ParseChain(RdfTok::kAndAnd, ExprOp::kAnd, &Parser::ParseUnary);
+  }
+
+  Result<Sub> ParseUnary() {
+    if (!Is(RdfTok::kBang)) return ParseComparison();
+    const Nest nest(depth_);
+    if (depth_ > kMaxSparqlDepth) return TooDeep();
     Next();
-    return std::move(expr.value());
+    auto operand = ParseUnary();
+    if (!operand.ok()) return operand;
+    SCAN_RETURN_IF_ERROR(Join(ExprOp::kNot, operand.value(), Sub{}));
+    return operand;
   }
 
-  Result<ExprPtr> ParseOr() {
-    auto lhs = ParseAnd();
-    if (!lhs.ok()) return lhs.status();
-    while (IsPunct("||")) {
-      Next();
-      auto rhs = ParseAnd();
-      if (!rhs.ok()) return rhs.status();
-      auto node = std::make_unique<Expr>();
-      node->op = ExprOp::kOr;
-      node->lhs = std::move(lhs.value());
-      node->rhs = std::move(rhs.value());
-      lhs = std::move(node);
-    }
-    return std::move(lhs.value());
-  }
-
-  Result<ExprPtr> ParseAnd() {
-    auto lhs = ParseUnary();
-    if (!lhs.ok()) return lhs.status();
-    while (IsPunct("&&")) {
-      Next();
-      auto rhs = ParseUnary();
-      if (!rhs.ok()) return rhs.status();
-      auto node = std::make_unique<Expr>();
-      node->op = ExprOp::kAnd;
-      node->lhs = std::move(lhs.value());
-      node->rhs = std::move(rhs.value());
-      lhs = std::move(node);
-    }
-    return std::move(lhs.value());
-  }
-
-  Result<ExprPtr> ParseUnary() {
-    if (IsPunct("!")) {
-      Next();
-      auto operand = ParseUnary();
-      if (!operand.ok()) return operand.status();
-      auto node = std::make_unique<Expr>();
-      node->op = ExprOp::kNot;
-      node->lhs = std::move(operand.value());
-      return node;
-    }
-    return ParseComparison();
-  }
-
-  Result<ExprPtr> ParseComparison() {
-    if (IsPunct("(")) {
-      Next();
-      auto inner = ParseOr();
-      if (!inner.ok()) return inner.status();
-      if (!IsPunct(")")) return Err("expected ')'");
-      Next();
-      return std::move(inner.value());
-    }
-    if (IsKeyword("BOUND")) {
-      Next();
-      if (!IsPunct("(")) return Err("expected '(' after BOUND");
-      Next();
-      if (Cur().kind != TokKind::kVariable) {
-        return Err("expected variable in BOUND");
-      }
-      auto node = std::make_unique<Expr>();
-      node->op = ExprOp::kBound;
-      node->var = Cur().text;
-      node->var_id = InternVar(Cur().text);
-      Next();
-      if (!IsPunct(")")) return Err("expected ')' after BOUND variable");
-      Next();
-      return node;
+  Result<Sub> ParseComparison() {
+    if (Is(RdfTok::kLParen)) return ParseBracketed();
+    if (Accept(RdfTok::kBound)) {
+      if (!Accept(RdfTok::kLParen)) return Err("expected '(' after BOUND");
+      if (!Is(RdfTok::kVariable)) return Err("expected variable in BOUND");
+      Sub bound = VariableExpr(ExprOp::kBound);
+      if (!Accept(RdfTok::kRParen)) return Err("expected ')' after BOUND");
+      return bound;
     }
     auto lhs = ParseOperand();
-    if (!lhs.ok()) return lhs.status();
-    // Comparison operator?
-    static const std::map<std::string, ExprOp, std::less<>> kOps = {
-        {"=", ExprOp::kEq},  {"!=", ExprOp::kNe}, {"<", ExprOp::kLt},
-        {"<=", ExprOp::kLe}, {">", ExprOp::kGt},  {">=", ExprOp::kGe},
-    };
-    if (Cur().kind == TokKind::kPunct) {
-      const auto it = kOps.find(Cur().text);
-      if (it != kOps.end()) {
-        const ExprOp op = it->second;
-        Next();
-        auto rhs = ParseOperand();
-        if (!rhs.ok()) return rhs.status();
-        auto node = std::make_unique<Expr>();
-        node->op = op;
-        node->lhs = std::move(lhs.value());
-        node->rhs = std::move(rhs.value());
-        return node;
-      }
-    }
-    return std::move(lhs.value());
+    if (!lhs.ok()) return lhs;
+    const auto op = ComparisonOf(tok().kind);
+    if (!op) return lhs;
+    Next();
+    auto rhs = ParseOperand();
+    if (!rhs.ok()) return rhs;
+    SCAN_RETURN_IF_ERROR(Join(*op, lhs.value(), std::move(rhs.value())));
+    return lhs;
   }
 
-  Result<ExprPtr> ParseOperand() {
+  /// A `kVar` / `kBound` leaf for the current variable token, consumed.
+  Sub VariableExpr(ExprOp op) {
     auto node = std::make_unique<Expr>();
-    switch (Cur().kind) {
-      case TokKind::kVariable:
-        node->op = ExprOp::kVar;
-        node->var = Cur().text;
-        node->var_id = InternVar(Cur().text);
-        Next();
-        return node;
-      case TokKind::kNumber:
-        node->op = ExprOp::kLiteral;
-        node->literal =
-            Term{TermKind::kLiteral, Cur().text,
-                 std::string(Cur().is_double ? kXsdDouble : kXsdInteger)};
-        Next();
-        return node;
-      case TokKind::kString:
-        node->op = ExprOp::kLiteral;
-        node->literal = MakeStringLiteral(Cur().text);
-        Next();
-        return node;
-      case TokKind::kIri:
-        node->op = ExprOp::kLiteral;
-        node->literal = MakeIri(Cur().text);
-        Next();
-        return node;
-      case TokKind::kPrefixedName: {
-        auto term = ResolvePrefixed(Cur().text);
-        if (!term.ok()) return term.status();
-        node->op = ExprOp::kLiteral;
-        node->literal = std::move(term.value());
-        Next();
-        return node;
-      }
-      default:
-        return Err("expected operand in FILTER (got '" + Cur().text + "')");
-    }
+    node->op = op;
+    node->var = std::string(tok().text);
+    node->var_id = InternVar(tok().text);
+    Next();
+    return Sub{std::move(node), 1};
   }
 
-#undef SCAN_RETURN_IF_ERROR_R
+  /// A variable or a term in the object slot.
+  Result<Sub> ParseOperand() {
+    if (Is(RdfTok::kVariable)) return VariableExpr(ExprOp::kVar);
+    auto term = ParseNode(Slot::kObject);
+    if (!term.ok()) return term.status();
+    auto node = std::make_unique<Expr>();
+    node->op = ExprOp::kLiteral;
+    node->literal = std::get<Term>(std::move(term.value()));
+    return Sub{std::move(node), 1};
+  }
 
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
-  std::map<std::string, std::string> prefixes_;
+  TermReader reader_;
+  std::size_t depth_ = 0;
   std::vector<std::string> var_names_;
   std::map<std::string, std::uint32_t, std::less<>> var_ids_;
 };
@@ -734,11 +379,7 @@ class Parser {
 }  // namespace
 
 Result<SelectQuery> ParseSparql(std::string_view text) {
-  Lexer lexer(text);
-  auto tokens = lexer.Run();
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens.value()));
-  return parser.Run();
+  return Parser(text).Run();
 }
 
 }  // namespace scan::kb

@@ -1,334 +1,85 @@
 #include "scan/kb/turtle.hpp"
 
-#include <cctype>
-#include <map>
 #include <sstream>
 
 #include "scan/common/str.hpp"
+#include "scan/kb/rdf_lexer.hpp"
 
 namespace scan::kb {
 
 namespace {
 
-/// Cursor over the input with line/column tracking for diagnostics.
-class Cursor {
- public:
-  explicit Cursor(std::string_view text) : text_(text) {}
+using Slot = TermReader::Slot;
 
-  [[nodiscard]] bool AtEnd() const { return pos_ >= text_.size(); }
-  [[nodiscard]] char Peek() const { return AtEnd() ? '\0' : text_[pos_]; }
-  [[nodiscard]] char PeekAt(std::size_t offset) const {
-    return pos_ + offset >= text_.size() ? '\0' : text_[pos_ + offset];
-  }
-
-  char Advance() {
-    const char c = text_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
-    }
-    return c;
-  }
-
-  void SkipWhitespaceAndComments() {
-    for (;;) {
-      while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek())) != 0) {
-        Advance();
-      }
-      if (!AtEnd() && Peek() == '#') {
-        while (!AtEnd() && Peek() != '\n') Advance();
-        continue;
-      }
-      return;
-    }
-  }
-
-  [[nodiscard]] std::string Where() const {
-    return "line " + std::to_string(line_) + ", column " +
-           std::to_string(column_);
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  std::size_t column_ = 1;
-};
-
-class TurtleParser {
+/// Statement-at-a-time parser over the shared RDF lexer.
+class TurtleParser : RdfCursor {
  public:
   TurtleParser(std::string_view text, TripleStore& store)
-      : cur_(text), store_(store) {}
+      : RdfCursor(text), store_(store) {}
 
   Status Run() {
-    for (;;) {
-      cur_.SkipWhitespaceAndComments();
-      if (cur_.AtEnd()) return Status::Ok();
-      if (cur_.Peek() == '@') {
-        SCAN_RETURN_IF_ERROR(ParsePrefixDirective());
-        continue;
-      }
-      SCAN_RETURN_IF_ERROR(ParseStatement());
+    while (!Is(RdfTok::kEof)) {
+      SCAN_RETURN_IF_ERROR(Is(RdfTok::kAtPrefix) ? ParsePrefixDirective()
+                                                 : ParseStatement());
     }
+    return Status::Ok();
   }
 
  private:
-  Status Fail(std::string_view what) {
-    return ParseError(std::string(what) + " at " + cur_.Where());
-  }
-
+  /// `@prefix pfx: <iri> .` with `@prefix` current.
   Status ParsePrefixDirective() {
-    cur_.Advance();  // '@'
-    std::string keyword = ReadWord();
-    if (keyword != "prefix") return Fail("expected @prefix");
-    cur_.SkipWhitespaceAndComments();
-    std::string name;
-    while (!cur_.AtEnd() && cur_.Peek() != ':') name += cur_.Advance();
-    if (cur_.AtEnd()) return Fail("unterminated prefix name");
-    cur_.Advance();  // ':'
-    cur_.SkipWhitespaceAndComments();
-    Term iri;
-    SCAN_RETURN_IF_ERROR(ParseIriRef(iri));
-    prefixes_[name] = iri.lexical;
-    cur_.SkipWhitespaceAndComments();
-    if (cur_.Peek() != '.') return Fail("expected '.' after @prefix");
-    cur_.Advance();
+    Next();
+    const std::string_view name = tok().text;
+    if (!Is(RdfTok::kPrefixedName) || name.back() != ':') {
+      return Err("expected 'prefix:' after @prefix");
+    }
+    Next();
+    if (!Is(RdfTok::kIri)) return Err("expected IRI in @prefix");
+    reader_.Declare(name.substr(0, name.size() - 1), tok().text);
+    Next();
+    if (!Accept(RdfTok::kDot)) return Err("expected '.' after @prefix");
     return Status::Ok();
   }
 
+  /// Subject, then predicate-object lists with the `;` and `,`
+  /// shorthands, then `.`.
   Status ParseStatement() {
-    Term subject;
-    SCAN_RETURN_IF_ERROR(ParseSubject(subject));
+    auto subject = Read(Slot::kSubject);
+    if (!subject.ok()) return subject.status();
     for (;;) {
-      cur_.SkipWhitespaceAndComments();
-      Term predicate;
-      SCAN_RETURN_IF_ERROR(ParsePredicate(predicate));
-      for (;;) {
-        cur_.SkipWhitespaceAndComments();
-        Term object;
-        SCAN_RETURN_IF_ERROR(ParseObject(object));
-        store_.Add(subject, predicate, object);
-        cur_.SkipWhitespaceAndComments();
-        if (cur_.Peek() == ',') {
-          cur_.Advance();
-          continue;
-        }
-        break;
-      }
-      if (cur_.Peek() == ';') {
-        cur_.Advance();
-        cur_.SkipWhitespaceAndComments();
-        // Tolerate trailing `;` before `.` (common Turtle style).
-        if (cur_.Peek() == '.') break;
-        continue;
-      }
-      break;
+      auto predicate = Read(Slot::kPredicate);
+      if (!predicate.ok()) return predicate.status();
+      do {
+        auto object = Read(Slot::kObject);
+        if (!object.ok()) return object.status();
+        store_.Add(subject.value(), predicate.value(), object.value());
+      } while (Accept(RdfTok::kComma));
+      if (!Accept(RdfTok::kSemicolon)) break;
+      // Tolerate trailing `;` before `.` (common Turtle style).
+      if (Is(RdfTok::kDot)) break;
     }
-    cur_.SkipWhitespaceAndComments();
-    if (cur_.Peek() != '.') return Fail("expected '.' ending statement");
-    cur_.Advance();
+    if (!Accept(RdfTok::kDot)) return Err("expected '.' ending statement");
     return Status::Ok();
   }
 
-  Status ParseSubject(Term& out) {
-    cur_.SkipWhitespaceAndComments();
-    const char c = cur_.Peek();
-    if (c == '<') return ParseIriRef(out);
-    if (c == '_' && cur_.PeekAt(1) == ':') return ParseBlank(out);
-    return ParsePrefixedName(out);
+  Result<Term> Read(Slot slot) {
+    auto term = reader_.Read(tok(), slot);
+    if (term.ok()) Next();
+    return term;
   }
 
-  Status ParsePredicate(Term& out) {
-    cur_.SkipWhitespaceAndComments();
-    if (cur_.Peek() == '<') return ParseIriRef(out);
-    // `a` keyword.
-    if (cur_.Peek() == 'a' &&
-        (std::isspace(static_cast<unsigned char>(cur_.PeekAt(1))) != 0)) {
-      cur_.Advance();
-      out = MakeIri(std::string(kRdfType));
-      return Status::Ok();
-    }
-    return ParsePrefixedName(out);
-  }
-
-  Status ParseObject(Term& out) {
-    cur_.SkipWhitespaceAndComments();
-    const char c = cur_.Peek();
-    if (c == '<') return ParseIriRef(out);
-    if (c == '"') return ParseLiteral(out);
-    if (c == '_' && cur_.PeekAt(1) == ':') return ParseBlank(out);
-    if (c == '+' || c == '-' || std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      return ParseNumber(out);
-    }
-    if (c == 't' || c == 'f') {
-      // booleans serialize as plain literals
-      const std::string word = PeekWord();
-      if (word == "true" || word == "false") {
-        (void)ReadWord();
-        out = MakeStringLiteral(word);
-        return Status::Ok();
-      }
-    }
-    return ParsePrefixedName(out);
-  }
-
-  Status ParseIriRef(Term& out) {
-    if (cur_.Peek() != '<') return Fail("expected '<'");
-    cur_.Advance();
-    std::string iri;
-    while (!cur_.AtEnd() && cur_.Peek() != '>') iri += cur_.Advance();
-    if (cur_.AtEnd()) return Fail("unterminated IRI");
-    cur_.Advance();  // '>'
-    out = MakeIri(std::move(iri));
-    return Status::Ok();
-  }
-
-  Status ParseBlank(Term& out) {
-    cur_.Advance();  // '_'
-    cur_.Advance();  // ':'
-    std::string label = ReadWord();
-    if (label.empty()) return Fail("empty blank node label");
-    out = MakeBlank(std::move(label));
-    return Status::Ok();
-  }
-
-  Status ParsePrefixedName(Term& out) {
-    std::string prefix;
-    while (!cur_.AtEnd() && (IsNameChar(cur_.Peek()) || cur_.Peek() == '.')) {
-      if (cur_.Peek() == '.' && !IsNameChar(cur_.PeekAt(1))) break;
-      prefix += cur_.Advance();
-    }
-    if (cur_.Peek() != ':') {
-      return Fail("expected prefixed name (missing ':')");
-    }
-    cur_.Advance();
-    std::string local;
-    while (!cur_.AtEnd() && (IsNameChar(cur_.Peek()) || cur_.Peek() == '.')) {
-      if (cur_.Peek() == '.' && !IsNameChar(cur_.PeekAt(1))) break;
-      local += cur_.Advance();
-    }
-    const auto it = prefixes_.find(prefix);
-    if (it == prefixes_.end()) {
-      return Fail("unknown prefix '" + prefix + "'");
-    }
-    out = MakeIri(it->second + local);
-    return Status::Ok();
-  }
-
-  Status ParseLiteral(Term& out) {
-    cur_.Advance();  // opening quote
-    std::string value;
-    for (;;) {
-      if (cur_.AtEnd()) return Fail("unterminated string literal");
-      char c = cur_.Advance();
-      if (c == '\\') {
-        if (cur_.AtEnd()) return Fail("dangling escape");
-        const char esc = cur_.Advance();
-        switch (esc) {
-          case 'n':
-            value += '\n';
-            break;
-          case 't':
-            value += '\t';
-            break;
-          case 'r':
-            value += '\r';
-            break;
-          case '"':
-            value += '"';
-            break;
-          case '\\':
-            value += '\\';
-            break;
-          default:
-            return Fail("unsupported escape");
-        }
-        continue;
-      }
-      if (c == '"') break;
-      value += c;
-    }
-    // Optional datatype.
-    if (cur_.Peek() == '^' && cur_.PeekAt(1) == '^') {
-      cur_.Advance();
-      cur_.Advance();
-      Term datatype;
-      if (cur_.Peek() == '<') {
-        SCAN_RETURN_IF_ERROR(ParseIriRef(datatype));
-      } else {
-        SCAN_RETURN_IF_ERROR(ParsePrefixedName(datatype));
-      }
-      out = Term{TermKind::kLiteral, std::move(value), datatype.lexical};
-      return Status::Ok();
-    }
-    // Language tags are tolerated and discarded.
-    if (cur_.Peek() == '@') {
-      cur_.Advance();
-      (void)ReadWord();
-    }
-    out = MakeStringLiteral(std::move(value));
-    return Status::Ok();
-  }
-
-  Status ParseNumber(Term& out) {
-    std::string text;
-    if (cur_.Peek() == '+' || cur_.Peek() == '-') text += cur_.Advance();
-    bool is_double = false;
-    while (!cur_.AtEnd()) {
-      const char c = cur_.Peek();
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-        text += cur_.Advance();
-      } else if (c == '.' &&
-                 std::isdigit(static_cast<unsigned char>(cur_.PeekAt(1))) != 0) {
-        is_double = true;
-        text += cur_.Advance();
-      } else if (c == 'e' || c == 'E') {
-        is_double = true;
-        text += cur_.Advance();
-        if (cur_.Peek() == '+' || cur_.Peek() == '-') text += cur_.Advance();
-      } else {
-        break;
-      }
-    }
-    if (is_double) {
-      const auto v = ParseDouble(text);
-      if (!v) return Fail("malformed double literal");
-      out = Term{TermKind::kLiteral, text, std::string(kXsdDouble)};
-    } else {
-      const auto v = ParseInt(text);
-      if (!v) return Fail("malformed integer literal");
-      out = Term{TermKind::kLiteral, text, std::string(kXsdInteger)};
-    }
-    return Status::Ok();
-  }
-
-  static bool IsNameChar(char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' ||
-           c == '-';
-  }
-
-  std::string ReadWord() {
-    std::string word;
-    while (!cur_.AtEnd() && IsNameChar(cur_.Peek())) word += cur_.Advance();
-    return word;
-  }
-
-  std::string PeekWord() {
-    std::string word;
-    std::size_t i = 0;
-    while (IsNameChar(cur_.PeekAt(i))) {
-      word += cur_.PeekAt(i);
-      ++i;
-    }
-    return word;
-  }
-
-  Cursor cur_;
+  TermReader reader_;
   TripleStore& store_;
-  std::map<std::string, std::string> prefixes_;
 };
+
+/// Whether `spelling` is one token that `reader` reads back as `term`.
+bool ReadsBack(std::string_view spelling, const Term& term,
+               const TermReader& reader) {
+  RdfLexer lexer(spelling);
+  const auto read = reader.Read(lexer.Next(), Slot::kObject);
+  return read.ok() && read.value() == term &&
+         lexer.Next().kind == RdfTok::kEof;
+}
 
 }  // namespace
 
@@ -337,25 +88,15 @@ Status ParseTurtle(std::string_view text, TripleStore& store) {
 }
 
 void TurtleWriter::AddPrefix(std::string prefix, std::string expansion) {
+  reader_.Declare(prefix, expansion);
   prefixes_.emplace_back(std::move(prefix), std::move(expansion));
 }
 
 std::string TurtleWriter::RenderIri(const std::string& iri) const {
-  if (iri == kRdfType) return "a";
   for (const auto& [prefix, expansion] : prefixes_) {
-    if (StartsWith(iri, expansion)) {
-      const std::string local = iri.substr(expansion.size());
-      // Locals containing characters outside our name set must stay full.
-      bool safe = !local.empty();
-      for (const char c : local) {
-        if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '_' &&
-            c != '-') {
-          safe = false;
-          break;
-        }
-      }
-      if (safe) return prefix + ":" + local;
-    }
+    if (!StartsWith(iri, expansion)) continue;
+    std::string name = prefix + ":" + iri.substr(expansion.size());
+    if (ReadsBack(name, MakeIri(iri), reader_)) return name;
   }
   return "<" + iri + ">";
 }
@@ -367,37 +108,22 @@ std::string TurtleWriter::RenderTerm(const Term& term) const {
     case TermKind::kBlank:
       return "_:" + term.lexical;
     case TermKind::kLiteral: {
-      if (term.datatype == kXsdInteger) {
-        return term.lexical;  // bare integer form
-      }
-      if (term.datatype == kXsdDouble) {
-        // Bare only when the lexical form re-parses as a double; an
-        // integral lexical ("7") must keep its type tag.
-        if (term.lexical.find_first_of(".eE") != std::string::npos) {
-          return term.lexical;
-        }
-        return "\"" + term.lexical + "\"^^" + RenderIri(term.datatype);
+      // A typed literal goes bare when it reads back as the same term (a
+      // number in range); an integral double ("7") keeps its quotes and tag.
+      if (!term.datatype.empty() && ReadsBack(term.lexical, term, reader_)) {
+        return term.lexical;
       }
       std::string out = "\"";
       for (const char c : term.lexical) {
         switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out += c;
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          default: out += c;
         }
       }
       out += '"';
-      if (!term.datatype.empty() && term.datatype != kXsdString) {
-        out += "^^" + RenderIri(term.datatype);
-      }
+      if (!term.datatype.empty()) out += "^^" + RenderIri(term.datatype);
       return out;
     }
   }
@@ -424,7 +150,10 @@ std::string TurtleWriter::Serialize(const TripleStore& store) const {
     }
     if (!first_pred) os << " ;\n    ";
     first_pred = false;
-    os << RenderTerm(store.terms().Get(t.p)) << " "
+    const Term& predicate = store.terms().Get(t.p);
+    const bool is_type =
+        predicate.kind == TermKind::kIri && predicate.lexical == kRdfType;
+    os << (is_type ? "a" : RenderTerm(predicate)) << " "
        << RenderTerm(store.terms().Get(t.o));
   }
   if (current_subject) os << " .\n";

@@ -18,6 +18,7 @@
 //    row with the strictly lowest eTime per GB wins. Errors carry the same
 //    text as the production ranking.
 
+#include <string>
 #include <string_view>
 
 #include "scan/common/status.hpp"
@@ -33,6 +34,11 @@ namespace scan::testkit {
 /// Parse + evaluate in one step.
 [[nodiscard]] Result<kb::ResultSet> OracleQuery(const kb::TripleStore& store,
                                                 std::string_view text);
+
+/// The broker's advice query, in SPARQL as the paper prescribes: the
+/// application's profiles within [min_gb, max_gb] ORDER BY ASC(?etime).
+[[nodiscard]] std::string OracleAdviceQuery(std::string_view application,
+                                            double min_gb, double max_gb);
 
 [[nodiscard]] Result<kb::ShardAdvice> OracleAdviseShardSize(
     const kb::TripleStore& store, std::string_view application, double min_gb,

@@ -109,29 +109,31 @@ Result<kb::ResultSet> OracleQuery(const kb::TripleStore& store,
   return OracleQuery(store, query.value());
 }
 
+std::string OracleAdviceQuery(std::string_view application, double min_gb,
+                              double max_gb) {
+  // OPTIONAL blocks tolerate profiles missing CPU/RAM attributes.
+  return KnowledgeBase::QueryPrefixes() +
+         StrFormat(
+             "SELECT ?ind ?size ?etime ?cpu ?ram WHERE {\n"
+             "  ?ind a scan:Application .\n"
+             "  ?ind scan:application \"%s\" .\n"
+             "  ?ind scan:inputFileSize ?size .\n"
+             "  ?ind scan:eTime ?etime .\n"
+             "  OPTIONAL { ?ind scan:CPU ?cpu . }\n"
+             "  OPTIONAL { ?ind scan:RAM ?ram . }\n"
+             "  FILTER(?size >= %.17g && ?size <= %.17g && ?etime > 0)\n"
+             "} ORDER BY ASC(?etime)",
+             std::string(application).c_str(), min_gb, max_gb);
+}
+
 Result<kb::ShardAdvice> OracleAdviseShardSize(const kb::TripleStore& store,
                                               std::string_view application,
                                               double min_gb, double max_gb) {
   if (min_gb < 0.0 || max_gb < min_gb) {
     return InvalidArgumentError("AdviseShardSize: bad size bounds");
   }
-  // The broker's query, in SPARQL as the paper prescribes. OPTIONAL blocks
-  // tolerate profiles missing CPU/RAM attributes.
-  const std::string query_text =
-      KnowledgeBase::QueryPrefixes() +
-      StrFormat(
-          "SELECT ?ind ?size ?etime ?cpu ?ram WHERE {\n"
-          "  ?ind a scan:Application .\n"
-          "  ?ind scan:application \"%s\" .\n"
-          "  ?ind scan:inputFileSize ?size .\n"
-          "  ?ind scan:eTime ?etime .\n"
-          "  OPTIONAL { ?ind scan:CPU ?cpu . }\n"
-          "  OPTIONAL { ?ind scan:RAM ?ram . }\n"
-          "  FILTER(?size >= %.17g && ?size <= %.17g && ?etime > 0)\n"
-          "} ORDER BY ASC(?etime)",
-          std::string(application).c_str(), min_gb, max_gb);
-
-  auto result = OracleQuery(store, query_text);
+  auto result =
+      OracleQuery(store, OracleAdviceQuery(application, min_gb, max_gb));
   if (!result.ok()) return result.status();
 
   const auto& rs = result.value();

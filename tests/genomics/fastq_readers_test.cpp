@@ -15,6 +15,7 @@
 #include "scan/genomics/fastq_stream.hpp"
 #include "scan/genomics/sharder.hpp"
 #include "scan/genomics/synthetic.hpp"
+#include "scan/testkit/mutate.hpp"
 
 namespace scan::genomics {
 namespace {
@@ -166,44 +167,6 @@ Result<ShardSet> OracleShardFastq(std::string_view text,
   return out;
 }
 
-/// One seeded edit of `text`: a byte flip, a truncation, an insertion or a
-/// deletion, drawing new bytes from the characters FASTQ gives meaning to.
-/// Half the edits land at the start of a line, where they more often keep
-/// the text valid (a cut or an inserted record at a record boundary).
-void Mutate(std::string& text, Pcg32& rng) {
-  static constexpr char kBytes[] = {'\n', '\r', ' ', '\t', '@', '+', 'A',
-                                    'C',  'G',  'T', 'N',  'x', '#', '\0'};
-  static constexpr std::string_view kTokens[] = {
-      "\n", "\r\n", "\n\n", "@", "+", " ", "@r\nAC\n+\nII\n", "+r\n"};
-  const auto at = [&](std::size_t bound) {
-    return static_cast<std::size_t>(
-        rng.UniformBelow(static_cast<std::uint32_t>(bound)));
-  };
-  std::size_t pos = at(text.size() + 1);
-  if (rng.UniformBelow(2) == 0) {
-    const std::size_t eol = text.find('\n', pos);
-    pos = eol == std::string::npos ? text.size() : eol + 1;
-  }
-  switch (rng.UniformBelow(4)) {
-    case 0:  // flip
-      if (pos < text.size()) text[pos] = kBytes[at(std::size(kBytes))];
-      break;
-    case 1:  // truncate
-      text.resize(pos);
-      break;
-    case 2:  // insert a byte or a token
-      if (rng.UniformBelow(2) == 0) {
-        text.insert(pos, 1, kBytes[at(std::size(kBytes))]);
-      } else {
-        text.insert(pos, kTokens[at(std::size(kTokens))]);
-      }
-      break;
-    default:  // delete a short run
-      if (pos < text.size()) text.erase(pos, 1 + at(8));
-      break;
-  }
-}
-
 void ExpectSameShards(const Result<ShardSet>& got,
                       const Result<ShardSet>& want, const char* label) {
   ASSERT_EQ(got.status().code(), want.status().code()) << label;
@@ -233,12 +196,20 @@ TEST(FastqShardDifferentialTest, MatchesOracleOnMutatedPayloads) {
       "@big\n" + std::string(500, 'A') + "\n+\n" + std::string(500, 'I') +
           "\n@s\nA\n+\nI\n",
   };
+  // Seeded edits draw new bytes from the characters FASTQ gives meaning
+  // to, and insert whole lines and records.
+  static constexpr char kBytes[] = {'\n', '\r', ' ', '\t', '@', '+', 'A',
+                                    'C',  'G',  'T', 'N',  'x', '#', '\0'};
+  static constexpr std::string_view kTokens[] = {
+      "\n", "\r\n", "\n\n", "@", "+", " ", "@r\nAC\n+\nII\n", "+r\n"};
   Pcg32 rng(2015, Fnv1a64("fastq-shard-mutations"));
   constexpr int kMutations = 10'000;
   for (int i = 0; i < kMutations; ++i) {
     std::string text = payload;
     const std::uint32_t edits = 1 + rng.UniformBelow(2);
-    for (std::uint32_t e = 0; e < edits; ++e) Mutate(text, rng);
+    for (std::uint32_t e = 0; e < edits; ++e) {
+      testkit::Mutate(text, rng, kBytes, kTokens);
+    }
     inputs.push_back(std::move(text));
   }
 

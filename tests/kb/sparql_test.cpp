@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "scan/kb/turtle.hpp"
 
 namespace scan::kb {
@@ -219,6 +222,112 @@ TEST_F(SparqlTest, ParseErrors) {
   EXPECT_FALSE(ParseSparql("FOO BAR").ok());
   EXPECT_FALSE(ParseSparql("SELECT ?x WHERE { ?x nope:p ?o . }").ok());
   EXPECT_FALSE(ParseSparql("SELECT ?x WHERE { ?x <p> ?o . } LIMIT ?x").ok());
+}
+
+/// Whether a failed parse is a ParseError located at `line`, `column`.
+void ExpectParseErrorAt(const Status& status, int line, int column) {
+  EXPECT_EQ(status.code(), ErrorCode::kParseError) << status.ToString();
+  EXPECT_TRUE(status.message().ends_with("at line " + std::to_string(line) +
+                                         ", column " +
+                                         std::to_string(column)))
+      << status.message();
+}
+
+TEST_F(SparqlTest, LimitAndOffsetTakeOnlyUnsignedIntegers) {
+  // Regression: a sign, an overflow or a fraction must be a ParseError at
+  // the number, never a read of an empty optional or a wrapped -1.
+  const std::string head = "SELECT ?x WHERE { ?x ?p ?o } ";
+  for (const char* tail :
+       {"LIMIT +5", "LIMIT 99999999999999999999", "OFFSET -1", "LIMIT 2.5",
+        "LIMIT 1e3", "LIMIT -0", "OFFSET 18446744073709551616", "LIMIT ?x"}) {
+    SCOPED_TRACE(tail);
+    const auto query = ParseSparql(head + tail);
+    ASSERT_FALSE(query.ok());
+    const std::string_view clause(tail);
+    ExpectParseErrorAt(query.status(), 1,
+                       static_cast<int>(head.size() + clause.find(' ') + 2));
+  }
+  const auto widest = ParseSparql(head + "LIMIT 18446744073709551615 OFFSET 0");
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->limit, std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(widest->offset, 0u);
+}
+
+TEST_F(SparqlTest, DeepParenthesesAreALocatedErrorNotAStackOverflow) {
+  constexpr int kDepth = 10'000;
+  const std::string query = "SELECT ?x WHERE { ?x ?p ?v . FILTER(" +
+                            std::string(kDepth, '(') + "?v > 1" +
+                            std::string(kDepth, ')') + ") }";
+  const auto parsed = ParseSparql(query);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find(std::to_string(kMaxSparqlDepth)),
+            std::string::npos)
+      << parsed.status().message();
+  ExpectParseErrorAt(parsed.status(), 1,
+                     static_cast<int>(query.find('(') + kMaxSparqlDepth));
+
+  // Well inside the limit the same shape parses and runs.
+  const std::string shallow = "SELECT ?x WHERE { ?x scan:eTime ?v . FILTER(" +
+                              std::string(200, '(') + "?v > 190" +
+                              std::string(200, ')') + ") }";
+  const auto rs = Run(shallow);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->rows.size(), 2u);  // GATK2 (200), GATK3 (280)
+}
+
+TEST_F(SparqlTest, LongOrChainIsALocatedErrorNotAStackOverflow) {
+  // Regression: a chain counts one level per link, so a 100,000-term chain
+  // is a ParseError, never a tree deep enough to overflow the stack when
+  // the engine evaluates or frees it.
+  std::string filter = "?t = 0";
+  for (int i = 1; i < 100'000; ++i) filter += " || ?t = " + std::to_string(i);
+  const QueryEngine engine(store_);
+  const auto rs = engine.Execute(
+      "PREFIX scan: <http://scan/>\n"
+      "SELECT ?app WHERE { ?app scan:eTime ?t . FILTER(" + filter + ") }");
+  ASSERT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().code(), ErrorCode::kParseError);
+  EXPECT_NE(rs.status().message().find(std::to_string(kMaxSparqlDepth)),
+            std::string::npos)
+      << rs.status().message();
+
+  // A chain that fits evaluates as before.
+  std::string fits = "?t = 0";
+  for (int i = 1; i < 200; ++i) fits += " || ?t = " + std::to_string(i * 10);
+  const auto ok = Run("SELECT ?app WHERE { ?app scan:eTime ?t . FILTER(" +
+                      fits + ") }");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->rows.size(), 4u);  // 80, 180, 200, 280
+}
+
+TEST_F(SparqlTest, DeepGroupsAndNegationsAreBounded) {
+  std::string groups = "SELECT ?x WHERE { ?x ?p ?o ";
+  for (int i = 0; i < 10'000; ++i) groups += "OPTIONAL { ?x ?p ?o ";
+  groups += std::string(10'001, '}');
+  EXPECT_EQ(ParseSparql(groups).status().code(), ErrorCode::kParseError);
+
+  const std::string nots = "SELECT ?x WHERE { ?x ?p ?o FILTER(" +
+                           std::string(10'000, '!') + "BOUND(?x)) }";
+  EXPECT_EQ(ParseSparql(nots).status().code(), ErrorCode::kParseError);
+
+  std::string unions = "SELECT ?x WHERE ";
+  for (int i = 0; i < 10'000; ++i) unions += "{ { ?x ?p ?o } UNION ";
+  EXPECT_EQ(ParseSparql(unions).status().code(), ErrorCode::kParseError);
+
+  // Nesting up to the limit is fine: the WHERE group plus 255 OPTIONALs;
+  // one more is not.
+  const auto nested = [](std::size_t optionals) {
+    std::string query = "SELECT ?x WHERE { ?x scan:eTime ?o ";
+    for (std::size_t i = 0; i < optionals; ++i) {
+      query += "OPTIONAL { ?x scan:eTime ?o ";
+    }
+    return query + std::string(optionals + 1, '}');
+  };
+  const auto rs = Run(nested(kMaxSparqlDepth - 1));
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->rows.size(), 4u);
+  EXPECT_EQ(Run(nested(kMaxSparqlDepth)).status().code(),
+            ErrorCode::kParseError);
 }
 
 TEST_F(SparqlTest, WhereKeywordIsOptional) {
