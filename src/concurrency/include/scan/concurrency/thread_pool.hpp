@@ -11,6 +11,10 @@
 //  - tasks are type-erased move-only callables;
 //  - Submit returns a future only through the typed helper, so hot paths
 //    that don't need results avoid promise/future overhead;
+//  - one Submit body, over a batch: a caller fanning out N tasks (a live
+//    worker's slices, ParallelFor's chunks) pays each home queue's lock,
+//    the shared counters and the wake-ups once per batch, not once per
+//    task, and a single task is the batch of one;
 //  - the pool joins its threads in the destructor (RAII; no detached
 //    threads anywhere).
 
@@ -22,6 +26,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -35,7 +40,8 @@ class UniqueTask {
   UniqueTask() = default;
 
   template <class F,
-            class = std::enable_if_t<!std::is_same_v<std::decay_t<F>, UniqueTask>>>
+            class = std::enable_if_t<!std::is_same_v<std::decay_t<F>, UniqueTask> &&
+                                     std::is_invocable_v<std::decay_t<F>&>>>
   UniqueTask(F&& f)  // NOLINT(google-explicit-constructor)
       : impl_(std::make_unique<Model<std::decay_t<F>>>(std::forward<F>(f))) {}
 
@@ -71,8 +77,16 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
 
-  /// Enqueues a fire-and-forget task.
-  void Submit(UniqueTask task);
+  /// Enqueues fire-and-forget tasks, moving each out of `tasks`. Task k
+  /// goes to home queue (n + k) mod thread_count() for a shared round-robin
+  /// cursor n, exactly where one Submit per task would put it, so a batch
+  /// still spreads over every worker. Each home queue's lock is taken once
+  /// and at most min(tasks.size(), thread_count()) workers are woken. An
+  /// empty task throws std::invalid_argument before anything is enqueued.
+  void Submit(std::span<UniqueTask> tasks);
+
+  /// Enqueues one fire-and-forget task (the batch of one).
+  void Submit(UniqueTask task) { Submit(std::span<UniqueTask>(&task, 1)); }
 
   /// Enqueues a task and returns a future for its result.
   template <class F>

@@ -1,9 +1,9 @@
 #include "scan/concurrency/thread_pool.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <exception>
+#include <stdexcept>
 
 #include "scan/obs/metrics.hpp"
 
@@ -35,22 +35,37 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::Submit(UniqueTask task) {
-  assert(task);
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  const std::size_t depth = queued_.fetch_add(1, std::memory_order_relaxed) + 1;
+void ThreadPool::Submit(std::span<UniqueTask> tasks) {
+  // Checked before any counter or queue changes: an empty task would be
+  // called through a null pointer on a worker thread.
+  for (const UniqueTask& task : tasks) {
+    if (!task) throw std::invalid_argument("ThreadPool::Submit: empty task");
+  }
+  const std::size_t n = tasks.size();
+  if (n == 0) return;
+  pending_.fetch_add(n, std::memory_order_acq_rel);
+  const std::size_t depth = queued_.fetch_add(n, std::memory_order_relaxed) + n;
   if (obs::MetricsEnabled()) {
     obs::PoolMetrics& pm = obs::PoolMetrics::Global();
-    pm.tasks_submitted->Increment();
+    pm.tasks_submitted->Increment(n);
     pm.queue_depth->Set(static_cast<double>(depth));
   }
-  const std::size_t home =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  {
-    const std::scoped_lock lock(queues_[home]->mutex);
-    queues_[home]->deque.push_back(std::move(task));
+  // Task k's home is (first + k) mod queues, the round-robin order of one
+  // Submit per task; each home takes its tasks under a single lock.
+  const std::size_t queues = queues_.size();
+  const std::size_t first = next_queue_.fetch_add(n, std::memory_order_relaxed);
+  for (std::size_t h = 0; h < std::min(n, queues); ++h) {
+    WorkerQueue& home = *queues_[(first + h) % queues];
+    const std::scoped_lock lock(home.mutex);
+    for (std::size_t k = h; k < n; k += queues) {
+      home.deque.push_back(std::move(tasks[k]));
+    }
   }
-  work_available_.notify_one();
+  if (n >= workers_.size()) {
+    work_available_.notify_all();
+  } else {
+    for (std::size_t i = 0; i < n; ++i) work_available_.notify_one();
+  }
 }
 
 bool ThreadPool::TryPop(std::size_t index, UniqueTask& out) {
@@ -158,13 +173,15 @@ void ParallelFor(ThreadPool& pool, std::size_t begin, std::size_t end,
   auto state = std::make_shared<CompletionState>();
   state->remaining = chunks;
 
+  std::vector<UniqueTask> tasks;
+  tasks.reserve(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t chunk_begin = begin + c * grain;
     const std::size_t chunk_end = std::min(end, chunk_begin + grain);
     // `fn` by reference is safe: the waiter cannot return before
     // `remaining` hits zero, which happens only after every chunk has
     // finished calling `fn`.
-    pool.Submit(UniqueTask([state, &fn, chunk_begin, chunk_end] {
+    tasks.emplace_back([state, &fn, chunk_begin, chunk_end] {
       std::exception_ptr error;
       try {
         for (std::size_t i = chunk_begin; i < chunk_end; ++i) fn(i);
@@ -174,8 +191,9 @@ void ParallelFor(ThreadPool& pool, std::size_t begin, std::size_t end,
       const std::scoped_lock lock(state->mutex);
       if (error && !state->first_error) state->first_error = error;
       if (--state->remaining == 0) state->done_cv.notify_all();
-    }));
+    });
   }
+  pool.Submit(tasks);
   std::unique_lock lock(state->mutex);
   state->done_cv.wait(lock, [&] { return state->remaining == 0; });
   if (state->first_error) std::rethrow_exception(state->first_error);

@@ -1,7 +1,9 @@
 #include "scan/kb/term.hpp"
 
 #include <cassert>
+#include <cctype>
 #include <cstdio>
+#include <string_view>
 
 #include "scan/common/rng.hpp"  // Fnv1a64
 #include "scan/common/str.hpp"
@@ -42,8 +44,16 @@ std::optional<double> NumericValue(const Term& term) {
   if (term.kind != TermKind::kLiteral) return std::nullopt;
   // Numeric when explicitly typed, or when an untyped literal parses
   // cleanly as a number (the paper's RDF snippets use untyped numbers,
-  // e.g. <scan-ontology:eTime>180</...>).
-  return ParseDouble(term.lexical);
+  // e.g. <scan-ontology:eTime>180</...>). SPARQL and Turtle both spell a
+  // sign as '+' or '-', but ParseDouble (shared with the trace and VCF
+  // readers) takes only '-', so one '+' that starts a number is dropped
+  // here; "+", "++5", "+-5" and "+ 5" stay non-numeric.
+  std::string_view text = term.lexical;
+  if (text.size() > 1 && text[0] == '+' &&
+      (std::isalnum(static_cast<unsigned char>(text[1])) || text[1] == '.')) {
+    text.remove_prefix(1);
+  }
+  return ParseDouble(text);
 }
 
 std::string ToString(const Term& term) {

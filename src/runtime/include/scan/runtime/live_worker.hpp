@@ -6,7 +6,8 @@
 // slices on the runtime's shared execution pool — modeling the paper's
 // multithreaded stage execution (T_i(t, d)) with real concurrency — and
 // the last slice to finish reports the task's ticket over the bounded
-// completion queue.
+// completion queue. A task's slices reach the pool in one batch submit,
+// so the coordinator pays the pool's locks and wake-ups once per task.
 //
 // The coordinator owns all scheduling state; a LiveWorker holds only what
 // execution needs. It is safe to destroy a LiveWorker while its slices are
@@ -65,8 +66,10 @@ class LiveWorker {
   /// modeled time; physically this just resizes the slice fan-out).
   void Configure(int threads) { threads_ = threads; }
 
-  /// Launches the task's slices on the pool. The coordinator guarantees
-  /// one task at a time per worker (the engine's worker book).
+  /// Launches the task's slices on the pool in one handoff. The
+  /// coordinator guarantees one task at a time per worker (the engine's
+  /// worker book). Throws std::invalid_argument, before anything is
+  /// queued, when task.slices < 1 (its ticket could never be reported).
   void Execute(const StageTask& task);
 
  private:

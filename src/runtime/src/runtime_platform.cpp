@@ -179,9 +179,6 @@ void RuntimePlatform::Execute(const core::Assignment& assignment) {
   // Under the virtual clock the slices do token work; under the wall
   // clock they burn the (straggle-extended) duration in real CPU, and the
   // boot delay becomes a real sleep.
-  in_flight_.emplace(assignment.ticket, InFlight{assignment});
-  ++unconsumed_;
-  ++stage_tasks_dispatched_;
   const double seconds_per_tu = wall_ ? wall_->seconds_per_tu() : 0.0;
   const SimTime actual_exec = assignment.actual_end - assignment.start;
   StageTask task;
@@ -194,6 +191,12 @@ void RuntimePlatform::Execute(const core::Assignment& assignment) {
   task.sim_start_tu = assignment.start.value();
   task.sim_exec_tu = actual_exec.value();
   live_workers_.at(assignment.worker_key)->Execute(task);
+  // Booked only once the task is launched: a message is owed from here on
+  // (the coordinator alone pops the completion queue, so none can be
+  // consumed before this).
+  in_flight_.emplace(assignment.ticket, InFlight{assignment});
+  ++unconsumed_;
+  ++stage_tasks_dispatched_;
   peak_pool_queue_depth_ =
       std::max(peak_pool_queue_depth_, exec_pool_->queue_depth());
 }

@@ -139,6 +139,8 @@ class Engine {
     /// Predecessor stages not yet completed; ready at zero.
     std::size_t remaining_deps = 0;
     bool completed = false;
+    /// Planned thread count (the job's plan, fixed at admission).
+    int threads = 0;
     // --- recovery bookkeeping (inert without fault injection) ----------
     /// Fraction of the stage already checkpointed; a new assignment only
     /// executes the remaining (1 - stage_done) share.
@@ -160,14 +162,15 @@ class Engine {
     std::uint64_t enqueue_parent_span = 0;
   };
 
-  struct JobState {
+  /// The pricing fields (size, arrival, per-stage modeled time) are the
+  /// PricedJob base, filled once at admission; stage queues point here.
+  struct JobState : PricedJob {
     std::uint64_t id = 0;
-    DataSize size{0.0};
-    SimTime arrival{0.0};
-    ThreadPlan plan;
     /// Times one of this job's tasks was lost and re-enqueued (the retry
     /// budget is per job across stages).
     int retries = 0;
+    /// Cores x stages of the plan (TotalCoreStages), for the metrics.
+    int core_stages = 0;
     /// Tasks not yet completed; the job settles its reward at zero.
     std::size_t stages_remaining = 0;
     std::vector<StageTask> tasks;  ///< one per pipeline stage
@@ -227,8 +230,8 @@ class Engine {
   void TryDispatchAll();
   /// Attempts to dispatch the head of one stage queue; true on success.
   bool TryDispatchHead(std::size_t stage);
-  void AssignTask(std::uint64_t job_id, std::size_t stage,
-                  WorkerBook& worker, SimTime start_time);
+  void AssignTask(JobState& job, std::size_t stage, WorkerBook& worker,
+                  SimTime start_time);
   /// Failure-injection: the worker crashed mid-task; bill and discard it,
   /// then run recovery for the interrupted assignment (checkpoint resume,
   /// retry budget, backoff). `start_time`/`planned_exec` describe the
@@ -264,8 +267,8 @@ class Engine {
 
   /// The predictive hire-or-wait inequality for the head of `stage`'s
   /// queue; true = hire public capacity now. Delegates to the shared
-  /// SchedulingPolicy with a snapshot of the stage queue. `eval` (may be
-  /// null) receives the priced inputs for the decision audit.
+  /// SchedulingPolicy, which prices the stage queue in place. `eval` (may
+  /// be null) receives the priced inputs for the decision audit.
   [[nodiscard]] bool PredictiveShouldHire(std::size_t stage, int threads,
                                           DataSize head_size,
                                           HireEvaluation* eval = nullptr);
@@ -281,9 +284,6 @@ class Engine {
   void AuditPlan(std::uint64_t job_id, DataSize size, const ThreadPlan& plan);
   /// Earliest time an existing busy worker frees; nullopt if none busy.
   [[nodiscard]] std::optional<SimTime> NextWorkerFreeTime() const;
-  /// Snapshot of `stage`'s queue for the policy's delay-cost evaluation.
-  [[nodiscard]] std::vector<QueuedJobSnapshot> SnapshotQueue(
-      std::size_t stage) const;
 
   /// The candidate-index view of one worker (key derives from its id).
   [[nodiscard]] static WorkerIndex::IdleEntry IdleEntryFor(
@@ -322,7 +322,12 @@ class Engine {
   std::vector<workload::ArrivalBatch> trace_batches_;
   std::size_t next_trace_batch_ = 0;
 
-  std::vector<std::deque<std::uint64_t>> queues_;  ///< job ids per stage
+  /// Per-stage FIFO queues of jobs_ entries. jobs_ is node-based, so an
+  /// entry stays valid while its job lives, and a job is erased only when
+  /// no queue refers to it: AbandonJob purges its entries first, and a
+  /// completed job has none (a queued speculative copy is removed when its
+  /// task completes).
+  std::vector<std::deque<JobState*>> queues_;
   std::unordered_map<std::uint64_t, JobState> jobs_;
   std::unordered_map<std::uint64_t, WorkerBook> workers_;
   /// Incremental candidate index over workers_ (see worker_index.hpp);

@@ -7,13 +7,17 @@
 // EET_i — estimated execution time of stage i — is "a linear function of
 // the number of job input records derived from profiling data": we evaluate
 // the (possibly regression-fitted) PipelineModel at the job's planned
-// thread count.
+// thread count. A job's size and plan are fixed at admission, so its EET
+// table is too: StageExecTimes tabulates it once per job, and every ETT
+// after that is a fold over the table.
 //
 // EQT_i — estimated queueing time for stage i — is maintained online as an
 // exponentially weighted moving average of observed waits, so the estimate
-// tracks load changes.
+// tracks load changes. The estimator keeps the current EQT of every stage
+// in one table, which a pricing pass reads as it is.
 
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "scan/common/stats.hpp"
@@ -34,28 +38,49 @@ class QueueTimeEstimator {
   /// EQT_i; 0 until the first observation.
   [[nodiscard]] SimTime Estimate(std::size_t stage) const;
 
+  /// EQT_i of every stage, in stage order (0 until a stage's first
+  /// observation).
+  [[nodiscard]] std::span<const SimTime> estimates() const {
+    return estimates_;
+  }
+
   [[nodiscard]] std::size_t stage_count() const { return ewmas_.size(); }
 
  private:
   std::vector<Ewma> ewmas_;
+  std::vector<SimTime> estimates_;  ///< ewmas_[i].value_or(0), kept in step
 };
 
-/// Estimated Total Time of a job (Eq. 2).
-///
-/// `elapsed` is the time since the job entered the system; `current_stage`
-/// is the stage it is queued for (0-based); `thread_plan` holds the planned
-/// thread count per stage.
-[[nodiscard]] SimTime EstimateTotalTime(const gatk::PipelineModel& model,
-                                        const QueueTimeEstimator& queues,
-                                        DataSize job_size, SimTime elapsed,
-                                        std::size_t current_stage,
-                                        std::span<const int> thread_plan);
+/// EET_i(j) of every stage: T_i(thread_plan[i], job_size). Throws
+/// std::invalid_argument unless the plan has one entry per stage.
+[[nodiscard]] std::vector<SimTime> StageExecTimes(
+    const gatk::PipelineModel& model, std::span<const int> thread_plan,
+    DataSize job_size);
 
-/// Remaining time only (queue + execution for stages >= current_stage).
-[[nodiscard]] SimTime EstimateRemainingTime(const gatk::PipelineModel& model,
-                                            const QueueTimeEstimator& queues,
-                                            DataSize job_size,
-                                            std::size_t current_stage,
-                                            std::span<const int> thread_plan);
+/// Remaining time only: EQT_i + EET_i summed over stages >= current_stage,
+/// in stage order. `eqt` and `stage_exec` hold one entry per stage (a
+/// mismatch throws std::invalid_argument).
+[[nodiscard]] inline SimTime EstimateRemainingTime(
+    std::span<const SimTime> eqt, std::span<const SimTime> stage_exec,
+    std::size_t current_stage) {
+  if (eqt.size() != stage_exec.size()) {
+    throw std::invalid_argument("EstimateRemainingTime: table size mismatch");
+  }
+  SimTime total{0.0};
+  for (std::size_t i = current_stage; i < stage_exec.size(); ++i) {
+    total += eqt[i];
+    total += stage_exec[i];
+  }
+  return total;
+}
+
+/// Estimated Total Time of a job (Eq. 2). `elapsed` is the time since the
+/// job entered the system; `current_stage` is the stage it is queued for
+/// (0-based).
+[[nodiscard]] inline SimTime EstimateTotalTime(
+    std::span<const SimTime> eqt, std::span<const SimTime> stage_exec,
+    SimTime elapsed, std::size_t current_stage) {
+  return elapsed + EstimateRemainingTime(eqt, stage_exec, current_stage);
+}
 
 }  // namespace scan::core

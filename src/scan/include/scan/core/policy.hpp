@@ -9,18 +9,24 @@
 // inequality (Eq. 1 delay cost vs. hire cost), the online queue-wait
 // estimator feeding Eq. 2, the learned-bandit scaling arm, and adaptive
 // replanning — but none of the execution mechanics (queues, worker books,
-// the event loop). Callers describe their queue state through
-// QueuedJobSnapshot spans, so the policy never touches driver-specific
-// containers.
+// the event loop). Callers describe a stage queue as a range of pointers
+// to PricedJob, so the policy never touches driver-specific containers.
+//
+// Pricing cost: everything Eq. 2 needs of a job except EQT is fixed at
+// admission, so the caller tabulates it once per job (PricedJob) and a
+// hire-vs-wait evaluation is one fold over the queue, reading the EQT
+// table as it stands and allocating nothing.
 //
 // Determinism contract: the policy is driven in event order by its caller;
 // equal call sequences produce bit-identical decisions (its RNG streams
 // are derived from the run seed exactly as the pre-extraction Scheduler
 // derived them).
 
+#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -50,23 +56,34 @@ struct HireEvaluation {
   bool hire = false;
 };
 
-/// One queued job as the decision core sees it: enough to price the delay
-/// cost of holding the queue (Eq. 1) without exposing driver internals.
-struct QueuedJobSnapshot {
+/// A queued job as hire-vs-wait pricing sees it. Every field is fixed
+/// when the job is admitted, so the caller fills it once per job and its
+/// stage queues point at it.
+struct PricedJob {
   DataSize size{0.0};
-  /// Time since the job entered the system (now - arrival).
-  SimTime elapsed{0.0};
-  /// Stage the job is queued for (0-based).
-  std::size_t stage = 0;
-  /// The job's planned thread count per stage.
-  std::span<const int> plan;
+  /// When the job entered the system (Eq. 2's elapsed is now - arrival).
+  SimTime arrival{0.0};
+  /// EET_i of every stage at the job's planned thread count
+  /// (StageExecTimes).
+  std::vector<SimTime> stage_exec;
 };
+
+/// A stage queue as pricing reads it: pointers to the queued jobs (or to a
+/// type derived from PricedJob), in queue order.
+template <class Queue>
+concept PricedQueue =
+    std::ranges::input_range<const Queue> &&
+    std::convertible_to<std::ranges::range_value_t<const Queue>,
+                        const PricedJob*>;
 
 /// The shared decision core. Construct once per run; drive in event order.
 class SchedulingPolicy {
  public:
   /// `model` is the *unscaled* pipeline model; the policy applies
-  /// config.stage_time_scale itself and exposes the scaled model.
+  /// config.stage_time_scale itself and exposes the scaled model. A
+  /// `forced_plan` needs one thread count per stage, each an offered
+  /// instance size (config.instance_sizes); otherwise the constructor
+  /// throws std::invalid_argument naming the stage and the count.
   SchedulingPolicy(const SimulationConfig& config,
                    const gatk::PipelineModel& model,
                    std::optional<ThreadPlan> forced_plan,
@@ -86,9 +103,22 @@ class SchedulingPolicy {
   /// Feeds an observed dispatch wait into the per-stage EWMA (Eq. 2's EQT).
   void ObserveQueueWait(std::size_t stage, SimTime wait);
 
-  /// Delay cost (Eq. 1) of delaying every job in `queue` by `delay`.
-  [[nodiscard]] double QueueDelayCost(std::span<const QueuedJobSnapshot> queue,
-                                      SimTime delay) const;
+  /// Delay cost (Eq. 1) of delaying every job in `queue` — the jobs queued
+  /// for `stage` — by `delay` at time `now`: DelayCost(size, ETT, delay)
+  /// summed in queue order, each ETT from Eq. 2 (EstimateTotalTime) over
+  /// the job's stage table and the current EQTs. Allocates nothing.
+  template <PricedQueue Queue>
+  [[nodiscard]] double QueueDelayCost(const Queue& queue, std::size_t stage,
+                                      SimTime now, SimTime delay) const {
+    const std::span<const SimTime> eqt = queue_estimator_.estimates();
+    double total = 0.0;
+    for (const PricedJob* job : queue) {
+      const SimTime ett =
+          EstimateTotalTime(eqt, job->stage_exec, now - job->arrival, stage);
+      total += reward_.DelayCost(job->size, ett, delay).value();
+    }
+    return total;
+  }
 
   /// The predictive hire-or-wait inequality for the head of a stage queue:
   /// true = hire public capacity now. `next_free_delay` is the time until
@@ -96,11 +126,22 @@ class SchedulingPolicy {
   /// cannot help, so the answer is always "hire"). When `eval` is non-null
   /// the priced inputs are copied out for the decision audit; passing it
   /// never changes the decision.
+  template <PricedQueue Queue>
   [[nodiscard]] bool PredictiveShouldHire(
-      std::span<const QueuedJobSnapshot> queue, std::size_t stage,
-      int threads, DataSize head_size,
-      std::optional<SimTime> next_free_delay, SimTime boot_penalty,
-      HireEvaluation* eval = nullptr) const;
+      const Queue& queue, std::size_t stage, int threads, DataSize head_size,
+      SimTime now, std::optional<SimTime> next_free_delay,
+      SimTime boot_penalty, HireEvaluation* eval = nullptr) const {
+    if (!next_free_delay) {
+      // Nothing running: waiting cannot help.
+      if (eval) eval->hire = true;
+      return true;
+    }
+    const SimTime delay = *next_free_delay;
+    if (eval) eval->next_free_delay_tu = delay.value();
+    if (delay <= SimTime{0.0}) return false;  // a worker frees "now"
+    return HireBeatsWait(QueueDelayCost(queue, stage, now, delay), stage,
+                         threads, head_size, boot_penalty, eval);
+  }
 
   /// Core price per TU the plan optimizers assume (for the plan audit).
   [[nodiscard]] double price_hint() const { return price_hint_; }
@@ -125,6 +166,12 @@ class SchedulingPolicy {
 
  private:
   [[nodiscard]] AllocationContext MakeContext(double price) const;
+  /// The priced half of PredictiveShouldHire: hire when the queue's delay
+  /// cost exceeds the (rework-inflated) cost of hiring `threads` now.
+  [[nodiscard]] bool HireBeatsWait(double delay_cost, std::size_t stage,
+                                   int threads, DataSize head_size,
+                                   SimTime boot_penalty,
+                                   HireEvaluation* eval) const;
 
   SimulationConfig config_;
   gatk::PipelineModel model_;  ///< scaled by config.stage_time_scale

@@ -126,8 +126,13 @@ ThreadPlan BestConstantPlan(const gatk::PipelineModel& model,
   // Coordinate descent from diverse starts; the lattice is tiny (|sizes|^7)
   // and the objective is well-behaved, so this reliably finds the best
   // constant plan without a full exhaustive sweep.
+  // The narrowest start is the smallest *offered* size, not 1: descent
+  // only leaves a start's value for a strictly better offered one, so an
+  // unoffered 1 could survive into a plan the cloud cannot hire.
   std::vector<ThreadPlan> starts;
-  starts.push_back(SequentialPlan(model.stage_count()));
+  starts.push_back(ThreadPlan(
+      model.stage_count(),
+      *std::min_element(ctx.instance_sizes.begin(), ctx.instance_sizes.end())));
   starts.push_back(ThreadPlan(
       model.stage_count(),
       *std::max_element(ctx.instance_sizes.begin(), ctx.instance_sizes.end())));

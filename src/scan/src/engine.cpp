@@ -73,9 +73,8 @@ SchedulerView Engine::BuildView(SimTime when, std::uint64_t seq) const {
   for (std::size_t stage = 0; stage < queues_.size(); ++stage) {
     std::vector<QueuedTaskView> tasks;
     tasks.reserve(queues_[stage].size());
-    for (const std::uint64_t job_id : queues_[stage]) {
-      const JobState& job = jobs_.at(job_id);
-      tasks.push_back({job_id, stage, job.tasks[stage].enqueued_at});
+    for (const JobState* job : queues_[stage]) {
+      tasks.push_back({job->id, stage, job->tasks[stage].enqueued_at});
     }
     view.queues.push_back(std::move(tasks));
   }
@@ -231,17 +230,22 @@ void Engine::Admit(const std::vector<workload::Job>& jobs) {
       obs::TraceEmit(obs::EventKind::kJobArrival, sim_.Now().value(), 0,
                      job.id, 0, job.size.value(), 0.0, obs::JobSpan(job.id));
     }
+    const ThreadPlan plan = PlanFor(job.size);
     JobState state;
     state.id = job.id;
     state.size = job.size;
     state.arrival = job.arrival;
-    state.plan = PlanFor(job.size);
+    // Eq. 2's EET table: the job's size and plan never change, so every
+    // later pricing of it reads these instead of re-evaluating the model.
+    state.stage_exec = StageExecTimes(model, plan, job.size);
+    state.core_stages = TotalCoreStages(plan);
     state.stages_remaining = model.stage_count();
     state.tasks.resize(model.stage_count());
     for (std::size_t stage = 0; stage < model.stage_count(); ++stage) {
       state.tasks[stage].remaining_deps = model.deps(stage).size();
+      state.tasks[stage].threads = plan[stage];
     }
-    if (obs::AuditEnabled()) AuditPlan(job.id, job.size, state.plan);
+    if (obs::AuditEnabled()) AuditPlan(job.id, job.size, plan);
     jobs_.emplace(job.id, std::move(state));
     // Every zero-in-degree stage is ready on arrival (stage 0 alone for
     // the linear chain; all of them for a bag of tasks).
@@ -329,7 +333,7 @@ void Engine::EnqueueTask(std::uint64_t job_id, std::size_t stage,
   StageTask& task = job.tasks[stage];
   task.enqueued_at = sim_.Now();
   task.enqueue_parent_span = parent_span;
-  queues_[stage].push_back(job_id);
+  queues_[stage].push_back(&job);
   if (obs::TraceEnabled()) {
     // A speculative copy (flagged by the caller before this enqueue) gets
     // the copy-bit attempt span so the duplicate is its own graph node.
@@ -374,9 +378,9 @@ void Engine::TryDispatchAll() {
 }
 
 bool Engine::TryDispatchHead(std::size_t stage) {
-  const std::uint64_t job_id = queues_[stage].front();
-  JobState& job = jobs_.at(job_id);
-  const int threads = job.plan[stage];
+  JobState& job = *queues_[stage].front();
+  const std::uint64_t job_id = job.id;
+  const int threads = job.tasks[stage].threads;
   const SimTime now = sim_.Now();
   const std::size_t queue_len = queues_[stage].size();
 
@@ -396,7 +400,7 @@ bool Engine::TryDispatchHead(std::size_t stage) {
       AuditHire(obs::HireChoice::kReuseIdle, stage, job, threads, queue_len,
                 nullptr);
       queues_[stage].pop_front();
-      AssignTask(job_id, stage, worker, now);
+      AssignTask(job, stage, worker, now);
       return true;
     }
   }
@@ -429,7 +433,7 @@ bool Engine::TryDispatchHead(std::size_t stage) {
       AuditHire(obs::HireChoice::kReconfigure, stage, job, threads, queue_len,
                 nullptr);
       queues_[stage].pop_front();
-      AssignTask(job_id, stage, worker, now + delay);
+      AssignTask(job, stage, worker, now + delay);
       return true;
     }
   }
@@ -440,8 +444,6 @@ bool Engine::TryDispatchHead(std::size_t stage) {
   const HireEvaluation* eval_ptr = nullptr;
   if (private_fits) {
     tier = cloud::Tier::kPrivate;
-    ++metrics_.private_hires;
-    if (obs::MetricsEnabled()) pmetrics_.private_hires->Increment();
   } else {
     switch (policy_.EffectiveScaling()) {
       case ScalingAlgorithm::kNeverScale:
@@ -450,8 +452,6 @@ bool Engine::TryDispatchHead(std::size_t stage) {
         return false;  // wait for a worker to free up
       case ScalingAlgorithm::kAlwaysScale:
         tier = cloud::Tier::kPublic;
-        ++metrics_.public_hires;
-        if (obs::MetricsEnabled()) pmetrics_.public_hires->Increment();
         break;
       case ScalingAlgorithm::kPredictive:
         if (!PredictiveShouldHire(stage, threads, job.size, &eval)) {
@@ -461,18 +461,30 @@ bool Engine::TryDispatchHead(std::size_t stage) {
         }
         eval_ptr = &eval;
         tier = cloud::Tier::kPublic;
-        ++metrics_.public_hires;
-        if (obs::MetricsEnabled()) pmetrics_.public_hires->Increment();
         break;
       default:
         return false;  // kLearnedBandit never reaches here
     }
   }
 
+  // The private fit was checked (or compacted into) above and the public
+  // tier is unlimited, and the policy only plans offered instance sizes,
+  // so the cloud refusing this hire is an engine bug, not a wait.
   const auto hired = cloud_.Hire(tier, threads, now);
   if (!hired.ok()) {
-    // Lost a race on capacity accounting; treat as un-dispatchable now.
-    return false;
+    throw std::logic_error(StrFormat(
+        "cloud refused to hire %d threads on the %s tier for job %llu, stage "
+        "%zu: %s",
+        threads, cloud::TierName(tier),
+        static_cast<unsigned long long>(job_id), stage,
+        hired.status().ToString().c_str()));
+  }
+  if (tier == cloud::Tier::kPrivate) {
+    ++metrics_.private_hires;
+    if (obs::MetricsEnabled()) pmetrics_.private_hires->Increment();
+  } else {
+    ++metrics_.public_hires;
+    if (obs::MetricsEnabled()) pmetrics_.public_hires->Increment();
   }
   const SimTime delay = cloud_.Configure(*hired, threads, now).value();
 
@@ -495,13 +507,13 @@ bool Engine::TryDispatchHead(std::size_t stage) {
                    obs::JobSpan(job_id));
   }
   queues_[stage].pop_front();
-  AssignTask(job_id, stage, workers_.at(key), now + delay);
+  AssignTask(job, stage, workers_.at(key), now + delay);
   return true;
 }
 
-void Engine::AssignTask(std::uint64_t job_id, std::size_t stage,
-                        WorkerBook& worker, SimTime start_time) {
-  JobState& job = jobs_.at(job_id);
+void Engine::AssignTask(JobState& job, std::size_t stage, WorkerBook& worker,
+                        SimTime start_time) {
+  const std::uint64_t job_id = job.id;
   StageTask& task = job.tasks[stage];
   // A queued speculative copy is consumed by whichever dispatch reaches
   // the task first; it must not spawn a second speculation check.
@@ -838,7 +850,7 @@ void Engine::AbandonJob(std::uint64_t job_id) {
   for (std::size_t stage = 0; stage < queues_.size(); ++stage) {
     auto& queue = queues_[stage];
     for (auto it = queue.begin(); it != queue.end();) {
-      if (*it == job_id) {
+      if ((*it)->id == job_id) {
         it = queue.erase(it);
         speculative_queued_.erase(TaskKey(job_id, stage));
         if (obs::MetricsEnabled()) pmetrics_.queued_jobs->Add(-1.0);
@@ -934,7 +946,7 @@ void Engine::OnTaskComplete(std::uint64_t job_id, std::size_t stage,
   // A speculative copy still sitting in the queue is moot now.
   if (speculative_queued_.erase(TaskKey(job_id, stage)) > 0) {
     auto& queue = queues_[stage];
-    const auto entry = std::find(queue.begin(), queue.end(), job_id);
+    const auto entry = std::find(queue.begin(), queue.end(), &job);
     if (entry == queue.end()) {
       throw std::logic_error(StrFormat(
           "speculative copy of job %llu stage %zu missing from its queue "
@@ -958,8 +970,7 @@ void Engine::OnTaskComplete(std::uint64_t job_id, std::size_t stage,
     const double reward = policy_.reward()(size, latency).value();
     metrics_.total_reward += reward;
     metrics_.latency.Add(latency.value());
-    metrics_.core_stages.Add(
-        static_cast<double>(TotalCoreStages(job.plan)));
+    metrics_.core_stages.Add(static_cast<double>(job.core_stages));
     ++metrics_.jobs_completed;
     if (obs::TraceEnabled()) {
       obs::TraceEmit(obs::EventKind::kJobComplete, now.value(), 0, job_id, 0,
@@ -1059,18 +1070,6 @@ std::optional<SimTime> Engine::NextWorkerFreeTime() const {
   return SimTime{*earliest};
 }
 
-std::vector<QueuedJobSnapshot> Engine::SnapshotQueue(std::size_t stage) const {
-  std::vector<QueuedJobSnapshot> snapshot;
-  snapshot.reserve(queues_[stage].size());
-  const SimTime now = sim_.Now();
-  for (const std::uint64_t job_id : queues_[stage]) {
-    const JobState& job = jobs_.at(job_id);
-    snapshot.push_back({job.size, now - job.arrival, stage,
-                        std::span<const int>(job.plan)});
-  }
-  return snapshot;
-}
-
 void Engine::BanditEpoch() {
   const cloud::CostReport bill = cloud_.CostUpTo(sim_.Now());
   policy_.BanditEpoch(metrics_.total_reward, bill.total.value());
@@ -1082,8 +1081,8 @@ bool Engine::PredictiveShouldHire(std::size_t stage, int threads,
   if (const auto next_free = NextWorkerFreeTime()) {
     next_free_delay = *next_free - sim_.Now();
   }
-  return policy_.PredictiveShouldHire(SnapshotQueue(stage), stage, threads,
-                                      head_size, next_free_delay,
+  return policy_.PredictiveShouldHire(queues_[stage], stage, threads,
+                                      head_size, sim_.Now(), next_free_delay,
                                       cloud_.config().boot_penalty, eval);
 }
 

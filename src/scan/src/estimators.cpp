@@ -12,6 +12,7 @@ QueueTimeEstimator::QueueTimeEstimator(std::size_t stages, double alpha) {
     throw std::invalid_argument("QueueTimeEstimator: alpha outside (0, 1]");
   }
   ewmas_.assign(stages, Ewma(alpha));
+  estimates_.assign(stages, SimTime{0.0});
 }
 
 void QueueTimeEstimator::Observe(std::size_t stage, SimTime wait) {
@@ -19,36 +20,28 @@ void QueueTimeEstimator::Observe(std::size_t stage, SimTime wait) {
     throw std::out_of_range("QueueTimeEstimator::Observe: bad stage");
   }
   ewmas_[stage].Add(wait.value());
+  estimates_[stage] = SimTime{ewmas_[stage].value()};
 }
 
 SimTime QueueTimeEstimator::Estimate(std::size_t stage) const {
-  if (stage >= ewmas_.size()) {
+  if (stage >= estimates_.size()) {
     throw std::out_of_range("QueueTimeEstimator::Estimate: bad stage");
   }
-  return SimTime{ewmas_[stage].value_or(0.0)};
+  return estimates_[stage];
 }
 
-SimTime EstimateRemainingTime(const gatk::PipelineModel& model,
-                              const QueueTimeEstimator& queues,
-                              DataSize job_size, std::size_t current_stage,
-                              std::span<const int> thread_plan) {
+std::vector<SimTime> StageExecTimes(const gatk::PipelineModel& model,
+                                    std::span<const int> thread_plan,
+                                    DataSize job_size) {
   if (thread_plan.size() != model.stage_count()) {
-    throw std::invalid_argument("EstimateRemainingTime: plan size mismatch");
+    throw std::invalid_argument("StageExecTimes: plan size mismatch");
   }
-  SimTime total{0.0};
-  for (std::size_t i = current_stage; i < model.stage_count(); ++i) {
-    total += queues.Estimate(i);
-    total += model.ThreadedTime(i, thread_plan[i], job_size);
+  std::vector<SimTime> table;
+  table.reserve(thread_plan.size());
+  for (std::size_t i = 0; i < thread_plan.size(); ++i) {
+    table.push_back(model.ThreadedTime(i, thread_plan[i], job_size));
   }
-  return total;
-}
-
-SimTime EstimateTotalTime(const gatk::PipelineModel& model,
-                          const QueueTimeEstimator& queues, DataSize job_size,
-                          SimTime elapsed, std::size_t current_stage,
-                          std::span<const int> thread_plan) {
-  return elapsed + EstimateRemainingTime(model, queues, job_size,
-                                         current_stage, thread_plan);
+  return table;
 }
 
 }  // namespace scan::core

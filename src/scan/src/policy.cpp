@@ -1,7 +1,9 @@
 #include "scan/core/policy.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "scan/common/str.hpp"
 #include "scan/fault/retry.hpp"
 
 namespace scan::core {
@@ -28,6 +30,20 @@ SchedulingPolicy::SchedulingPolicy(const SimulationConfig& config,
   }
   if (forced_plan_ && forced_plan_->size() != model_.stage_count()) {
     throw std::invalid_argument("SchedulingPolicy: forced plan size mismatch");
+  }
+  if (forced_plan_) {
+    // The cloud hires only offered instance sizes; a stage planned at any
+    // other count could never be dispatched.
+    const std::vector<int>& sizes = config_.instance_sizes;
+    for (std::size_t stage = 0; stage < forced_plan_->size(); ++stage) {
+      const int threads = (*forced_plan_)[stage];
+      if (std::find(sizes.begin(), sizes.end(), threads) == sizes.end()) {
+        throw std::invalid_argument(StrFormat(
+            "SchedulingPolicy: forced plan stage %zu has %d threads, which "
+            "is not an offered instance size",
+            stage, threads));
+      }
+    }
   }
   // Plan optimizers assume the blended core price of the tier mix the run
   // will see; the midpoint of the two tiers is a robust default (pure
@@ -69,31 +85,10 @@ void SchedulingPolicy::ObserveQueueWait(std::size_t stage, SimTime wait) {
   queue_estimator_.Observe(stage, wait);
 }
 
-double SchedulingPolicy::QueueDelayCost(
-    std::span<const QueuedJobSnapshot> queue, SimTime delay) const {
-  double total = 0.0;
-  for (const QueuedJobSnapshot& job : queue) {
-    const SimTime ett = EstimateTotalTime(model_, queue_estimator_, job.size,
-                                          job.elapsed, job.stage, job.plan);
-    total += reward_.DelayCost(job.size, ett, delay).value();
-  }
-  return total;
-}
-
-bool SchedulingPolicy::PredictiveShouldHire(
-    std::span<const QueuedJobSnapshot> queue, std::size_t stage, int threads,
-    DataSize head_size, std::optional<SimTime> next_free_delay,
-    SimTime boot_penalty, HireEvaluation* eval) const {
-  if (!next_free_delay) {
-    // Nothing running: waiting cannot help.
-    if (eval) eval->hire = true;
-    return true;
-  }
-  const SimTime delay = *next_free_delay;
-  if (eval) eval->next_free_delay_tu = delay.value();
-  if (delay <= SimTime{0.0}) return false;  // a worker frees "now"
-
-  const double delay_cost = QueueDelayCost(queue, delay);
+bool SchedulingPolicy::HireBeatsWait(double delay_cost, std::size_t stage,
+                                     int threads, DataSize head_size,
+                                     SimTime boot_penalty,
+                                     HireEvaluation* eval) const {
   // Expected-rework pricing (§III delay-cost vs hire-cost under crashes):
   // the execution term is inflated by the closed-form restart factor so
   // hire-vs-wait sees the true expected public bill, while the boot

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -220,6 +222,118 @@ TEST_P(PoolSizeProperty, FanOutSumsCorrectly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PoolSizeProperty, testing::Values(1, 2, 4, 8));
+
+// ---- Batch submit ----------------------------------------------------------
+
+/// A batch of `n` tasks, task k marking seen[k]; each mark is counted.
+std::vector<UniqueTask> MarkingBatch(std::vector<std::atomic<int>>& seen) {
+  std::vector<UniqueTask> batch;
+  for (std::size_t k = 0; k < seen.size(); ++k) {
+    batch.emplace_back([&seen, k] { seen[k].fetch_add(1); });
+  }
+  return batch;
+}
+
+class BatchSubmitProperty : public testing::TestWithParam<int> {};
+
+TEST_P(BatchSubmitProperty, EveryTaskRunsExactlyOnce) {
+  const auto threads = static_cast<std::size_t>(GetParam());
+  ThreadPool pool(threads);
+  std::uint64_t expected_executed = 0;
+  // Empty, single, fewer than threads, equal, and more than threads.
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, threads - 1, threads, threads + 1,
+        3 * threads + 2, std::size_t{257}}) {
+    std::vector<std::atomic<int>> seen(n);
+    std::vector<UniqueTask> batch = MarkingBatch(seen);
+    pool.Submit(batch);
+    for (const UniqueTask& task : batch) {
+      EXPECT_FALSE(static_cast<bool>(task)) << "tasks are moved out";
+    }
+    pool.WaitIdle();
+    expected_executed += n;
+    EXPECT_EQ(pool.tasks_executed(), expected_executed) << "batch " << n;
+    EXPECT_EQ(pool.pending(), 0u) << "batch " << n;
+    EXPECT_EQ(pool.queue_depth(), 0u) << "batch " << n;
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(seen[k].load(), 1) << "task " << k << " of batch " << n;
+    }
+  }
+}
+
+TEST_P(BatchSubmitProperty, BatchesFromManySubmittersAllRun) {
+  ThreadPool pool(static_cast<std::size_t>(GetParam()));
+  constexpr int kSubmitters = 3;
+  constexpr int kBatches = 40;
+  std::atomic<long long> sum{0};
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&pool, &sum] {
+      for (int b = 0; b < kBatches; ++b) {
+        std::vector<UniqueTask> batch;
+        for (int k = 1; k <= b % 7; ++k) {
+          batch.emplace_back([&sum, k] { sum.fetch_add(k); });
+        }
+        pool.Submit(batch);
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  pool.WaitIdle();
+  long long expected = 0;
+  for (int b = 0; b < kBatches; ++b) expected += (b % 7) * (b % 7 + 1) / 2;
+  EXPECT_EQ(sum.load(), kSubmitters * expected);
+  EXPECT_EQ(pool.pending(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, BatchSubmitProperty, testing::Values(1, 2, 4));
+
+TEST(ThreadPoolTest, BatchSpreadsOverEveryWorker) {
+  // One batch of `threads` tasks that can only finish together: each task
+  // waits for all the others to start, so the batch completes only if
+  // every worker runs one of its tasks at the same time.
+  constexpr std::size_t kThreads = 4;
+  ThreadPool pool(kThreads);
+  std::atomic<std::size_t> started{0};
+  std::atomic<bool> all_started{false};
+  std::vector<UniqueTask> batch;
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    batch.emplace_back([&] {
+      started.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (started.load() < kThreads &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (started.load() == kThreads) all_started.store(true);
+    });
+  }
+  pool.Submit(batch);
+  pool.WaitIdle();
+  EXPECT_TRUE(all_started.load());
+}
+
+TEST(ThreadPoolTest, EmptyTaskIsRejectedBeforeAnythingIsQueued) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  std::vector<UniqueTask> batch;
+  batch.emplace_back([&] { ran.fetch_add(1); });
+  batch.emplace_back();  // empty: would be called through a null pointer
+  batch.emplace_back([&] { ran.fetch_add(1); });
+  EXPECT_THROW(pool.Submit(batch), std::invalid_argument);
+  EXPECT_THROW(pool.Submit(UniqueTask()), std::invalid_argument);
+  EXPECT_EQ(pool.pending(), 0u);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  pool.WaitIdle();
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(pool.tasks_executed(), 0u);
+  // The valid tasks were left in place and the pool still works.
+  EXPECT_TRUE(static_cast<bool>(batch[0]));
+  pool.Submit(std::move(batch[0]));
+  pool.WaitIdle();
+  EXPECT_EQ(ran.load(), 1);
+}
 
 }  // namespace
 }  // namespace scan

@@ -73,6 +73,11 @@ TEST(QueueTimeEstimatorTest, StartsAtZeroThenTracks) {
   EXPECT_LT(est.Estimate(0).value(), 8.0);
   // Other stages unaffected.
   EXPECT_DOUBLE_EQ(est.Estimate(1).value(), 0.0);
+  // The table pricing reads holds the same values.
+  ASSERT_EQ(est.estimates().size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(est.estimates()[i].value(), est.Estimate(i).value());
+  }
 }
 
 TEST(QueueTimeEstimatorTest, Validation) {
@@ -89,16 +94,17 @@ TEST(EstimatorsTest, EttIsElapsedPlusRemaining) {
   QueueTimeEstimator queues(model.stage_count());
   queues.Observe(3, SimTime{2.0});
   const std::vector<int> plan(7, 1);
-  const SimTime remaining = EstimateRemainingTime(
-      model, queues, DataSize{5.0}, /*current_stage=*/3, plan);
+  const std::vector<SimTime> exec = StageExecTimes(model, plan, DataSize{5.0});
+  const SimTime remaining =
+      EstimateRemainingTime(queues.estimates(), exec, /*current_stage=*/3);
   // Stages 3..6 execution plus 2.0 queue estimate at stage 3 only.
   double expected = 2.0;
   for (std::size_t i = 3; i < 7; ++i) {
     expected += model.SingleThreadedTime(i, DataSize{5.0}).value();
   }
   EXPECT_NEAR(remaining.value(), expected, 1e-12);
-  const SimTime ett = EstimateTotalTime(model, queues, DataSize{5.0},
-                                        SimTime{11.0}, 3, plan);
+  const SimTime ett =
+      EstimateTotalTime(queues.estimates(), exec, SimTime{11.0}, 3);
   EXPECT_NEAR(ett.value(), expected + 11.0, 1e-12);
 }
 
@@ -106,9 +112,22 @@ TEST(EstimatorsTest, PlanSizeValidated) {
   const auto model = gatk::PipelineModel::PaperGatk();
   QueueTimeEstimator queues(model.stage_count());
   const std::vector<int> short_plan(3, 1);
-  EXPECT_THROW((void)EstimateRemainingTime(model, queues, DataSize{1.0}, 0,
-                                           short_plan),
+  EXPECT_THROW((void)StageExecTimes(model, short_plan, DataSize{1.0}),
                std::invalid_argument);
+  const std::vector<SimTime> short_table(3, SimTime{1.0});
+  EXPECT_THROW((void)EstimateRemainingTime(queues.estimates(), short_table, 0),
+               std::invalid_argument);
+}
+
+TEST(EstimatorsTest, StageTableIsTheModelAtThePlan) {
+  const auto model = gatk::PipelineModel::PaperGatk();
+  const std::vector<int> plan{1, 2, 4, 8, 16, 1, 2};
+  const std::vector<SimTime> exec = StageExecTimes(model, plan, DataSize{3.5});
+  ASSERT_EQ(exec.size(), model.stage_count());
+  for (std::size_t i = 0; i < exec.size(); ++i) {
+    EXPECT_EQ(exec[i].value(),
+              model.ThreadedTime(i, plan[i], DataSize{3.5}).value());
+  }
 }
 
 // ---- Allocation ----
@@ -169,14 +188,22 @@ TEST(AllocationTest, BestConstantAtLeastAsGoodAsGreedyAndLongTerm) {
 }
 
 TEST(AllocationTest, PlansUseOnlyOfferedSizes) {
+  // {2, 4}: without 1 on offer, best-constant used to keep its all-ones
+  // starting point at high prices, planning stages the cloud cannot hire.
   const auto model = gatk::PipelineModel::PaperGatk().Scaled(0.25);
-  const std::vector<int> limited = {1, 4};
-  const auto ctx = MakeContext(10.0, limited);
-  for (const ThreadPlan& plan :
-       {GreedyPlan(model, DataSize{5.0}, ctx),
-        BestConstantPlan(model, DataSize{5.0}, ctx)}) {
-    for (const int t : plan) {
-      EXPECT_TRUE(t == 1 || t == 4) << "thread count " << t;
+  for (const std::vector<int>& limited :
+       {std::vector<int>{1, 4}, std::vector<int>{2, 4}}) {
+    for (const double price : {1.0, 10.0, 500.0, 5000.0}) {
+      const auto ctx = MakeContext(price, limited);
+      for (const ThreadPlan& plan :
+           {GreedyPlan(model, DataSize{5.0}, ctx),
+            LongTermPlan(model, DataSize{5.0}, ctx),
+            BestConstantPlan(model, DataSize{5.0}, ctx)}) {
+        for (const int t : plan) {
+          EXPECT_TRUE(t == limited[0] || t == limited[1])
+              << "thread count " << t << " at price " << price;
+        }
+      }
     }
   }
 }

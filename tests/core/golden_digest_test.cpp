@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+
+#include "scan/core/scheduler.hpp"
+#include "scan/obs/audit.hpp"
 #include "scan/testkit/golden.hpp"
 
 namespace scan::core {
@@ -61,6 +66,60 @@ TEST(GoldenDigest, CanonicalCellReplaysIdentically) {
   const testkit::DeterminismReport report =
       testkit::CheckDeterminism(config, config.SeedFor(0));
   EXPECT_TRUE(report.identical) << report.ToString();
+}
+
+// Every hire-vs-wait decision of one predictive run, priced inputs
+// included. The metrics fingerprint above pins only aggregates; this pins
+// each Eq. 1 delay cost and hire cost bit for bit, so a pricing change
+// that happens not to flip a decision still shows up here. Pinned from
+// the run on the reference toolchain (x86-64, IEEE-754 strict).
+constexpr std::uint64_t kGoldenHireAuditDigest = 0x12097ecfae16ae4dULL;
+constexpr std::size_t kGoldenHireAuditRecords = 8022;
+
+std::uint64_t MixAudit(std::uint64_t h, std::uint64_t v) {
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (i * 8)) & 0xffu;
+    h *= kPrime;
+  }
+  return h;
+}
+
+TEST(GoldenDigest, PredictiveHireAuditIsPinned) {
+  SimulationConfig config = CanonicalConfig();
+  config.duration = SimTime{600.0};
+  obs::DecisionAudit& audit = obs::DecisionAudit::Global();
+  audit.Clear();
+  audit.Enable();
+  Scheduler scheduler(config, gatk::PipelineModel::PaperGatk(),
+                      config.SeedFor(0));
+  (void)scheduler.Run();
+  audit.Disable();
+  const std::vector<obs::HireDecisionRecord> hires = audit.hires();
+  audit.Clear();
+
+  std::uint64_t digest = 14695981039346656037ULL;
+  std::size_t priced = 0;
+  for (const obs::HireDecisionRecord& rec : hires) {
+    digest = MixAudit(digest, std::bit_cast<std::uint64_t>(rec.time_tu));
+    digest = MixAudit(digest, rec.job_id);
+    digest = MixAudit(digest, rec.stage);
+    digest = MixAudit(digest, static_cast<std::uint64_t>(rec.threads));
+    digest = MixAudit(digest, static_cast<std::uint64_t>(rec.choice));
+    digest = MixAudit(digest, rec.queue_length);
+    digest = MixAudit(digest, std::bit_cast<std::uint64_t>(rec.delay_cost));
+    digest = MixAudit(digest, std::bit_cast<std::uint64_t>(rec.hire_cost));
+    digest =
+        MixAudit(digest, std::bit_cast<std::uint64_t>(rec.next_free_delay_tu));
+    if (!std::isnan(rec.delay_cost)) ++priced;
+  }
+  // The run must actually price: a pin over unpriced records proves nothing.
+  EXPECT_GT(priced, 100u);
+  EXPECT_EQ(hires.size(), kGoldenHireAuditRecords);
+  EXPECT_EQ(digest, kGoldenHireAuditDigest)
+      << "re-pin if the change is intentional: digest 0x" << std::hex
+      << digest << std::dec << " over " << hires.size() << " records ("
+      << priced << " priced)";
 }
 
 }  // namespace

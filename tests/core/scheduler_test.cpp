@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "scan/core/experiment.hpp"
 
 namespace scan::core {
@@ -119,6 +121,42 @@ TEST(SchedulerTest, ForcedPlanSizeValidated) {
   EXPECT_THROW(
       Scheduler(TestConfig(), gatk::PipelineModel::PaperGatk(), 1, options),
       std::invalid_argument);
+}
+
+TEST(SchedulerTest, ForcedPlanMustUseOfferedInstanceSizes) {
+  // The cloud hires only offered sizes. A 3-thread plan used to be
+  // accepted; the run then counted hires the cloud refused and completed
+  // nothing, its head job waiting forever with no audit record.
+  SchedulerOptions options;
+  options.forced_plan = ThreadPlan(7, 3);
+  try {
+    Scheduler scheduler(TestConfig(), gatk::PipelineModel::PaperGatk(), 1,
+                        options);
+    FAIL() << "a plan of 3-thread stages was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("stage 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("3 threads"), std::string::npos) << what;
+  }
+  options.forced_plan = ThreadPlan{1, 2, 4, 8, 16, 2, 0};
+  EXPECT_THROW(Scheduler(TestConfig(), gatk::PipelineModel::PaperGatk(), 1,
+                         options),
+               std::invalid_argument);
+}
+
+TEST(SchedulerTest, ServesWhenSingleThreadIsNotOffered) {
+  // Default allocation (best-constant) without 1 on offer: every planned
+  // stage must still be hireable, or the run stalls on its first job.
+  SimulationConfig config = TestConfig();
+  config.instance_sizes = {2, 4, 8, 16};
+  Scheduler scheduler(config, gatk::PipelineModel::PaperGatk(),
+                      config.SeedFor(0));
+  for (const int threads : scheduler.PlanFor(DataSize{5.0})) {
+    EXPECT_GE(threads, 2);
+  }
+  const RunMetrics metrics = scheduler.Run();
+  EXPECT_GT(metrics.jobs_completed, 100u);
+  EXPECT_GT(metrics.private_hires, 0u);
 }
 
 TEST(SchedulerTest, GreedyPlansVaryWithJobSize) {

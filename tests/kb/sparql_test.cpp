@@ -4,7 +4,9 @@
 
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "scan/kb/frozen_index.hpp"
 #include "scan/kb/turtle.hpp"
 
 namespace scan::kb {
@@ -141,6 +143,49 @@ TEST_F(SparqlTest, OrderByAscendingNumeric) {
     prev = v;
   }
   EXPECT_DOUBLE_EQ(prev, 280.0);
+}
+
+TEST(SparqlSignTest, PlusSignedLiteralsAreNumbersOnBothBackends) {
+  // "+5" used to compare as a term: unequal to 5, and sorted by its
+  // lexical form ("+5" < "3" < "40" < "7").
+  TripleStore store;
+  ASSERT_TRUE(ParseTurtle("@prefix ex: <http://e/> .\n"
+                          "ex:a ex:v +5 .\n"
+                          "ex:b ex:v 3 .\n"
+                          "ex:c ex:v 7 .\n"
+                          "ex:d ex:v 40 .\n"
+                          "ex:e ex:v \"+\" .\n"
+                          "ex:f ex:v \"+-5\" .\n",
+                          store)
+                  .ok());
+  const FrozenIndex frozen = FrozenIndex::Freeze(store);
+  const QueryEngine staging(store);
+  const QueryEngine serving(frozen, store.terms());
+  for (const QueryEngine* engine : {&staging, &serving}) {
+    const auto subjects = [&](const std::string& filter) {
+      auto rs = engine->Execute("PREFIX ex: <http://e/>\nSELECT ?s WHERE { "
+                                "?s ex:v ?v . FILTER(" + filter + ") }");
+      EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+      std::vector<std::string> out;
+      if (rs.ok()) {
+        for (const auto& row : rs->rows) out.push_back(row[0]->lexical);
+      }
+      return out;
+    };
+    EXPECT_EQ(subjects("?v = 5"), std::vector<std::string>{"http://e/a"});
+    EXPECT_EQ(subjects("?v = +3"), std::vector<std::string>{"http://e/b"});
+    // "+" and "+-5" stay terms, equal only to themselves.
+    EXPECT_EQ(subjects("?v = \"+-5\""), std::vector<std::string>{"http://e/f"});
+    EXPECT_EQ(subjects("?v = -5"), std::vector<std::string>{});
+
+    auto ordered = engine->Execute(
+        "PREFIX ex: <http://e/>\nSELECT ?v WHERE { ?s ex:v ?v . "
+        "FILTER(?s != ex:e && ?s != ex:f) } ORDER BY ASC(?v)");
+    ASSERT_TRUE(ordered.ok()) << ordered.status().ToString();
+    std::vector<std::string> values;
+    for (const auto& row : ordered->rows) values.push_back(row[0]->lexical);
+    EXPECT_EQ(values, (std::vector<std::string>{"3", "+5", "7", "40"}));
+  }
 }
 
 TEST_F(SparqlTest, OrderByDescending) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 namespace scan::kb {
 namespace {
 
@@ -33,6 +36,18 @@ TEST(TermTest, NumericValueOnUntypedNumber) {
 TEST(TermTest, NumericValueRejectsNonNumbers) {
   EXPECT_FALSE(NumericValue(MakeStringLiteral("good")).has_value());
   EXPECT_FALSE(NumericValue(MakeIri("http://5")).has_value());
+}
+
+TEST(TermTest, NumericValueTakesOneLeadingPlus) {
+  EXPECT_EQ(NumericValue(Term{TermKind::kLiteral, "+5", std::string(kXsdInteger)}),
+            std::optional<double>(5.0));
+  EXPECT_EQ(NumericValue(MakeStringLiteral("+2.5e1")),
+            std::optional<double>(25.0));
+  EXPECT_EQ(NumericValue(MakeStringLiteral("+.5")), std::optional<double>(0.5));
+  EXPECT_EQ(NumericValue(MakeStringLiteral("-5")), std::optional<double>(-5.0));
+  for (const char* text : {"+", "++5", "+-5", "+ 5", "+x"}) {
+    EXPECT_FALSE(NumericValue(MakeStringLiteral(text)).has_value()) << text;
+  }
 }
 
 TEST(TermTest, ToStringForms) {

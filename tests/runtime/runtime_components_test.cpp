@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "scan/concurrency/thread_pool.hpp"
@@ -121,6 +122,46 @@ TEST(LiveWorkerTest, SurvivesDestructionWhileSlicesRun) {
   }  // worker destroyed with slices in flight (the failure-injection path)
   EXPECT_EQ(completions.Pop().ticket, 9u);
   pool.WaitIdle();
+}
+
+TEST(LiveWorkerTest, OneCompletionPerTaskForEverySliceCount) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    CompletionQueue completions(64);
+    LiveWorker worker(5, 1, pool, completions, SpinKernel{});
+    std::uint64_t slices_total = 0;
+    for (int slices = 1; slices <= 17; ++slices) {
+      StageTask task;
+      task.ticket = 100 + static_cast<std::uint64_t>(slices);
+      task.slices = slices;
+      worker.Execute(task);
+      EXPECT_EQ(completions.Pop().ticket, task.ticket);
+      pool.WaitIdle();
+      EXPECT_FALSE(completions.TryPop().has_value())
+          << slices << " slices on " << threads << " threads";
+      slices_total += static_cast<std::uint64_t>(slices);
+    }
+    EXPECT_EQ(pool.tasks_executed(), slices_total);
+    EXPECT_EQ(pool.pending(), 0u);
+  }
+}
+
+TEST(LiveWorkerTest, TaskWithoutSlicesIsRejected) {
+  // A task with no slice would never report its ticket, and the
+  // coordinator would block on it forever.
+  ThreadPool pool(2);
+  CompletionQueue completions(8);
+  LiveWorker worker(6, 2, pool, completions, SpinKernel{});
+  for (const int slices : {0, -1}) {
+    StageTask task;
+    task.ticket = 77;
+    task.slices = slices;
+    EXPECT_THROW(worker.Execute(task), std::invalid_argument);
+  }
+  EXPECT_EQ(pool.pending(), 0u);
+  pool.WaitIdle();
+  EXPECT_EQ(pool.tasks_executed(), 0u);
+  EXPECT_FALSE(completions.TryPop().has_value());
 }
 
 TEST(LiveWorkerTest, ReconfigureChangesSliceFanOut) {

@@ -144,5 +144,23 @@ TEST(RuntimeParity, ServeTwiceThrows) {
   EXPECT_THROW((void)platform.Serve(), std::logic_error);
 }
 
+TEST(RuntimeParity, ForcedPlanMustUseOfferedInstanceSizes) {
+  // The live host shares the engine's plan check: a 3-thread stage is
+  // rejected up front instead of stalling the run on a hire the cloud
+  // refuses.
+  runtime::RuntimeOptions options;
+  options.forced_plan = core::ThreadPlan(7, 4);
+  (*options.forced_plan)[2] = 3;
+  try {
+    runtime::RuntimePlatform platform(
+        BaseConfig(), gatk::PipelineModel::PaperGatk(), 0xE1, options);
+    FAIL() << "a 3-thread stage was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("stage 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("3 threads"), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace scan::testkit
