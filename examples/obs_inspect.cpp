@@ -8,16 +8,16 @@
 //   $ ./obs_inspect                            # self-check (see below)
 //
 // With no argument the binary runs its self-check: a pinned-seed
-// Scheduler run with tracing AND metrics enabled, exported to JSONL,
-// parsed back with the same parser used for files, and cross-checked
-// three ways — (1) per-stage queue-wait totals recovered from the trace
-// must match the scheduler's own stage_queue_wait accumulators, (2) the
-// span-graph critical path of every completed job must telescope to its
-// recorded latency, in memory and through the file round trip, and
-// (3) the decision-latency quantile sketch must have observed every
-// dispatch round. This is registered as a ctest, so the exporters, this
-// parser, and the causal span layer cannot drift from the
-// instrumentation.
+// Scheduler run with tracing AND metrics enabled, exported to JSONL, read
+// back exactly as files are, and cross-checked three ways — (1) per-stage
+// queue-wait totals recovered from the trace must match the scheduler's
+// own stage_queue_wait accumulators, (2) the span-graph critical path of
+// every completed job must telescope to its recorded latency, in memory
+// and through the file round trip, and (3) the decision-latency quantile
+// sketch must have observed every dispatch round. Files are read by
+// obs::ParseTrace, the reader beside the exporters. This is registered as
+// a ctest, so the exporters, the reader, and the causal span layer cannot
+// drift from the instrumentation.
 
 #include <algorithm>
 #include <cmath>
@@ -25,12 +25,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <optional>
+#include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "scan/common/str.hpp"
+#include "scan/common/status.hpp"
 #include "scan/core/scheduler.hpp"
 #include "scan/gatk/pipeline_model.hpp"
 #include "scan/obs/metrics.hpp"
@@ -41,132 +40,13 @@ using namespace scan;
 
 namespace {
 
-/// One parsed trace event (file-format independent, times in TU).
-struct ParsedEvent {
-  std::string kind;
-  double t = 0.0;
-  double dur = 0.0;
-  std::uint64_t track = 0;
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  double v = 0.0;
-  std::uint64_t span = 0;
-  std::uint64_t parent = 0;
-};
-
-/// Extracts the number following `"key":` in a JSON object line. Good
-/// enough for the exporters' machine-written one-object-per-line output.
-std::optional<double> FindNumber(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  return ParseDouble(line.substr(pos + needle.size(),
-                                 line.find_first_of(",}", pos + needle.size()) -
-                                     (pos + needle.size())));
-}
-
-std::optional<std::string> FindString(std::string_view line,
-                                      std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const std::size_t start = pos + needle.size();
-  const std::size_t end = line.find('"', start);
-  if (end == std::string_view::npos) return std::nullopt;
-  return std::string(line.substr(start, end - start));
-}
-
-/// Span/parent ids exceed double's 53-bit mantissa (tag in the top two
-/// bits), so they are parsed as integer text, not through ParseDouble.
-std::uint64_t FindU64(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) return 0;
-  const std::size_t start = pos + needle.size();
-  std::uint64_t value = 0;
-  for (std::size_t i = start; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c < '0' || c > '9') break;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
-/// Parses either export format; Chrome traces are detected by the
-/// "traceEvents" wrapper and their ts/dur converted back from trace
-/// microseconds to TU (1 TU = 1000 us, see trace.cpp).
-std::vector<ParsedEvent> ParseTraceFile(const std::string& path, bool& ok) {
-  std::ifstream in(path);
-  ok = static_cast<bool>(in);
-  std::vector<ParsedEvent> events;
-  if (!ok) return events;
-  bool chrome = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"traceEvents\"") != std::string::npos) {
-      chrome = true;
-      continue;
-    }
-    ParsedEvent ev;
-    if (chrome) {
-      const auto name = FindString(line, "name");
-      const auto ts = FindNumber(line, "ts");
-      if (!name || !ts) continue;
-      // Perfetto flow-arrow pairs (ph "s"/"f") reuse the "causal" name;
-      // they duplicate span links already carried on the events.
-      if (*name == "causal") continue;
-      ev.kind = *name;
-      ev.t = *ts / 1000.0;
-      ev.dur = FindNumber(line, "dur").value_or(0.0) / 1000.0;
-      ev.track =
-          static_cast<std::uint64_t>(FindNumber(line, "tid").value_or(0.0));
-    } else {
-      const auto kind = FindString(line, "kind");
-      const auto t = FindNumber(line, "t");
-      if (!kind || !t) continue;
-      ev.kind = *kind;
-      ev.t = *t;
-      ev.dur = FindNumber(line, "dur").value_or(0.0);
-      ev.track =
-          static_cast<std::uint64_t>(FindNumber(line, "track").value_or(0.0));
-    }
-    ev.a = static_cast<std::uint64_t>(FindNumber(line, "a").value_or(0.0));
-    ev.b = static_cast<std::uint64_t>(FindNumber(line, "b").value_or(0.0));
-    ev.v = FindNumber(line, "v").value_or(0.0);
-    ev.span = FindU64(line, "span");
-    ev.parent = FindU64(line, "parent");
-    events.push_back(std::move(ev));
-  }
-  return events;
-}
-
-/// Converts parsed events back into TraceEvents so the span-graph
-/// builder runs on files exactly as it does on a live recorder.
-std::vector<obs::TraceEvent> ToTraceEvents(
-    const std::vector<ParsedEvent>& parsed) {
-  std::map<std::string, obs::EventKind> by_name;
-  for (int k = 0; k <= static_cast<int>(obs::EventKind::kJobAbandoned); ++k) {
-    const auto kind = static_cast<obs::EventKind>(k);
-    by_name.emplace(obs::EventKindName(kind), kind);
-  }
-  std::vector<obs::TraceEvent> events;
-  events.reserve(parsed.size());
-  for (const ParsedEvent& p : parsed) {
-    const auto it = by_name.find(p.kind);
-    if (it == by_name.end()) continue;
-    obs::TraceEvent ev;
-    ev.kind = it->second;
-    ev.time_tu = p.t;
-    ev.duration_tu = p.dur;
-    ev.track = p.track;
-    ev.a = p.a;
-    ev.b = p.b;
-    ev.value = p.v;
-    ev.span = p.span;
-    ev.parent = p.parent;
-    events.push_back(ev);
-  }
-  return events;
+/// Reads a trace file in either export format.
+Result<std::vector<obs::TraceEvent>> ReadTraceFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return NotFoundError("cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return obs::ParseTrace(text.str());
 }
 
 struct TraceSummary {
@@ -178,23 +58,26 @@ struct TraceSummary {
   std::size_t events = 0;
 };
 
-bool IsRecoveryKind(const std::string& kind) {
-  return kind == "worker-failure" || kind == "worker-flap" ||
-         kind == "task-retry" || kind == "retry-backoff" ||
-         kind == "checkpoint" || kind == "straggle" ||
-         kind == "breaker-open" || kind == "speculative-launch" ||
-         kind == "speculative-wasted" || kind == "job-abandoned";
+bool IsRecovery(obs::EventKind kind) {
+  using K = obs::EventKind;
+  for (const K recovery :
+       {K::kWorkerFailure, K::kWorkerFlap, K::kTaskRetry, K::kRetryBackoff,
+        K::kCheckpoint, K::kStraggle, K::kBreakerOpen, K::kSpeculativeLaunch,
+        K::kSpeculativeWasted, K::kJobAbandoned}) {
+    if (kind == recovery) return true;
+  }
+  return false;
 }
 
-TraceSummary Summarize(const std::vector<ParsedEvent>& events) {
+TraceSummary Summarize(const std::vector<obs::TraceEvent>& events) {
   TraceSummary s;
   s.events = events.size();
-  for (const ParsedEvent& ev : events) {
-    if (ev.kind == "queue-dequeue") {
-      s.stage_queue_wait[ev.b] += ev.v;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.kind == obs::EventKind::kQueueDequeue) {
+      s.stage_queue_wait[ev.b] += ev.value;
       ++s.stage_dequeues[ev.b];
-    } else if (IsRecoveryKind(ev.kind)) {
-      ++s.recovery[ev.kind];
+    } else if (IsRecovery(ev.kind)) {
+      ++s.recovery[obs::EventKindName(ev.kind)];
     }
   }
   return s;
@@ -296,16 +179,15 @@ int SelfCheck() {
     std::fprintf(stderr, "self-check: JSONL export failed\n");
     return 1;
   }
-  bool ok = false;
-  const std::vector<ParsedEvent> parsed = ParseTraceFile(path, ok);
+  const Result<std::vector<obs::TraceEvent>> parsed = ReadTraceFile(path);
   std::remove(path.c_str());
-  if (!ok || parsed.empty()) {
-    std::fprintf(stderr, "self-check: could not read back %s\n", path.c_str());
+  if (!parsed.ok() || parsed->empty()) {
+    std::fprintf(stderr, "self-check: could not read back %s: %s\n",
+                 path.c_str(), parsed.status().ToString().c_str());
     return 1;
   }
-  const TraceSummary summary = Summarize(parsed);
-  const obs::SpanGraph file_graph =
-      obs::SpanGraph::Build(ToTraceEvents(parsed));
+  const TraceSummary summary = Summarize(*parsed);
+  const obs::SpanGraph file_graph = obs::SpanGraph::Build(*parsed);
   PrintSummary(summary, file_graph);
 
   // Every stage's recovered total must match the scheduler's own Welford
@@ -379,13 +261,13 @@ int SelfCheck() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return SelfCheck();
-  bool ok = false;
-  const std::vector<ParsedEvent> events = ParseTraceFile(argv[1], ok);
-  if (!ok) {
-    std::fprintf(stderr, "cannot open %s\n", argv[1]);
+  const Result<std::vector<obs::TraceEvent>> events = ReadTraceFile(argv[1]);
+  if (!events.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argv[1],
+                 events.status().message().c_str());
     return 1;
   }
   std::printf("%s: ", argv[1]);
-  PrintSummary(Summarize(events), obs::SpanGraph::Build(ToTraceEvents(events)));
+  PrintSummary(Summarize(*events), obs::SpanGraph::Build(*events));
   return 0;
 }

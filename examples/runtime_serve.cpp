@@ -14,9 +14,9 @@
 // one-thread-per-stage plan.
 
 #include <cstdio>
-#include <cstring>
-#include <string>
+#include <utility>
 
+#include "bench_util.hpp"
 #include "scan/gatk/pipeline_model.hpp"
 #include "scan/obs/session.hpp"
 #include "scan/runtime/runtime_platform.hpp"
@@ -24,53 +24,20 @@
 using namespace scan;
 using namespace scan::runtime;
 
-namespace {
-
-double FlagValue(int argc, char** argv, const char* name, double fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atof(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  const std::string flag = std::string("--") + name;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
-
-std::string StringFlag(int argc, char** argv, const char* name,
-                       const char* fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const bool wall = HasFlag(argc, argv, "wall");
-  const double duration = FlagValue(argc, argv, "duration", wall ? 150.0 : 2000.0);
-  const double ms_per_tu = FlagValue(argc, argv, "ms-per-tu", 2.0);
-  const int threads = static_cast<int>(FlagValue(argc, argv, "threads", 8));
-  const auto seed =
-      static_cast<std::uint64_t>(FlagValue(argc, argv, "seed", 42));
+  const bench::Flags flags(argc, argv);
+  const bool wall = flags.Has("wall");
+  const double duration = flags.GetDouble("duration", wall ? 150.0 : 2000.0);
+  const double ms_per_tu = flags.GetDouble("ms-per-tu", 2.0);
+  const int threads = flags.GetInt("threads", 8);
+  const auto seed = static_cast<std::uint64_t>(flags.GetDouble("seed", 42));
 
   // Observability: --trace=PATH --metrics=PATH --audit=PATH --log-level=L.
   obs::ObsOptions obs_opts;
-  obs_opts.trace_path = StringFlag(argc, argv, "trace", "");
-  obs_opts.metrics_path = StringFlag(argc, argv, "metrics", "");
-  obs_opts.audit_path = StringFlag(argc, argv, "audit", "");
-  obs_opts.log_level = StringFlag(argc, argv, "log-level", "");
+  obs_opts.trace_path = flags.GetString("trace", "");
+  obs_opts.metrics_path = flags.GetString("metrics", "");
+  obs_opts.audit_path = flags.GetString("audit", "");
+  obs_opts.log_level = flags.GetString("log-level", "");
   const obs::ObsSession obs_session(std::move(obs_opts));
 
   core::SimulationConfig config;
@@ -80,13 +47,13 @@ int main(int argc, char** argv) {
   // Chaos knobs (all default off — see DESIGN.md §10): --crash-rate=R
   // --flap-rate=R --straggle-rate=R --checkpoint-interval=TU
   // --backoff-base=TU.
-  config.worker_failure_rate = FlagValue(argc, argv, "crash-rate", 0.0);
-  config.fault.flap_rate = FlagValue(argc, argv, "flap-rate", 0.0);
-  config.fault.straggle_rate = FlagValue(argc, argv, "straggle-rate", 0.0);
+  config.worker_failure_rate = flags.GetDouble("crash-rate", 0.0);
+  config.fault.flap_rate = flags.GetDouble("flap-rate", 0.0);
+  config.fault.straggle_rate = flags.GetDouble("straggle-rate", 0.0);
   config.fault.checkpoint_interval =
-      SimTime{FlagValue(argc, argv, "checkpoint-interval", 0.0)};
+      SimTime{flags.GetDouble("checkpoint-interval", 0.0)};
   config.fault.backoff_base =
-      SimTime{FlagValue(argc, argv, "backoff-base", 0.0)};
+      SimTime{flags.GetDouble("backoff-base", 0.0)};
   if (wall) {
     // Real CPU is the scarce resource now: lighten the modeled load so the
     // physical pool can keep pace (see DESIGN.md, "Live runtime").

@@ -12,33 +12,19 @@
 // episode digest; the demo runs twice to prove it.
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "scan/serve/serve.hpp"
 #include "scan/testkit/tenancy.hpp"
 
 using namespace scan;
 using namespace scan::serve;
 
-namespace {
-
-double FlagValue(int argc, char** argv, const char* name, double fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atof(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   core::SimulationConfig config;
-  config.duration = SimTime{FlagValue(argc, argv, "duration", 400.0)};
+  config.duration =
+      SimTime{bench::Flags(argc, argv).GetDouble("duration", 400.0)};
 
   std::vector<TenantSpec> tenants;
   TenantSpec lab;

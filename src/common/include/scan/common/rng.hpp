@@ -72,13 +72,28 @@ class Pcg32 {
   std::uint64_t inc_;
 };
 
+/// FNV-1a offset basis (the hash of no bytes) and prime.
+inline constexpr std::uint64_t kFnv1aOffset = 14695981039346656037ULL;
+inline constexpr std::uint64_t kFnv1aPrime = 1099511628211ULL;
+
 /// Stable 64-bit FNV-1a hash of a byte string (used for stream derivation
 /// and config -> seed mapping).
 [[nodiscard]] constexpr std::uint64_t Fnv1a64(std::string_view s) {
-  std::uint64_t h = 14695981039346656037ULL;
+  std::uint64_t h = kFnv1aOffset;
   for (const char c : s) {
     h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
+    h *= kFnv1aPrime;
+  }
+  return h;
+}
+
+/// Continues the FNV-1a hash `h` over `v`'s 8 bytes, little-endian (the
+/// digests and fingerprints mix integers and double bit patterns this way).
+[[nodiscard]] constexpr std::uint64_t Fnv1aMixU64(std::uint64_t h,
+                                                  std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= kFnv1aPrime;
   }
   return h;
 }

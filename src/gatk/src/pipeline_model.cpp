@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "scan/common/rng.hpp"
 #include "scan/common/str.hpp"
 
 namespace scan::gatk {
@@ -91,12 +92,9 @@ const std::string& PipelineModel::name(std::size_t index) const {
 }
 
 std::uint64_t PipelineModel::Fingerprint() const {
-  std::uint64_t hash = 14695981039346656037ULL;
+  std::uint64_t hash = kFnv1aOffset;
   const auto mix = [&hash](std::uint64_t value) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      hash ^= (value >> shift) & 0xffu;
-      hash *= 1099511628211ULL;
-    }
+    hash = Fnv1aMixU64(hash, value);
   };
   mix(stages_.size());
   for (const StageCoefficients& s : stages_) {

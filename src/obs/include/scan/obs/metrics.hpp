@@ -158,26 +158,10 @@ class MetricsRegistry {
   Impl* impl_;
 };
 
-/// The platform-level instruments the scheduler and runtime update,
-/// resolved once at construction so hot paths touch only atomics.
+/// The platform distributions the engine feeds a sample per event, resolved
+/// once so hot paths touch only atomics. Its counts and levels are published
+/// from RunMetrics when a run finishes (core::kRunCounters).
 struct PlatformMetrics {
-  Counter* jobs_arrived = nullptr;
-  Counter* jobs_completed = nullptr;
-  Counter* private_hires = nullptr;
-  Counter* public_hires = nullptr;
-  Counter* reconfigurations = nullptr;
-  Counter* releases = nullptr;
-  Counter* worker_failures = nullptr;
-  Counter* task_retries = nullptr;
-  Counter* worker_flaps = nullptr;
-  Counter* breaker_opens = nullptr;
-  Counter* checkpoints_saved = nullptr;
-  Counter* speculative_launches = nullptr;
-  Counter* speculative_wasted = nullptr;
-  Counter* straggles = nullptr;
-  Counter* jobs_abandoned = nullptr;
-  Gauge* queued_jobs = nullptr;
-  Gauge* busy_workers = nullptr;
   Histogram* queue_wait_tu = nullptr;
   Histogram* job_latency_tu = nullptr;
   Histogram* worker_utilization = nullptr;

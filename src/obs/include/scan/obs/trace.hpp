@@ -29,10 +29,18 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "scan/common/status.hpp"
+
 namespace scan::obs {
+
+/// Chrome trace microseconds per modeled TU: a 200 TU run renders as a
+/// 200 ms timeline, a comfortable zoom range in Perfetto.
+inline constexpr double kChromeMicrosPerTu = 1000.0;
 
 /// Typed trace events. Payload conventions (a/b/track/value) per kind:
 ///  kJobArrival     instant  a=job_id                     value=size_du
@@ -72,31 +80,32 @@ namespace scan::obs {
 ///  kTicketDelivery    span=exec attempt span
 ///  kJobComplete       span=JobSpan                 parent=final attempt span
 ///  kJobAbandoned      span=JobSpan                 parent=lost attempt span
+///
+/// The kind table: one X(kind, name) row per kind, in enum order. The name
+/// is what both exporters write and what ParseTrace reads back.
+#define SCAN_OBS_EVENT_KINDS(X)                                          \
+  X(kJobArrival, "job-arrival") X(kShardSplit, "shard-split")            \
+  X(kQueueEnqueue, "queue-enqueue") X(kQueueDequeue, "queue-dequeue")    \
+  X(kWorkerHire, "worker-hire") X(kWorkerRelease, "worker-release")      \
+  X(kWorkerFailure, "worker-failure") X(kTaskRetry, "task-retry")        \
+  X(kStageExec, "stage-exec") X(kStageSlice, "stage-slice")              \
+  X(kTicketDelivery, "ticket-delivery") X(kJobComplete, "job-complete")  \
+  X(kDecision, "decision") X(kStraggle, "straggle")                      \
+  X(kWorkerFlap, "worker-flap") X(kBreakerOpen, "breaker-open")          \
+  X(kCheckpoint, "checkpoint") X(kRetryBackoff, "retry-backoff")         \
+  X(kSpeculativeLaunch, "speculative-launch")                            \
+  X(kSpeculativeWasted, "speculative-wasted")                            \
+  X(kJobAbandoned, "job-abandoned")
+
 enum class EventKind : std::uint8_t {
-  kJobArrival = 0,
-  kShardSplit,
-  kQueueEnqueue,
-  kQueueDequeue,
-  kWorkerHire,
-  kWorkerRelease,
-  kWorkerFailure,
-  kTaskRetry,
-  kStageExec,
-  kStageSlice,
-  kTicketDelivery,
-  kJobComplete,
-  kDecision,
-  kStraggle,
-  kWorkerFlap,
-  kBreakerOpen,
-  kCheckpoint,
-  kRetryBackoff,
-  kSpeculativeLaunch,
-  kSpeculativeWasted,
-  kJobAbandoned,
+#define SCAN_OBS_EVENT_KIND_ENUM(kind, name) kind,
+  SCAN_OBS_EVENT_KINDS(SCAN_OBS_EVENT_KIND_ENUM)
+#undef SCAN_OBS_EVENT_KIND_ENUM
 };
 
 [[nodiscard]] const char* EventKindName(EventKind kind);
+/// The kind `name` spells in the table, or nullopt.
+[[nodiscard]] std::optional<EventKind> EventKindFromName(std::string_view name);
 
 /// Span kinds carry a duration; instants do not.
 [[nodiscard]] inline bool IsSpan(EventKind kind) {
@@ -181,10 +190,10 @@ class TraceRecorder {
   [[nodiscard]] std::size_t capacity_per_thread() const;
 
   /// Writes the merged stream as Chrome trace-event JSON ("traceEvents"
-  /// array; 1 TU = 1000 trace microseconds). Loadable in Perfetto /
-  /// chrome://tracing. Parent->child span edges additionally emit flow
-  /// event pairs (ph "s"/"f") so Perfetto draws causal arrows. False on
-  /// I/O failure.
+  /// array; 1 TU = kChromeMicrosPerTu trace microseconds). Loadable in
+  /// Perfetto / chrome://tracing. Parent->child span edges additionally
+  /// emit flow event pairs (ph "s"/"f") so Perfetto draws causal arrows.
+  /// False on I/O failure.
   bool ExportChromeJson(const std::string& path) const;
 
   /// Writes one JSON object per line ({"t","dur","kind","track","a","b",
@@ -198,6 +207,14 @@ class TraceRecorder {
   [[nodiscard]] Lane& Local();
   [[nodiscard]] Impl& impl() const;
 };
+
+/// Reads back either export, laid out as the writers lay it out, in file
+/// (= Collect()) order: JSONL, or Chrome JSON, known by its "traceEvents"
+/// wrapper, whose "causal" flow pairs are skipped and whose ts/dur are
+/// divided by kChromeMicrosPerTu. Other text is a ParseError naming the
+/// field and ending "at line L, column C" (1-based; columns count bytes).
+[[nodiscard]] Result<std::vector<TraceEvent>> ParseTrace(
+    std::string_view text);
 
 /// Emission helper: TraceEmit(kind, t, track, a, b, value, duration,
 /// span, parent). Span/parent default to 0 (unlinked) so legacy sites

@@ -304,40 +304,6 @@ void MetricsRegistry::ResetAll() {
 PlatformMetrics PlatformMetrics::Resolve() {
   MetricsRegistry& reg = MetricsRegistry::Global();
   PlatformMetrics m;
-  m.jobs_arrived =
-      &reg.GetCounter("scan_jobs_arrived_total", "Jobs admitted to the platform");
-  m.jobs_completed = &reg.GetCounter("scan_jobs_completed_total",
-                                     "Pipeline runs completed");
-  m.private_hires = &reg.GetCounter("scan_private_hires_total",
-                                    "Workers hired on the private tier");
-  m.public_hires = &reg.GetCounter("scan_public_hires_total",
-                                   "Workers hired on the public tier");
-  m.reconfigurations = &reg.GetCounter(
-      "scan_reconfigurations_total", "Idle workers reconfigured (30s penalty)");
-  m.releases = &reg.GetCounter("scan_worker_releases_total",
-                               "Workers released (idle timeout or compaction)");
-  m.worker_failures = &reg.GetCounter("scan_worker_failures_total",
-                                      "Injected worker crashes");
-  m.task_retries = &reg.GetCounter("scan_task_retries_total",
-                                   "Tasks re-enqueued after a crash");
-  m.worker_flaps = &reg.GetCounter(
-      "scan_worker_flaps_total", "Workers that dropped a task but survived");
-  m.breaker_opens = &reg.GetCounter(
-      "scan_breaker_opens_total", "Circuit-breaker openings on flapping workers");
-  m.checkpoints_saved = &reg.GetCounter(
-      "scan_checkpoints_saved_total", "Lost assignments resumed from a checkpoint");
-  m.speculative_launches = &reg.GetCounter(
-      "scan_speculative_launches_total", "Speculative copies enqueued for stragglers");
-  m.speculative_wasted = &reg.GetCounter(
-      "scan_speculative_wasted_total", "Completions discarded as stale duplicates");
-  m.straggles = &reg.GetCounter("scan_straggles_total",
-                                "Assignments injected with a slowdown");
-  m.jobs_abandoned = &reg.GetCounter(
-      "scan_jobs_abandoned_total", "Jobs dropped after exhausting their retry budget");
-  m.queued_jobs =
-      &reg.GetGauge("scan_queued_jobs", "Tasks waiting across stage queues");
-  m.busy_workers =
-      &reg.GetGauge("scan_busy_workers", "Workers executing a task right now");
   m.queue_wait_tu = &reg.GetHistogram(
       "scan_queue_wait_tu", "Per-dispatch queue wait (TU)",
       {0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0});

@@ -1,9 +1,12 @@
 #include "scan/obs/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <unordered_map>
 
 #include "scan/common/str.hpp"
@@ -11,52 +14,26 @@
 
 namespace scan::obs {
 
+namespace {
+
+constexpr const char* kEventKindNames[] = {
+#define SCAN_OBS_EVENT_KIND_NAME(kind, name) name,
+    SCAN_OBS_EVENT_KINDS(SCAN_OBS_EVENT_KIND_NAME)
+#undef SCAN_OBS_EVENT_KIND_NAME
+};
+
+}  // namespace
+
 const char* EventKindName(EventKind kind) {
-  switch (kind) {
-    case EventKind::kJobArrival:
-      return "job-arrival";
-    case EventKind::kShardSplit:
-      return "shard-split";
-    case EventKind::kQueueEnqueue:
-      return "queue-enqueue";
-    case EventKind::kQueueDequeue:
-      return "queue-dequeue";
-    case EventKind::kWorkerHire:
-      return "worker-hire";
-    case EventKind::kWorkerRelease:
-      return "worker-release";
-    case EventKind::kWorkerFailure:
-      return "worker-failure";
-    case EventKind::kTaskRetry:
-      return "task-retry";
-    case EventKind::kStageExec:
-      return "stage-exec";
-    case EventKind::kStageSlice:
-      return "stage-slice";
-    case EventKind::kTicketDelivery:
-      return "ticket-delivery";
-    case EventKind::kJobComplete:
-      return "job-complete";
-    case EventKind::kDecision:
-      return "decision";
-    case EventKind::kStraggle:
-      return "straggle";
-    case EventKind::kWorkerFlap:
-      return "worker-flap";
-    case EventKind::kBreakerOpen:
-      return "breaker-open";
-    case EventKind::kCheckpoint:
-      return "checkpoint";
-    case EventKind::kRetryBackoff:
-      return "retry-backoff";
-    case EventKind::kSpeculativeLaunch:
-      return "speculative-launch";
-    case EventKind::kSpeculativeWasted:
-      return "speculative-wasted";
-    case EventKind::kJobAbandoned:
-      return "job-abandoned";
+  const auto index = static_cast<std::size_t>(kind);
+  return index < std::size(kEventKindNames) ? kEventKindNames[index] : "?";
+}
+
+std::optional<EventKind> EventKindFromName(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kEventKindNames); ++i) {
+    if (name == kEventKindNames[i]) return static_cast<EventKind>(i);
   }
-  return "?";
+  return std::nullopt;
 }
 
 /// One thread's ring. Grows lazily (no up-front reservation: short runs
@@ -181,10 +158,6 @@ std::size_t TraceRecorder::capacity_per_thread() const {
 
 namespace {
 
-/// 1 modeled TU = 1000 trace microseconds, so a 200 TU run renders as a
-/// 200 ms timeline — comfortable zoom range in Perfetto.
-constexpr double kMicrosPerTu = 1000.0;
-
 /// True for the event that *defines* a span node: the one whose (ts,
 /// track) a flow arrow should depart from when the span is someone's
 /// parent. Job spans are defined by arrival, stage spans by their exec
@@ -236,9 +209,10 @@ bool TraceRecorder::ExportChromeJson(const std::string& path) const {
         << "\",\"cat\":\"scan\",\"ph\":\"" << (IsSpan(ev.kind) ? "X" : "i")
         << "\"";
     if (!IsSpan(ev.kind)) out << ",\"s\":\"t\"";
-    out << ",\"ts\":" << StrFormat("%.17g", ev.time_tu * kMicrosPerTu);
+    out << ",\"ts\":" << StrFormat("%.17g", ev.time_tu * kChromeMicrosPerTu);
     if (IsSpan(ev.kind)) {
-      out << ",\"dur\":" << StrFormat("%.17g", ev.duration_tu * kMicrosPerTu);
+      out << ",\"dur\":"
+          << StrFormat("%.17g", ev.duration_tu * kChromeMicrosPerTu);
     }
     out << ",\"pid\":1,\"tid\":" << ev.track << ",\"args\":{\"a\":" << ev.a
         << ",\"b\":" << ev.b << ",\"v\":" << StrFormat("%.17g", ev.value)
@@ -252,12 +226,13 @@ bool TraceRecorder::ExportChromeJson(const std::string& path) const {
         const std::uint64_t id = ++flow_id;
         sep();
         out << "{\"name\":\"causal\",\"cat\":\"scan-flow\",\"ph\":\"s\",\"id\":"
-            << id << ",\"ts\":" << StrFormat("%.17g", from.time_tu * kMicrosPerTu)
+            << id << ",\"ts\":"
+            << StrFormat("%.17g", from.time_tu * kChromeMicrosPerTu)
             << ",\"pid\":1,\"tid\":" << from.track << "}";
         sep();
         out << "{\"name\":\"causal\",\"cat\":\"scan-flow\",\"ph\":\"f\",\"bp\":"
             << "\"e\",\"id\":" << id
-            << ",\"ts\":" << StrFormat("%.17g", ev.time_tu * kMicrosPerTu)
+            << ",\"ts\":" << StrFormat("%.17g", ev.time_tu * kChromeMicrosPerTu)
             << ",\"pid\":1,\"tid\":" << ev.track << "}";
       }
     }
@@ -278,6 +253,146 @@ bool TraceRecorder::ExportJsonl(const std::string& path) const {
         << ",\"span\":" << ev.span << ",\"parent\":" << ev.parent << "}\n";
   }
   return out.good();
+}
+
+namespace {
+
+/// Reads back exactly what the two writers above write, spelling for
+/// spelling, so the first byte that differs from their layout is the
+/// error's location. Keys are matched with the punctuation that opens them.
+class TraceReader {
+ public:
+  explicit TraceReader(std::string_view text) : text_(text) {}
+
+  Status Read(std::vector<TraceEvent>& events) {
+    if (!Take("{\"traceEvents\":[\n")) {  // JSONL: one event per line
+      while (pos_ < text_.size()) {
+        TraceEvent ev;
+        SCAN_RETURN_IF_ERROR(Number("{\"t\":", "t", ev.time_tu));
+        SCAN_RETURN_IF_ERROR(Number(",\"dur\":", "dur", ev.duration_tu));
+        SCAN_RETURN_IF_ERROR(Kind(",\"kind\":", "kind", ev.kind));
+        SCAN_RETURN_IF_ERROR(Number(",\"track\":", "track", ev.track));
+        SCAN_RETURN_IF_ERROR(Payload(",\"a\":", ev));
+        SCAN_RETURN_IF_ERROR(Want("}\n", "the end of the line"));
+        events.push_back(ev);
+      }
+      return Status::Ok();
+    }
+    if (!Take("]}\n")) {
+      do {
+        SCAN_RETURN_IF_ERROR(ChromeEvent(events));
+      } while (Take(",\n"));
+      SCAN_RETURN_IF_ERROR(Want("\n]}\n", "the end of the trace"));
+    }
+    return pos_ == text_.size() ? Status::Ok()
+                                : Fail("expected the end of the trace");
+  }
+
+ private:
+  /// A Chrome event (instant or span) or a "causal" flow pair, skipped.
+  Status ChromeEvent(std::vector<TraceEvent>& events) {
+    TraceEvent ev;
+    SCAN_RETURN_IF_ERROR(Want("{\"name\":", "field \"name\""));
+    if (Take("\"causal\"")) {
+      const std::size_t close = text_.find('}', pos_);
+      if (close == std::string_view::npos) return Fail("unterminated event");
+      pos_ = close + 1;
+      return Status::Ok();
+    }
+    SCAN_RETURN_IF_ERROR(Kind("", "name", ev.kind));
+    SCAN_RETURN_IF_ERROR(Want(",\"cat\":\"scan\",\"ph\":", "field \"cat\""));
+    const bool span = Take("\"X\"");
+    if (!span) SCAN_RETURN_IF_ERROR(Want("\"i\",\"s\":\"t\"", "a phase"));
+    SCAN_RETURN_IF_ERROR(Number(",\"ts\":", "ts", ev.time_tu));
+    if (span) SCAN_RETURN_IF_ERROR(Number(",\"dur\":", "dur", ev.duration_tu));
+    SCAN_RETURN_IF_ERROR(Number(",\"pid\":1,\"tid\":", "tid", ev.track));
+    SCAN_RETURN_IF_ERROR(Payload(",\"args\":{\"a\":", ev));
+    SCAN_RETURN_IF_ERROR(Want("}}", "the end of the event"));
+    ev.time_tu /= kChromeMicrosPerTu;
+    ev.duration_tu /= kChromeMicrosPerTu;
+    events.push_back(ev);
+    return Status::Ok();
+  }
+
+  /// a, b, v, span and parent; `open` spells the punctuation before "a".
+  Status Payload(std::string_view open, TraceEvent& ev) {
+    SCAN_RETURN_IF_ERROR(Number(open, "a", ev.a));
+    SCAN_RETURN_IF_ERROR(Number(",\"b\":", "b", ev.b));
+    SCAN_RETURN_IF_ERROR(Number(",\"v\":", "v", ev.value));
+    SCAN_RETURN_IF_ERROR(Number(",\"span\":", "span", ev.span));
+    return Number(",\"parent\":", "parent", ev.parent);
+  }
+
+  bool Take(std::string_view spelling) {
+    if (!text_.substr(pos_).starts_with(spelling)) return false;
+    pos_ += spelling.size();
+    return true;
+  }
+  Status Want(std::string_view spelling, std::string_view what) {
+    return Take(spelling) ? Status::Ok()
+                          : Fail("expected " + std::string(what));
+  }
+
+  /// `key`, then a double or an unsigned integer as %.17g or the integer
+  /// writers print it (from_chars reads inf and nan back too).
+  template <class T>
+  Status Number(std::string_view key, std::string_view field, T& out) {
+    SCAN_RETURN_IF_ERROR(Want(key, "field \"" + std::string(field) + "\""));
+    const std::size_t end = text_.find_first_of(",}\n", pos_);
+    const std::string_view token = text_.substr(pos_, end - pos_);
+    const auto [stop, error] =
+        std::from_chars(token.data(), token.data() + token.size(), out);
+    if (token.empty() || error != std::errc{} ||
+        stop != token.data() + token.size()) {
+      return Fail("field \"" + std::string(field) + "\": expected " +
+                  (std::is_integral_v<T> ? "an unsigned integer" : "a number"));
+    }
+    pos_ += token.size();
+    return Status::Ok();
+  }
+
+  /// `key`, then a quoted name from the kind table.
+  Status Kind(std::string_view key, std::string_view field, EventKind& out) {
+    SCAN_RETURN_IF_ERROR(Want(key, "field \"" + std::string(field) + "\""));
+    const std::size_t close = text_.find('"', pos_ + 1);
+    const std::optional<EventKind> kind =
+        Peek() == '"' && close != std::string_view::npos
+            ? EventKindFromName(text_.substr(pos_ + 1, close - pos_ - 1))
+            : std::nullopt;
+    if (!kind) {
+      return Fail("field \"" + std::string(field) + "\": unknown event kind");
+    }
+    out = *kind;
+    pos_ = close + 1;
+    return Status::Ok();
+  }
+
+  [[nodiscard]] char Peek() const {
+    return pos_ < text_.size() ? text_[pos_] : '\0';
+  }
+
+  /// A ParseError at the current offset, with its line and column.
+  [[nodiscard]] Status Fail(const std::string& what) const {
+    const std::string_view before = text_.substr(0, pos_);
+    const std::size_t line_start = before.rfind('\n') + 1;  // npos + 1 == 0
+    return ParseError(StrFormat(
+        "trace: %s at line %zu, column %zu", what.c_str(),
+        1 + static_cast<std::size_t>(
+                std::count(before.begin(), before.end(), '\n')),
+        before.size() - line_start + 1));
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+}  // namespace
+
+Result<std::vector<TraceEvent>> ParseTrace(std::string_view text) {
+  std::vector<TraceEvent> events;
+  Status status = TraceReader(text).Read(events);
+  if (!status.ok()) return status;
+  return events;
 }
 
 }  // namespace scan::obs

@@ -5,29 +5,25 @@
 #include <sstream>
 #include <utility>
 
+#include "scan/common/rng.hpp"
 #include "scan/pdl/parser.hpp"
 
 namespace scan::pdl {
 
 namespace {
 
-void MixBits(std::uint64_t& h, std::uint64_t value) {
-  // FNV-1a over the value's 8 bytes, little-endian.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (8 * i)) & 0xffu;
-    h *= 1099511628211ULL;
+void MixOptional(std::uint64_t& h, const std::optional<double>& value) {
+  h = Fnv1aMixU64(h, value.has_value() ? 1 : 0);
+  if (value.has_value()) {
+    h = Fnv1aMixU64(h, std::bit_cast<std::uint64_t>(*value));
   }
 }
 
-void MixOptional(std::uint64_t& h, const std::optional<double>& value) {
-  MixBits(h, value.has_value() ? 1 : 0);
-  if (value.has_value()) MixBits(h, std::bit_cast<std::uint64_t>(*value));
-}
-
 void MixOptional(std::uint64_t& h, const std::optional<int>& value) {
-  MixBits(h, value.has_value() ? 1 : 0);
+  h = Fnv1aMixU64(h, value.has_value() ? 1 : 0);
   if (value.has_value()) {
-    MixBits(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(*value)));
+    h = Fnv1aMixU64(
+        h, static_cast<std::uint64_t>(static_cast<std::int64_t>(*value)));
   }
 }
 
@@ -75,14 +71,15 @@ void CompiledPipeline::ApplyTo(core::SimulationConfig& config) const {
 }
 
 std::uint64_t CompiledPipeline::Fingerprint() const {
-  std::uint64_t h = 14695981039346656037ULL;
-  MixBits(h, model.Fingerprint());
-  MixBits(h, static_cast<std::uint64_t>(static_cast<int>(shard.policy)));
-  MixBits(h, static_cast<std::uint64_t>(shard.fanout));
-  MixBits(h, reward.scheme.has_value()
-                 ? 1 + static_cast<std::uint64_t>(
-                           static_cast<int>(*reward.scheme))
-                 : 0);
+  std::uint64_t h = kFnv1aOffset;
+  h = Fnv1aMixU64(h, model.Fingerprint());
+  h = Fnv1aMixU64(h,
+                  static_cast<std::uint64_t>(static_cast<int>(shard.policy)));
+  h = Fnv1aMixU64(h, static_cast<std::uint64_t>(shard.fanout));
+  h = Fnv1aMixU64(h, reward.scheme.has_value()
+                         ? 1 + static_cast<std::uint64_t>(
+                                   static_cast<int>(*reward.scheme))
+                         : 0);
   MixOptional(h, reward.r_max);
   MixOptional(h, reward.r_penalty);
   MixOptional(h, reward.r_scale);

@@ -19,6 +19,7 @@
 // The run types (RunMetrics, SchedulerOptions, SchedulerView) are the
 // simulator's public ones, declared in scheduler.hpp.
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -306,7 +307,8 @@ class Engine {
   /// Bandit epoch boundary: settle the bill and hand the totals to the
   /// policy's arm-selection step.
   void BanditEpoch();
-  void SampleTimeline();
+  /// The queues, workers and cloud right now, as one timeline point.
+  [[nodiscard]] TimelinePoint Snapshot() const;
 
   SimulationConfig config_;
   SchedulerOptions options_;
@@ -343,9 +345,14 @@ class Engine {
   std::uint64_t next_assignment_seq_ = 1;
 
   RunMetrics metrics_;
-  /// scan_obs instruments, resolved once; updates are gated on
-  /// obs::MetricsEnabled() so the disabled cost is one load + branch.
+  /// The per-sample scan_obs instruments, resolved once; updates are gated
+  /// on obs::MetricsEnabled() so the disabled cost is one load + branch.
   obs::PlatformMetrics pmetrics_ = obs::PlatformMetrics::Resolve();
+  /// kRunCounters' counters (table order) and the two level gauges,
+  /// registered at construction and written only by Finish.
+  std::array<obs::Counter*, std::size(kRunCounters)> run_counters_{};
+  obs::Gauge* queued_gauge_ = nullptr;
+  obs::Gauge* busy_gauge_ = nullptr;
   /// Cached SCAN_TESTKIT_VERIFY_CANDIDATES; when set, every dispatch
   /// round cross-checks index_ against a from-scratch rescan.
   bool verify_candidates_ = false;

@@ -123,6 +123,52 @@ struct RunMetrics {
   }
 };
 
+/// One RunMetrics count exported as a Prometheus counter: when metrics are
+/// on, Engine::Finish adds the field to the counter of that name.
+struct RunCounter {
+  const char* name;
+  const char* help;
+  std::size_t RunMetrics::*field;
+};
+
+/// The platform's counters; each count lives only in its RunMetrics field.
+inline constexpr RunCounter kRunCounters[] = {
+    {"scan_jobs_arrived_total", "Jobs admitted to the platform",
+     &RunMetrics::jobs_arrived},
+    {"scan_jobs_completed_total", "Pipeline runs completed",
+     &RunMetrics::jobs_completed},
+    {"scan_private_hires_total", "Workers hired on the private tier",
+     &RunMetrics::private_hires},
+    {"scan_public_hires_total", "Workers hired on the public tier",
+     &RunMetrics::public_hires},
+    {"scan_reconfigurations_total", "Idle workers reconfigured (30s penalty)",
+     &RunMetrics::reconfigurations},
+    {"scan_worker_releases_total",
+     "Workers released (idle timeout or compaction)", &RunMetrics::releases},
+    {"scan_worker_failures_total", "Injected worker crashes",
+     &RunMetrics::worker_failures},
+    {"scan_task_retries_total", "Tasks re-enqueued after a crash",
+     &RunMetrics::task_retries},
+    {"scan_worker_flaps_total", "Workers that dropped a task but survived",
+     &RunMetrics::worker_flaps},
+    {"scan_breaker_opens_total", "Circuit-breaker openings on flapping workers",
+     &RunMetrics::breaker_opens},
+    {"scan_checkpoints_saved_total",
+     "Lost assignments resumed from a checkpoint",
+     &RunMetrics::checkpoints_saved},
+    {"scan_speculative_launches_total",
+     "Speculative copies enqueued for stragglers",
+     &RunMetrics::speculative_launches},
+    {"scan_speculative_wasted_total",
+     "Completions discarded as stale duplicates",
+     &RunMetrics::speculative_wasted},
+    {"scan_straggles_total", "Assignments injected with a slowdown",
+     &RunMetrics::straggles_injected},
+    {"scan_jobs_abandoned_total",
+     "Jobs dropped after exhausting their retry budget",
+     &RunMetrics::jobs_abandoned},
+};
+
 /// Read-only view of one worker for inspection hooks (testkit oracle).
 struct WorkerView {
   std::uint64_t key = 0;

@@ -1,6 +1,7 @@
 #include "scan/core/allocation.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace scan::core {
@@ -29,8 +30,39 @@ void ValidateContext(const AllocationContext& ctx) {
   if (ctx.instance_sizes.empty()) {
     throw std::invalid_argument("AllocationContext: no instance sizes");
   }
-  if (ctx.core_price_per_tu < 0.0) {
-    throw std::invalid_argument("AllocationContext: negative price");
+  if (!std::isfinite(ctx.core_price_per_tu) || ctx.core_price_per_tu < 0.0) {
+    throw std::invalid_argument(
+        "AllocationContext: price must be finite and >= 0");
+  }
+}
+
+/// Coordinate descent on PlanProfit: each sweep moves every stage, in
+/// order, to the offered size that strictly improves the joint profit,
+/// until a sweep changes nothing or `max_sweeps` have run.
+void CoordinateDescent(const gatk::PipelineModel& model, DataSize d,
+                       const AllocationContext& ctx, int max_sweeps,
+                       ThreadPlan& plan) {
+  bool improved = true;
+  int sweeps = 0;
+  while (improved && sweeps < max_sweeps) {
+    improved = false;
+    ++sweeps;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      const int original = plan[i];
+      double best = PlanProfit(model, d, plan, ctx);
+      int best_threads = original;
+      for (const int t : ctx.instance_sizes) {
+        if (t == original) continue;
+        plan[i] = t;
+        const double profit = PlanProfit(model, d, plan, ctx);
+        if (profit > best + 1e-12) {
+          best = profit;
+          best_threads = t;
+        }
+      }
+      plan[i] = best_threads;
+      if (best_threads != original) improved = true;
+    }
   }
 }
 
@@ -67,9 +99,13 @@ ThreadPlan GreedyPlan(const gatk::PipelineModel& model, DataSize d,
     latency_value = d.value() * params.r_scale / (seq * seq);
   }
 
+  // A stage whose every score is NaN (a NaN reward term) keeps the
+  // smallest offered size, so the plan stays hireable.
+  const int smallest =
+      *std::min_element(ctx.instance_sizes.begin(), ctx.instance_sizes.end());
   for (std::size_t i = 0; i < model.stage_count(); ++i) {
     double best_score = -1e300;
-    int best_threads = 1;
+    int best_threads = smallest;
     for (const int t : ctx.instance_sizes) {
       const double wall = model.ThreadedTime(i, t, d).value();
       const double saved = model.SingleThreadedTime(i, d).value() - wall;
@@ -94,28 +130,7 @@ ThreadPlan LongTermPlan(const gatk::PipelineModel& model,
   // workload's expected size, then applies coordinate descent to repair the
   // per-stage approximation against the joint objective.
   ThreadPlan plan = GreedyPlan(model, expected_size, ctx);
-  bool improved = true;
-  int sweeps = 0;
-  while (improved && sweeps < 16) {
-    improved = false;
-    ++sweeps;
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      const int original = plan[i];
-      double best = PlanProfit(model, expected_size, plan, ctx);
-      int best_threads = original;
-      for (const int t : ctx.instance_sizes) {
-        if (t == original) continue;
-        plan[i] = t;
-        const double profit = PlanProfit(model, expected_size, plan, ctx);
-        if (profit > best + 1e-12) {
-          best = profit;
-          best_threads = t;
-        }
-      }
-      plan[i] = best_threads;
-      if (best_threads != original) improved = true;
-    }
-  }
+  CoordinateDescent(model, expected_size, ctx, 16, plan);
   return plan;
 }
 
@@ -141,28 +156,7 @@ ThreadPlan BestConstantPlan(const gatk::PipelineModel& model,
   ThreadPlan best_plan = starts.front();
   double best_profit = -1e300;
   for (ThreadPlan plan : starts) {
-    bool improved = true;
-    int sweeps = 0;
-    while (improved && sweeps < 32) {
-      improved = false;
-      ++sweeps;
-      for (std::size_t i = 0; i < plan.size(); ++i) {
-        const int original = plan[i];
-        double local_best = PlanProfit(model, expected_size, plan, ctx);
-        int local_threads = original;
-        for (const int t : ctx.instance_sizes) {
-          if (t == original) continue;
-          plan[i] = t;
-          const double profit = PlanProfit(model, expected_size, plan, ctx);
-          if (profit > local_best + 1e-12) {
-            local_best = profit;
-            local_threads = t;
-          }
-        }
-        plan[i] = local_threads;
-        if (local_threads != original) improved = true;
-      }
-    }
+    CoordinateDescent(model, expected_size, ctx, 32, plan);
     const double profit = PlanProfit(model, expected_size, plan, ctx);
     if (profit > best_profit) {
       best_profit = profit;

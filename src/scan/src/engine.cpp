@@ -31,6 +31,17 @@ Engine::Engine(const SimulationConfig& config, gatk::PipelineModel model,
       health_(config.fault.breaker_threshold, config.fault.breaker_cooldown) {
   metrics_.stage_queue_wait.resize(policy_.model().stage_count());
   verify_candidates_ = std::getenv("SCAN_TESTKIT_VERIFY_CANDIDATES") != nullptr;
+  // Registered up front so the exposition lists every platform series even
+  // for a run that throws before Finish.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  for (std::size_t i = 0; i < std::size(kRunCounters); ++i) {
+    run_counters_[i] =
+        &registry.GetCounter(kRunCounters[i].name, kRunCounters[i].help);
+  }
+  queued_gauge_ = &registry.GetGauge("scan_queued_jobs",
+                                     "Tasks waiting across stage queues");
+  busy_gauge_ = &registry.GetGauge("scan_busy_workers",
+                                   "Workers executing a task right now");
 }
 
 WorkerIndex::IdleEntry Engine::IdleEntryFor(const WorkerBook& worker) {
@@ -146,7 +157,9 @@ void Engine::Start() {
   }
   if (options_.timeline_sample_period > SimTime{0.0}) {
     sim_.SchedulePeriodic(options_.timeline_sample_period,
-                          [this](sim::Simulator&) { SampleTimeline(); });
+                          [this](sim::Simulator&) {
+                            metrics_.timeline.push_back(Snapshot());
+                          });
   }
 }
 
@@ -154,10 +167,21 @@ RunMetrics Engine::Finish() {
   metrics_.duration = config_.duration;
   metrics_.cost_report = cloud_.CostUpTo(config_.duration);
   metrics_.total_cost = metrics_.cost_report.total.value();
+  // Each count lives only in metrics_ (and the gauges' levels only in the
+  // books), so the registry is written once, here. Adding keeps the
+  // process-wide sums of runs that finish in parallel.
+  if (obs::MetricsEnabled()) {
+    for (std::size_t i = 0; i < std::size(kRunCounters); ++i) {
+      run_counters_[i]->Increment(metrics_.*kRunCounters[i].field);
+    }
+    const TimelinePoint end = Snapshot();
+    queued_gauge_->Add(static_cast<double>(end.queued_jobs));
+    busy_gauge_->Add(static_cast<double>(end.busy_workers));
+  }
   return std::move(metrics_);
 }
 
-void Engine::SampleTimeline() {
+TimelinePoint Engine::Snapshot() const {
   TimelinePoint point;
   point.time = sim_.Now();
   for (const auto& queue : queues_) point.queued_jobs += queue.size();
@@ -168,7 +192,7 @@ void Engine::SampleTimeline() {
   point.private_cores = cloud_.CoresInUse(cloud::Tier::kPrivate);
   point.public_cores = cloud_.CoresInUse(cloud::Tier::kPublic);
   point.cost_rate = cloud_.CostRate().value();
-  metrics_.timeline.push_back(point);
+  return point;
 }
 
 void Engine::PumpArrivals() {
@@ -225,7 +249,6 @@ void Engine::Admit(const std::vector<workload::Job>& jobs) {
   const gatk::PipelineModel& model = policy_.model();
   for (const workload::Job& job : jobs) {
     ++metrics_.jobs_arrived;
-    if (obs::MetricsEnabled()) pmetrics_.jobs_arrived->Increment();
     if (obs::TraceEnabled()) {
       obs::TraceEmit(obs::EventKind::kJobArrival, sim_.Now().value(), 0,
                      job.id, 0, job.size.value(), 0.0, obs::JobSpan(job.id));
@@ -343,7 +366,6 @@ void Engine::EnqueueTask(std::uint64_t job_id, std::size_t stage,
                    obs::StageSpan(job_id, stage, task.epoch, copy),
                    parent_span);
   }
-  if (obs::MetricsEnabled()) pmetrics_.queued_jobs->Add(1.0);
 }
 
 void Engine::TryDispatchAll() {
@@ -429,7 +451,6 @@ bool Engine::TryDispatchHead(std::size_t stage) {
       worker.threads = threads;
       if (host_ != nullptr) host_->OnReconfigure(best_key, threads);
       ++metrics_.reconfigurations;
-      if (obs::MetricsEnabled()) pmetrics_.reconfigurations->Increment();
       AuditHire(obs::HireChoice::kReconfigure, stage, job, threads, queue_len,
                 nullptr);
       queues_[stage].pop_front();
@@ -481,10 +502,8 @@ bool Engine::TryDispatchHead(std::size_t stage) {
   }
   if (tier == cloud::Tier::kPrivate) {
     ++metrics_.private_hires;
-    if (obs::MetricsEnabled()) pmetrics_.private_hires->Increment();
   } else {
     ++metrics_.public_hires;
-    if (obs::MetricsEnabled()) pmetrics_.public_hires->Increment();
   }
   const SimTime delay = cloud_.Configure(*hired, threads, now).value();
 
@@ -530,10 +549,8 @@ void Engine::AssignTask(JobState& job, std::size_t stage, WorkerBook& worker,
                    task.enqueue_parent_span);
   }
   if (obs::MetricsEnabled()) {
-    pmetrics_.queued_jobs->Add(-1.0);
     pmetrics_.queue_wait_tu->Observe(wait.value());
     pmetrics_.queue_wait_sketch->Observe(wait.value());
-    pmetrics_.busy_workers->Add(1.0);
   }
 
   const SimTime full_exec =
@@ -580,7 +597,6 @@ void Engine::AssignTask(JobState& job, std::size_t stage, WorkerBook& worker,
                      obs::StageSpan(job_id, stage, task.epoch, speculative),
                      obs::JobSpan(job_id));
     }
-    if (obs::MetricsEnabled()) pmetrics_.straggles->Increment();
   }
   if (options_.record_schedule) {
     metrics_.stage_schedule.push_back({job_id, stage, worker_key,
@@ -669,7 +685,6 @@ void Engine::ReleaseIdleWorker(std::uint64_t worker_key, SimTime now) {
   if (obs::TraceEnabled()) {
     obs::TraceEmit(obs::EventKind::kWorkerRelease, now.value(), worker_key, 0);
   }
-  if (obs::MetricsEnabled()) pmetrics_.releases->Increment();
 }
 
 void Engine::OnWorkerFailure(std::uint64_t job_id, std::size_t stage,
@@ -695,10 +710,6 @@ void Engine::OnWorkerFailure(std::uint64_t job_id, std::size_t stage,
                    obs::StageSpan(job_id, stage, epoch),
                    obs::JobSpan(job_id));
   }
-  if (obs::MetricsEnabled()) {
-    pmetrics_.worker_failures->Increment();
-    pmetrics_.busy_workers->Add(-1.0);
-  }
 
   // Recovery only applies if the task is still on the epoch this
   // assignment started under (a speculative sibling may have finished or
@@ -720,7 +731,6 @@ void Engine::OnWorkerFlap(std::uint64_t job_id, std::size_t stage,
   // dropped its task.
   WorkerBook& worker = workers_.at(worker_key);
   worker.busy_accumulated -= (worker.busy_until - now);
-  if (obs::MetricsEnabled()) pmetrics_.busy_workers->Add(-1.0);
   worker.busy = false;
   worker.current_job = 0;
   worker.idle_since = now;
@@ -734,14 +744,12 @@ void Engine::OnWorkerFlap(std::uint64_t job_id, std::size_t stage,
                    obs::StageSpan(job_id, stage, epoch),
                    obs::JobSpan(job_id));
   }
-  if (obs::MetricsEnabled()) pmetrics_.worker_flaps->Increment();
   if (health_.enabled() && health_.RecordFlap(worker_key, now)) {
     ++metrics_.breaker_opens;
     if (obs::TraceEnabled()) {
       obs::TraceEmit(obs::EventKind::kBreakerOpen, now.value(), worker_key, 0,
                      0, config_.fault.breaker_cooldown.value());
     }
-    if (obs::MetricsEnabled()) pmetrics_.breaker_opens->Increment();
   }
 
   const auto jit = jobs_.find(job_id);
@@ -779,7 +787,6 @@ void Engine::HandleTaskLoss(JobState& job, std::size_t stage, SimTime served,
                        obs::StageSpan(job.id, stage, task.epoch),
                        obs::JobSpan(job.id));
       }
-      if (obs::MetricsEnabled()) pmetrics_.checkpoints_saved->Increment();
     }
   }
 
@@ -804,7 +811,6 @@ void Engine::HandleTaskLoss(JobState& job, std::size_t stage, SimTime served,
                      obs::JobSpan(job.id),
                      obs::StageSpan(job.id, stage, task.epoch - 1));
     }
-    if (obs::MetricsEnabled()) pmetrics_.jobs_abandoned->Increment();
     AbandonJob(job.id);
     return;
   }
@@ -817,7 +823,6 @@ void Engine::HandleTaskLoss(JobState& job, std::size_t stage, SimTime served,
     obs::TraceEmit(obs::EventKind::kTaskRetry, now.value(), 0, job.id,
                    stage, 0.0, 0.0, retry_span, lost_span);
   }
-  if (obs::MetricsEnabled()) pmetrics_.task_retries->Increment();
 
   const SimTime backoff = retry_.BackoffFor(job.retries - 1);
   if (backoff <= SimTime{0.0}) {
@@ -853,7 +858,6 @@ void Engine::AbandonJob(std::uint64_t job_id) {
       if ((*it)->id == job_id) {
         it = queue.erase(it);
         speculative_queued_.erase(TaskKey(job_id, stage));
-        if (obs::MetricsEnabled()) pmetrics_.queued_jobs->Add(-1.0);
       } else {
         ++it;
       }
@@ -890,7 +894,6 @@ void Engine::OnSpeculationCheck(std::uint64_t job_id, std::size_t stage,
                    obs::StageSpan(job_id, stage, epoch, /*copy=*/true),
                    attempt_span);
   }
-  if (obs::MetricsEnabled()) pmetrics_.speculative_launches->Increment();
   EnqueueTask(job_id, stage, attempt_span);
   TryDispatchAll();
 }
@@ -916,7 +919,6 @@ void Engine::OnTaskComplete(std::uint64_t job_id, std::size_t stage,
   // A straggler served longer than the credit taken at assignment; top
   // the ledger up to the time actually worked.
   if (extra > SimTime{0.0}) worker.busy_accumulated += extra;
-  if (obs::MetricsEnabled() && worker.busy) pmetrics_.busy_workers->Add(-1.0);
   worker.busy = false;
   worker.current_job = 0;
   worker.idle_since = now;
@@ -936,7 +938,6 @@ void Engine::OnTaskComplete(std::uint64_t job_id, std::size_t stage,
                      worker_key, job_id, stage, 0.0, 0.0,
                      obs::StageSpan(job_id, stage, epoch));
     }
-    if (obs::MetricsEnabled()) pmetrics_.speculative_wasted->Increment();
     TryDispatchAll();
     return;
   }
@@ -955,7 +956,6 @@ void Engine::OnTaskComplete(std::uint64_t job_id, std::size_t stage,
           static_cast<unsigned long long>(worker_key)));
     }
     queue.erase(entry);
-    if (obs::MetricsEnabled()) pmetrics_.queued_jobs->Add(-1.0);
   }
   task.stage_done = 0.0;
   ++task.epoch;
@@ -978,7 +978,6 @@ void Engine::OnTaskComplete(std::uint64_t job_id, std::size_t stage,
                      obs::StageSpan(job_id, stage, epoch));
     }
     if (obs::MetricsEnabled()) {
-      pmetrics_.jobs_completed->Increment();
       pmetrics_.job_latency_tu->Observe(latency.value());
       pmetrics_.job_latency_slo->Observe(latency.value());
     }

@@ -1,7 +1,9 @@
 #include "scan/core/policy.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "scan/common/str.hpp"
 #include "scan/fault/retry.hpp"
@@ -43,6 +45,19 @@ SchedulingPolicy::SchedulingPolicy(const SimulationConfig& config,
             "is not an offered instance size",
             stage, threads));
       }
+    }
+  }
+  // Every price feeds a comparison (plan scores, hire-vs-wait), which a
+  // NaN fails silently.
+  const double hint = allocation_price_hint.value_or(0.0);
+  for (const auto& [what, price] :
+       {std::pair{"private_cost_per_core_tu", config_.private_cost_per_core_tu},
+        std::pair{"public_cost_per_core_tu", config_.public_cost_per_core_tu},
+        std::pair{"allocation_price_hint", hint}}) {
+    if (!std::isfinite(price) || price < 0.0) {
+      throw std::invalid_argument(StrFormat(
+          "SchedulingPolicy: %s is %g; prices must be finite and >= 0", what,
+          price));
     }
   }
   // Plan optimizers assume the blended core price of the tier mix the run

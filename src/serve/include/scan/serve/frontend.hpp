@@ -8,16 +8,17 @@
 // bounded FIFO queue is full, otherwise queued. A deficit-round-robin
 // dispatcher releases queued jobs to the platform: each release round
 // visits backlogged tenants in rotation, credits deficit proportional to
-// the tenant's weight, and releases queue heads while the deficit covers
+// the tenant's weight (one quantum is the predicted worker-TU of a
+// mean-size job), and releases queue heads while the deficit covers
 // the head's predicted worker-TU cost — subject to the tenant's in-flight
 // quota, its per-epoch worker-TU budget, and a global in-flight cap
 // (backpressure). Under load the round also prices the paper's §III
 // hire-vs-wait inequality ONCE per (tenant, round) — delay cost of
-// holding the tenant's whole queue (per-tenant reward function) vs. the
-// public-tier cost of the head job — so the decision cost amortizes
-// across a burst instead of being paid per job. Outcomes reported back by
-// the platform retire quota, credit tenant-priced reward, and trigger the
-// next release round.
+// holding the tenant's whole queue for one mean-size job's predicted
+// execution time (per-tenant reward function) vs. the public-tier cost of
+// the head job — so the decision cost amortizes across a burst instead of
+// being paid per job. Outcomes reported back by the platform retire quota,
+// credit tenant-priced reward, and trigger the next release round.
 //
 // Determinism: every method runs on the platform's coordinator thread in
 // modeled-time event order, and every stochastic choice draws from a
@@ -45,22 +46,18 @@
 
 namespace scan::serve {
 
-/// Front-end wide knobs (per-tenant terms live in TenantSpec).
+/// Front-end wide knobs (per-tenant terms live in TenantSpec). The DRR
+/// quantum and the pricing hold probe are not knobs: both derive from a
+/// mean-size job under the policy's own plan (its predicted worker-TU
+/// cost and its predicted execution time), so they track the workload.
 struct ServeOptions {
   /// Global in-flight cap across all tenants (backpressure: releases stop
   /// and jobs wait in tenant queues until outcomes retire capacity).
   std::size_t global_max_in_flight = 512;
-  /// DRR quantum in worker-TU credited per visit (scaled by the tenant's
-  /// weight). 0 = auto: the predicted cost of a mean-size job.
-  double drr_quantum_tu = 0.0;
   /// Batched hire-vs-wait pricing activates once global in-flight reaches
   /// this fraction of global_max_in_flight; below it the platform is
   /// lightly loaded and releases are free.
   double pricing_onset = 0.5;
-  /// Delay horizon the batched evaluation prices (how long a held queue
-  /// would plausibly wait for capacity). 0 = auto: the predicted
-  /// execution time of a mean-size job.
-  SimTime hold_probe{0.0};
 };
 
 /// ServeFrontend: the IngestSource a RuntimePlatform pulls tenant work
@@ -70,8 +67,9 @@ class ServeFrontend final : public runtime::IngestSource {
  public:
   /// `model` is the unscaled pipeline model (the policy applies
   /// config.stage_time_scale, exactly as the platform does). Throws
-  /// std::invalid_argument on duplicate tenant ids or non-positive
-  /// weights.
+  /// std::invalid_argument on duplicate tenant ids, a weight that is not
+  /// finite and > 0, or (for a tenant with a finite worker-TU budget) a
+  /// quota epoch that is not finite and > 0.
   ServeFrontend(const core::SimulationConfig& config,
                 const gatk::PipelineModel& model,
                 std::vector<TenantSpec> tenants, std::uint64_t seed,
@@ -79,7 +77,8 @@ class ServeFrontend final : public runtime::IngestSource {
 
   /// Registers one explicit submission before the run (deterministic test
   /// workloads; `when` in modeled TU). Must not be called once the
-  /// platform is serving.
+  /// platform is serving. Throws std::invalid_argument unless `when` is
+  /// finite and >= 0 and `size` is finite and > 0 (a job trace's rules).
   void SubmitAt(SimTime when, std::uint64_t tenant_id, DataSize size);
 
   // --- IngestSource (called by the platform, coordinator thread) ---
@@ -180,6 +179,8 @@ class ServeFrontend final : public runtime::IngestSource {
     DataSize size{0.0};
   };
 
+  /// A job of `size` priced under the policy's own plan (cost_tu, exec_tu).
+  [[nodiscard]] PendingJob Price(DataSize size) const;
   void Submit(TenantState& tenant, DataSize size, SimTime when);
   void AdvanceEpochs(SimTime now);
   /// Runs one DRR release round; appends released jobs to `out`.

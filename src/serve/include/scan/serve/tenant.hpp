@@ -26,7 +26,8 @@ struct TenantSpec {
   std::string name;
 
   /// Deficit-round-robin weight: long-run released worker-TU are
-  /// proportional to weights across backlogged tenants. Must be > 0.
+  /// proportional to weights across backlogged tenants. Must be finite
+  /// and > 0.
   double weight = 1.0;
 
   // --- quotas (admission control) ---
@@ -39,7 +40,8 @@ struct TenantSpec {
   /// Worker-TU (core x TU, the hire-cost unit) the tenant may release per
   /// quota epoch; +inf disables the budget quota.
   double worker_tu_per_epoch = std::numeric_limits<double>::infinity();
-  /// Budget replenishment period (modeled TU).
+  /// Budget replenishment period (modeled TU); finite and > 0 whenever
+  /// worker_tu_per_epoch is finite.
   SimTime quota_epoch{100.0};
 
   // --- synthetic load (ignored when drive_synthetic is false) ---

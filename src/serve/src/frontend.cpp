@@ -8,24 +8,24 @@
 #include <stdexcept>
 
 #include "scan/common/rng.hpp"
+#include "scan/common/str.hpp"
 #include "scan/obs/audit.hpp"
 
 namespace scan::serve {
 
 namespace {
 
-/// FNV-style ledger mixing (bit patterns for doubles, as in testkit).
-std::uint64_t MixU64(std::uint64_t h, std::uint64_t v) {
-  constexpr std::uint64_t kPrime = 1099511628211ULL;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffu;
-    h *= kPrime;
-  }
-  return h;
+/// Ledger mixing: doubles by bit pattern, as in testkit.
+std::uint64_t MixDouble(std::uint64_t h, double v) {
+  return Fnv1aMixU64(h, std::bit_cast<std::uint64_t>(v));
 }
 
-std::uint64_t MixDouble(std::uint64_t h, double v) {
-  return MixU64(h, std::bit_cast<std::uint64_t>(v));
+/// Input-boundary rejection naming the tenant and the field.
+[[noreturn]] void Reject(const char* where, std::uint64_t tenant,
+                         const char* field, double value, const char* rule) {
+  throw std::invalid_argument(
+      StrFormat("%s: tenant %llu %s is %g; %s", where,
+                static_cast<unsigned long long>(tenant), field, value, rule));
 }
 
 }  // namespace
@@ -44,8 +44,16 @@ ServeFrontend::ServeFrontend(const core::SimulationConfig& config,
   }
   tenants_.reserve(specs_.size());
   for (const TenantSpec& spec : specs_) {
-    if (spec.weight <= 0.0) {
-      throw std::invalid_argument("ServeFrontend: tenant weight must be > 0");
+    if (!std::isfinite(spec.weight) || spec.weight <= 0.0) {
+      Reject("ServeFrontend", spec.id, "weight", spec.weight,
+             "it must be finite and > 0");
+    }
+    // The epoch index divides by the epoch; a budgeted tenant needs one.
+    const double epoch = spec.quota_epoch.value();
+    if (std::isfinite(spec.worker_tu_per_epoch) &&
+        (!std::isfinite(epoch) || epoch <= 0.0)) {
+      Reject("ServeFrontend", spec.id, "quota_epoch", epoch,
+             "a finite worker_tu_per_epoch needs a finite epoch > 0");
     }
     if (!tenant_index_.emplace(spec.id, tenants_.size()).second) {
       throw std::invalid_argument("ServeFrontend: duplicate tenant id");
@@ -63,23 +71,12 @@ ServeFrontend::ServeFrontend(const core::SimulationConfig& config,
     tenants_.push_back(std::move(state));
   }
 
-  // Auto-calibrate the DRR quantum and pricing probe from a mean-size
-  // job under the policy's own plan, so defaults track the workload.
-  const DataSize mean_size{config.MakeArrivalParams().mean_job_size};
-  const core::ThreadPlan plan = policy_.PlanFor(mean_size);
-  const gatk::PipelineModel& scaled = policy_.model();
-  double mean_cost = 0.0;
-  double mean_exec = 0.0;
-  for (std::size_t s = 0; s < scaled.stage_count(); ++s) {
-    const double t = scaled.ThreadedTime(s, plan[s], mean_size).value();
-    mean_cost += static_cast<double>(plan[s]) * t;
-    mean_exec += t;
-  }
-  quantum_tu_ = options_.drr_quantum_tu > 0.0 ? options_.drr_quantum_tu
-                                              : std::max(mean_cost, 1e-9);
-  hold_probe_ = options_.hold_probe > SimTime{0.0}
-                    ? options_.hold_probe
-                    : SimTime{std::max(mean_exec, 1e-9)};
+  // The DRR quantum and the pricing probe derive from a mean-size job
+  // under the policy's own plan, so they track the workload.
+  const PendingJob mean =
+      Price(DataSize{config.MakeArrivalParams().mean_job_size});
+  quantum_tu_ = std::max(mean.cost_tu, 1e-9);
+  hold_probe_ = SimTime{std::max(mean.exec_tu, 1e-9)};
   pricing_onset_count_ = static_cast<std::size_t>(std::ceil(
       options_.pricing_onset *
       static_cast<double>(options_.global_max_in_flight)));
@@ -92,6 +89,15 @@ void ServeFrontend::SubmitAt(SimTime when, std::uint64_t tenant_id,
   }
   if (tenant_index_.find(tenant_id) == tenant_index_.end()) {
     throw std::out_of_range("ServeFrontend::SubmitAt: unknown tenant");
+  }
+  // NaN times have no order to sort by, and a NaN size prices to NaN.
+  if (!std::isfinite(when.value()) || when.value() < 0.0) {
+    Reject("ServeFrontend::SubmitAt", tenant_id, "time", when.value(),
+           "it must be finite and >= 0");
+  }
+  if (!std::isfinite(size.value()) || size.value() <= 0.0) {
+    Reject("ServeFrontend::SubmitAt", tenant_id, "size", size.value(),
+           "it must be finite and > 0");
   }
   external_.push_back({when, tenant_id, size});
   external_sorted_ = false;
@@ -199,28 +205,28 @@ std::size_t ServeFrontend::queued_total() const {
 }
 
 std::uint64_t ServeFrontend::Digest() const {
-  std::uint64_t h = 14695981039346656037ULL;
+  std::uint64_t h = kFnv1aOffset;
   for (const TenantState& t : tenants_) {
-    h = MixU64(h, t.spec.id);
-    h = MixU64(h, t.stats.submitted);
-    h = MixU64(h, t.stats.shed);
-    h = MixU64(h, t.stats.released);
-    h = MixU64(h, t.stats.completed);
-    h = MixU64(h, t.stats.abandoned);
+    h = Fnv1aMixU64(h, t.spec.id);
+    h = Fnv1aMixU64(h, t.stats.submitted);
+    h = Fnv1aMixU64(h, t.stats.shed);
+    h = Fnv1aMixU64(h, t.stats.released);
+    h = Fnv1aMixU64(h, t.stats.completed);
+    h = Fnv1aMixU64(h, t.stats.abandoned);
     h = MixDouble(h, t.stats.reward);
     h = MixDouble(h, t.stats.worker_tu_charged);
     h = MixDouble(h, t.stats.total_queue_wait_tu);
     h = MixDouble(h, t.stats.max_queue_wait_tu);
-    h = MixU64(h, t.stats.peak_queue_depth);
-    h = MixU64(h, t.stats.peak_in_flight);
+    h = Fnv1aMixU64(h, t.stats.peak_queue_depth);
+    h = Fnv1aMixU64(h, t.stats.peak_in_flight);
   }
-  h = MixU64(h, decision_rounds_);
-  h = MixU64(h, pricing_evaluations_);
-  h = MixU64(h, priced_holds_);
-  h = MixU64(h, quota_violations_);
-  h = MixU64(h, work_conservation_violations_);
-  h = MixU64(h, peak_global_in_flight_);
-  h = MixU64(h, next_platform_id_);
+  h = Fnv1aMixU64(h, decision_rounds_);
+  h = Fnv1aMixU64(h, pricing_evaluations_);
+  h = Fnv1aMixU64(h, priced_holds_);
+  h = Fnv1aMixU64(h, quota_violations_);
+  h = Fnv1aMixU64(h, work_conservation_violations_);
+  h = Fnv1aMixU64(h, peak_global_in_flight_);
+  h = Fnv1aMixU64(h, next_platform_id_);
   return h;
 }
 
@@ -228,21 +234,12 @@ void ServeFrontend::Submit(TenantState& tenant, DataSize size, SimTime when) {
   ++tenant.stats.submitted;
   if (obs::MetricsEnabled()) smetrics_.jobs_submitted->Increment();
 
-  const core::ThreadPlan plan = policy_.PlanFor(size);
-  const gatk::PipelineModel& model = policy_.model();
-  double cost_tu = 0.0;
-  double exec_tu = 0.0;
-  for (std::size_t s = 0; s < model.stage_count(); ++s) {
-    const double t = model.ThreadedTime(s, plan[s], size).value();
-    cost_tu += static_cast<double>(plan[s]) * t;
-    exec_tu += t;
-  }
-
+  PendingJob pending = Price(size);
   // Shed: bounded queue full, or the job can never fit the tenant's
   // per-epoch budget (it would pin the queue head forever).
   const bool oversized =
       std::isfinite(tenant.spec.worker_tu_per_epoch) &&
-      cost_tu > tenant.spec.worker_tu_per_epoch;
+      pending.cost_tu > tenant.spec.worker_tu_per_epoch;
   if (tenant.queue.size() >= tenant.spec.max_queue_depth || oversized) {
     ++tenant.stats.shed;
     if (obs::MetricsEnabled()) smetrics_.jobs_shed->Increment();
@@ -250,12 +247,8 @@ void ServeFrontend::Submit(TenantState& tenant, DataSize size, SimTime when) {
     return;
   }
 
-  PendingJob pending;
   pending.platform_id = next_platform_id_++;
-  pending.size = size;
   pending.submitted = when;
-  pending.cost_tu = cost_tu;
-  pending.exec_tu = exec_tu;
   tenant.queue.push_back(pending);
   tenant.stats.peak_queue_depth =
       std::max(tenant.stats.peak_queue_depth, tenant.queue.size());
@@ -266,6 +259,19 @@ void ServeFrontend::Submit(TenantState& tenant, DataSize size, SimTime when) {
   }
   RecordAdmission(tenant, pending.platform_id,
                   obs::AdmissionOutcome::kAdmitted, size, when);
+}
+
+ServeFrontend::PendingJob ServeFrontend::Price(DataSize size) const {
+  const core::ThreadPlan plan = policy_.PlanFor(size);
+  const gatk::PipelineModel& model = policy_.model();
+  PendingJob job;
+  job.size = size;
+  for (std::size_t s = 0; s < model.stage_count(); ++s) {
+    const double t = model.ThreadedTime(s, plan[s], size).value();
+    job.cost_tu += static_cast<double>(plan[s]) * t;
+    job.exec_tu += t;
+  }
+  return job;
 }
 
 void ServeFrontend::AdvanceEpochs(SimTime now) {

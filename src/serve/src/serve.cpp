@@ -3,20 +3,9 @@
 #include <bit>
 #include <utility>
 
+#include "scan/common/rng.hpp"
+
 namespace scan::serve {
-
-namespace {
-
-std::uint64_t MixU64(std::uint64_t h, std::uint64_t v) {
-  constexpr std::uint64_t kPrime = 1099511628211ULL;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffu;
-    h *= kPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 ServeReport RunMultiTenantServe(const core::SimulationConfig& config,
                                 const gatk::PipelineModel& model,
@@ -59,11 +48,11 @@ ServeReport RunMultiTenantServe(const core::SimulationConfig& config,
   report.decision_samples = frontend.decision_samples();
 
   std::uint64_t digest = frontend.Digest();
-  digest = MixU64(digest, report.runtime.metrics.jobs_completed);
-  digest = MixU64(digest, report.runtime.metrics.jobs_arrived);
-  digest = MixU64(
+  digest = Fnv1aMixU64(digest, report.runtime.metrics.jobs_completed);
+  digest = Fnv1aMixU64(digest, report.runtime.metrics.jobs_arrived);
+  digest = Fnv1aMixU64(
       digest, std::bit_cast<std::uint64_t>(report.runtime.metrics.total_reward));
-  digest = MixU64(
+  digest = Fnv1aMixU64(
       digest, std::bit_cast<std::uint64_t>(report.runtime.metrics.total_cost));
   report.digest = digest;
   return report;

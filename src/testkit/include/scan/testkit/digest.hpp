@@ -14,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "scan/common/rng.hpp"
 #include "scan/common/units.hpp"
 #include "scan/core/scheduler.hpp"
 
@@ -32,7 +33,7 @@ class Fnv1aDigest {
   [[nodiscard]] std::uint64_t value() const { return hash_; }
 
  private:
-  std::uint64_t hash_ = 14695981039346656037ULL;
+  std::uint64_t hash_ = kFnv1aOffset;
 };
 
 /// Streaming digest of a simulation's executed event trace: the (time,

@@ -3,20 +3,12 @@
 #include <bit>
 #include <cmath>
 
+#include "scan/common/rng.hpp"
 #include "scan/common/str.hpp"
 
 namespace scan::testkit {
 
-namespace {
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-}  // namespace
-
-void Fnv1aDigest::MixU64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    hash_ ^= (v >> (8 * i)) & 0xffULL;
-    hash_ *= kFnvPrime;
-  }
-}
+void Fnv1aDigest::MixU64(std::uint64_t v) { hash_ = Fnv1aMixU64(hash_, v); }
 
 void Fnv1aDigest::MixDouble(double v) {
   // Canonicalize -0.0 so an algebraically identical result cannot flip the
@@ -30,7 +22,7 @@ void Fnv1aDigest::MixString(std::string_view s) {
   MixU64(s.size());
   for (const char c : s) {
     hash_ ^= static_cast<std::uint8_t>(c);
-    hash_ *= kFnvPrime;
+    hash_ *= kFnv1aPrime;
   }
 }
 

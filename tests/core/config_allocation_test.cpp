@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+
 #include "scan/core/allocation.hpp"
 #include "scan/core/config.hpp"
 #include "scan/core/estimators.hpp"
+#include "scan/core/policy.hpp"
 
 namespace scan::core {
 namespace {
@@ -235,6 +239,63 @@ TEST(AllocationTest, Validation) {
   const ThreadPlan wrong_size(3, 1);
   EXPECT_THROW((void)PlanProfit(model, DataSize{1.0}, wrong_size, ctx),
                std::invalid_argument);
+}
+
+TEST(AllocationTest, NonFinitePricesAreRejected) {
+  // A NaN price makes every plan score NaN, so each optimizer would keep
+  // its starting plan without a word.
+  const auto model = gatk::PipelineModel::PaperGatk();
+  for (const double price : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    const auto ctx = MakeContext(price, kSizes);
+    EXPECT_THROW((void)GreedyPlan(model, DataSize{5.0}, ctx),
+                 std::invalid_argument);
+    EXPECT_THROW((void)LongTermPlan(model, DataSize{5.0}, ctx),
+                 std::invalid_argument);
+    EXPECT_THROW((void)BestConstantPlan(model, DataSize{5.0}, ctx),
+                 std::invalid_argument);
+  }
+}
+
+TEST(AllocationTest, GreedyWithNoFiniteScoreKeepsTheSmallestOfferedSize) {
+  // A NaN reward term leaves every stage without a finite score; the plan
+  // must still use offered sizes only.
+  const auto model = gatk::PipelineModel::PaperGatk().Scaled(0.25);
+  workload::RewardParams params;
+  params.r_penalty = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<int> sizes = {4, 2, 8};
+  const ThreadPlan plan =
+      GreedyPlan(model, DataSize{5.0}, MakeContext(5.0, sizes, params));
+  EXPECT_EQ(plan, ThreadPlan(7, 2));
+}
+
+TEST(PolicyTest, RejectsPricesThatAreNotFiniteAndNonNegative) {
+  const auto model = gatk::PipelineModel::PaperGatk();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto make = [&](const SimulationConfig& config,
+                        std::optional<double> hint) {
+    return SchedulingPolicy(config, model, std::nullopt, hint, 1);
+  };
+  for (const AllocationAlgorithm allocation :
+       {AllocationAlgorithm::kGreedy, AllocationAlgorithm::kBestConstant}) {
+    for (const double price : {nan, inf, -1.0}) {
+      SimulationConfig config;
+      config.allocation = allocation;
+      config.public_cost_per_core_tu = price;
+      EXPECT_THROW((void)make(config, std::nullopt), std::invalid_argument);
+      config = SimulationConfig{};
+      config.allocation = allocation;
+      config.private_cost_per_core_tu = price;
+      EXPECT_THROW((void)make(config, std::nullopt), std::invalid_argument);
+      config = SimulationConfig{};
+      config.allocation = allocation;
+      EXPECT_THROW((void)make(config, price), std::invalid_argument);
+    }
+  }
+  SimulationConfig free_public;
+  free_public.public_cost_per_core_tu = 0.0;
+  EXPECT_NO_THROW((void)make(free_public, 0.0));
 }
 
 TEST(AllocationTest, TotalCoreStages) {

@@ -1,18 +1,21 @@
 // Observability of fault recovery: injected crashes, checkpoints, retries,
 // backoffs, speculation and breaker trips must be visible in the event
 // trace, the decision audit (expected-rework pricing), and the Prometheus
-// counters. This binary owns the process-global trace/audit/metrics state
-// (quiescence contract: enable/disable only between runs), so it lives
-// apart from the pure-computation chaos tests.
+// counters, which the engine publishes from its RunMetrics. This binary
+// owns the process-global trace/audit/metrics state (quiescence contract:
+// enable/disable only between runs), so it lives apart from the
+// pure-computation chaos tests.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "scan/core/scheduler.hpp"
 #include "scan/obs/audit.hpp"
 #include "scan/obs/metrics.hpp"
 #include "scan/obs/trace.hpp"
+#include "scan/runtime/runtime_platform.hpp"
 #include "scan/testkit/chaos.hpp"
 #include "scan/testkit/golden.hpp"
 
@@ -27,6 +30,7 @@ class ChaosObsTest : public ::testing::Test {
     obs::TraceRecorder::Global().Enable();
     obs::DecisionAudit::Global().Clear();
     obs::DecisionAudit::Global().Enable();
+    obs::MetricsRegistry::Global().ResetAll();
     obs::EnableMetrics();
   }
   void TearDown() override {
@@ -44,6 +48,14 @@ class ChaosObsTest : public ::testing::Test {
                       [kind](const obs::TraceEvent& e) {
                         return e.kind == kind;
                       }));
+  }
+
+  /// Registry instruments by exposition name (registered by the engine).
+  static std::uint64_t CounterValue(const char* name) {
+    return obs::MetricsRegistry::Global().GetCounter(name, "").value();
+  }
+  static double GaugeValue(const char* name) {
+    return obs::MetricsRegistry::Global().GetGauge(name, "").value();
   }
 
   static ChaosSpec FindSpec(const std::string& name) {
@@ -108,11 +120,54 @@ TEST_F(ChaosObsTest, BreakerTripsShowInTraceAndCounters) {
   EXPECT_EQ(CountKind(events, obs::EventKind::kBreakerOpen),
             run.metrics.breaker_opens);
 
-  // Prometheus counters mirror the run metrics (registry was reset-free,
-  // so compare against the exposition's parsed values via the objects).
-  obs::PlatformMetrics pm = obs::PlatformMetrics::Resolve();
-  EXPECT_EQ(pm.worker_flaps->value(), run.metrics.worker_flaps);
-  EXPECT_EQ(pm.breaker_opens->value(), run.metrics.breaker_opens);
+  // The Prometheus counters carry the run metrics (SetUp reset the
+  // registry; the engine registered them under these names).
+  EXPECT_EQ(CounterValue("scan_worker_flaps_total"), run.metrics.worker_flaps);
+  EXPECT_EQ(CounterValue("scan_breaker_opens_total"),
+            run.metrics.breaker_opens);
+}
+
+/// Every platform counter equals its RunMetrics field, and the two gauges
+/// equal the queue and worker levels of a timeline sample at the horizon,
+/// for each preset on the simulator and on the threaded runtime.
+TEST_F(ChaosObsTest, CountersAndGaugesEqualRunMetricsOnBothHosts) {
+  std::size_t busy_at_horizon = 0;  // the gauge check must not be vacuous
+  for (const ChaosSpec& spec : ChaosScenarios()) {
+    const gatk::PipelineModel model =
+        spec.model.value_or(gatk::PipelineModel::PaperGatk());
+    const SimTime horizon = spec.config.duration;
+    for (const bool runtime_host : {false, true}) {
+      SCOPED_TRACE(spec.name + (runtime_host ? " on the runtime"
+                                             : " on the simulator"));
+      obs::MetricsRegistry::Global().ResetAll();
+      core::RunMetrics metrics;
+      if (runtime_host) {
+        runtime::RuntimeOptions options;
+        options.exec_threads = 2;
+        options.timeline_sample_period = horizon;
+        runtime::RuntimePlatform platform(spec.config, model, 11, options);
+        metrics = platform.Serve().metrics;
+      } else {
+        core::SchedulerOptions options;
+        options.timeline_sample_period = horizon;
+        core::Scheduler scheduler(spec.config, model, 11, options);
+        metrics = scheduler.Run();
+      }
+      for (const core::RunCounter& counter : core::kRunCounters) {
+        EXPECT_EQ(CounterValue(counter.name), metrics.*counter.field)
+            << counter.name;
+      }
+      ASSERT_FALSE(metrics.timeline.empty());
+      const core::TimelinePoint& last = metrics.timeline.back();
+      ASSERT_EQ(last.time.value(), horizon.value());
+      EXPECT_EQ(GaugeValue("scan_queued_jobs"),
+                static_cast<double>(last.queued_jobs));
+      EXPECT_EQ(GaugeValue("scan_busy_workers"),
+                static_cast<double>(last.busy_workers));
+      busy_at_horizon += last.busy_workers;
+    }
+  }
+  EXPECT_GT(busy_at_horizon, 0u);
 }
 
 TEST_F(ChaosObsTest, NewEventKindNamesAreStable) {

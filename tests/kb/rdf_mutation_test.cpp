@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "scan/kb/turtle.hpp"
 #include "scan/testkit/kb_oracle.hpp"
 #include "scan/testkit/mutate.hpp"
+#include "located_error.hpp"
 
 namespace scan::kb {
 namespace {
@@ -32,45 +32,6 @@ constexpr char kRdfBytes[] = {'<', '>', '"', '\'', '\\', ':', '?', '$', '_',
                               '.', ';', ',', '(',  ')',  '{', '}', '#', '@',
                               '^', '!', '=', '&',  '|',  '*', '+', '-', ' ',
                               '\n', '\t', 'a', 'e', '0', '9', '\0'};
-
-/// Whether `status` is a ParseError whose "at line L, column C" lies inside
-/// `text` or just past its end.
-testing::AssertionResult LocatedInside(std::string_view text,
-                                       const Status& status) {
-  if (status.code() != ErrorCode::kParseError) {
-    return testing::AssertionFailure() << status.ToString();
-  }
-  const std::string& message = status.message();
-  const std::size_t at = message.rfind(" at line ");
-  std::size_t line = 0;
-  std::size_t column = 0;
-  const char* end = message.data() + message.size();
-  if (at != std::string::npos) {
-    const char* p = message.data() + at + 9;
-    const auto parsed_line = std::from_chars(p, end, line);
-    p = parsed_line.ptr;
-    if (std::string_view(p, static_cast<std::size_t>(end - p))
-            .starts_with(", column ")) {
-      p += 9;
-      if (std::from_chars(p, end, column).ptr != end) column = 0;
-    }
-  }
-  std::vector<std::size_t> line_lengths = {0};
-  for (const char c : text) {
-    if (c == '\n') {
-      line_lengths.push_back(0);
-    } else {
-      ++line_lengths.back();
-    }
-  }
-  if (line == 0 || line > line_lengths.size() || column == 0 ||
-      column > line_lengths[line - 1] + 1) {
-    return testing::AssertionFailure() << "not located inside the input ("
-                                       << line_lengths.size()
-                                       << " lines): " << message;
-  }
-  return testing::AssertionSuccess();
-}
 
 std::vector<std::string> Mutations(const std::vector<std::string>& corpus,
                                    std::string_view stream) {

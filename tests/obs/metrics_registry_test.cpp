@@ -176,10 +176,15 @@ TEST(MetricsRegistryTest, ResetAllZeroesEveryInstrument) {
 TEST(PlatformMetricsTest, ResolveIsIdempotent) {
   const PlatformMetrics a = PlatformMetrics::Resolve();
   const PlatformMetrics b = PlatformMetrics::Resolve();
-  ASSERT_NE(a.jobs_arrived, nullptr);
-  EXPECT_EQ(a.jobs_arrived, b.jobs_arrived);
+  ASSERT_NE(a.queue_wait_tu, nullptr);
   EXPECT_EQ(a.queue_wait_tu, b.queue_wait_tu);
-  EXPECT_EQ(a.busy_workers, b.busy_workers);
+  EXPECT_EQ(a.job_latency_tu, b.job_latency_tu);
+  EXPECT_EQ(a.worker_utilization, b.worker_utilization);
+  EXPECT_EQ(a.queue_wait_sketch, b.queue_wait_sketch);
+  EXPECT_EQ(a.job_latency_sketch, b.job_latency_sketch);
+  EXPECT_EQ(a.decision_latency_us, b.decision_latency_us);
+  EXPECT_EQ(a.decision_latency_slo, b.decision_latency_slo);
+  EXPECT_EQ(a.job_latency_slo, b.job_latency_slo);
 }
 
 TEST(PoolMetricsTest, GlobalIsASingleton) {

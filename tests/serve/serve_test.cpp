@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "scan/serve/frontend.hpp"
@@ -42,6 +46,81 @@ TEST(ServeFrontendTest, RejectsBadSpecs) {
   bad_weight[0].weight = 0.0;
   EXPECT_THROW(ServeFrontend(config, model, bad_weight, 1),
                std::invalid_argument);
+}
+
+/// Expects `action` to throw std::invalid_argument naming every `part`.
+template <class Action>
+void ExpectRejected(Action action, std::initializer_list<const char*> parts) {
+  try {
+    action();
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    for (const char* part : parts) {
+      EXPECT_NE(std::string(e.what()).find(part), std::string::npos)
+          << e.what() << " does not name " << part;
+    }
+  }
+}
+
+TEST(ServeFrontendTest, RejectsAWeightThatIsNotFinite) {
+  // A NaN weight fails every comparison, `weight <= 0` included, and its
+  // tenant would never be served.
+  const gatk::PipelineModel model = gatk::PipelineModel::PaperGatk();
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    std::vector<TenantSpec> tenants{MakeTenant(1, "a"), MakeTenant(3, "b")};
+    tenants[1].weight = weight;
+    ExpectRejected([&] { ServeFrontend(BaseConfig(), model, tenants, 1); },
+                   {"tenant 3", "weight"});
+  }
+}
+
+TEST(ServeFrontendTest, RejectsAZeroQuotaEpochUnderAFiniteBudget) {
+  // The epoch index divides by the epoch; with a zero epoch the budget
+  // wake-up would fire at the same instant forever.
+  const gatk::PipelineModel model = gatk::PipelineModel::PaperGatk();
+  for (const double epoch : {0.0, -5.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    std::vector<TenantSpec> tenants{MakeTenant(4, "metered")};
+    tenants[0].worker_tu_per_epoch = 500.0;
+    tenants[0].quota_epoch = SimTime{epoch};
+    ExpectRejected([&] { ServeFrontend(BaseConfig(), model, tenants, 1); },
+                   {"tenant 4", "quota_epoch"});
+  }
+  // Without a budget the epoch is never read.
+  std::vector<TenantSpec> unmetered{MakeTenant(4, "unmetered")};
+  unmetered[0].quota_epoch = SimTime{0.0};
+  EXPECT_NO_THROW(ServeFrontend(BaseConfig(), model, unmetered, 1));
+}
+
+TEST(ServeFrontendTest, SubmitAtRejectsSizesThatAreNotFiniteAndPositive) {
+  // A NaN size would run at 0 stage time and make the tenant's reward NaN.
+  const gatk::PipelineModel model = gatk::PipelineModel::PaperGatk();
+  std::vector<TenantSpec> tenants{MakeTenant(2, "explicit")};
+  tenants[0].drive_synthetic = false;
+  ServeFrontend frontend(BaseConfig(), model, tenants, 1);
+  for (const double size : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), 0.0,
+                            -1.0}) {
+    ExpectRejected([&] { frontend.SubmitAt(SimTime{1.0}, 2, DataSize{size}); },
+                   {"tenant 2", "size"});
+  }
+  EXPECT_NO_THROW(frontend.SubmitAt(SimTime{1.0}, 2, DataSize{4.0}));
+}
+
+TEST(ServeFrontendTest, SubmitAtRejectsTimesThatAreNotFiniteAndNonNegative) {
+  // A NaN time has no place in the sorted submission order.
+  const gatk::PipelineModel model = gatk::PipelineModel::PaperGatk();
+  std::vector<TenantSpec> tenants{MakeTenant(2, "explicit")};
+  tenants[0].drive_synthetic = false;
+  ServeFrontend frontend(BaseConfig(), model, tenants, 1);
+  for (const double when : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), -1.0}) {
+    ExpectRejected([&] { frontend.SubmitAt(SimTime{when}, 2, DataSize{4.0}); },
+                   {"tenant 2", "time"});
+  }
+  EXPECT_NO_THROW(frontend.SubmitAt(SimTime{0.0}, 2, DataSize{4.0}));
 }
 
 TEST(ServeFrontendTest, ExplicitSubmissionsServeDeterministically) {
