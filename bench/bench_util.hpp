@@ -155,7 +155,6 @@ inline std::string MeanStd(double mean, double stddev) {
 ///   --trace=PATH           trace events (.jsonl = JSONL, else Chrome JSON)
 ///   --metrics=PATH         metrics (.json = snapshot, else Prometheus text)
 ///   --audit=PATH           scheduler decision audit (JSONL)
-///   --log-level=LEVEL      trace|debug|info|warning|error|off
 ///   --trace-capacity=N     per-thread trace ring size (events)
 /// Construction enables the requested subsystems; exports happen when the
 /// returned session leaves scope (keep it alive for the whole run).
@@ -164,7 +163,6 @@ inline std::string MeanStd(double mean, double stddev) {
   opts.trace_path = flags.GetString("trace", "");
   opts.metrics_path = flags.GetString("metrics", "");
   opts.audit_path = flags.GetString("audit", "");
-  opts.log_level = flags.GetString("log-level", "");
   opts.trace_capacity =
       static_cast<std::size_t>(flags.GetDouble("trace-capacity", 0.0));
   return obs::ObsSession(std::move(opts));

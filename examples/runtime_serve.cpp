@@ -14,11 +14,9 @@
 // one-thread-per-stage plan.
 
 #include <cstdio>
-#include <utility>
 
 #include "bench_util.hpp"
 #include "scan/gatk/pipeline_model.hpp"
-#include "scan/obs/session.hpp"
 #include "scan/runtime/runtime_platform.hpp"
 
 using namespace scan;
@@ -32,13 +30,9 @@ int main(int argc, char** argv) {
   const int threads = flags.GetInt("threads", 8);
   const auto seed = static_cast<std::uint64_t>(flags.GetDouble("seed", 42));
 
-  // Observability: --trace=PATH --metrics=PATH --audit=PATH --log-level=L.
-  obs::ObsOptions obs_opts;
-  obs_opts.trace_path = flags.GetString("trace", "");
-  obs_opts.metrics_path = flags.GetString("metrics", "");
-  obs_opts.audit_path = flags.GetString("audit", "");
-  obs_opts.log_level = flags.GetString("log-level", "");
-  const obs::ObsSession obs_session(std::move(obs_opts));
+  // Observability: --trace=PATH --metrics=PATH --audit=PATH
+  // --trace-capacity=N.
+  const auto obs_session = bench::MakeObsSession(flags);
 
   core::SimulationConfig config;
   config.duration = SimTime{duration};

@@ -128,10 +128,8 @@ class RandomStream {
     return gen_.UniformBelow(bound);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  [[nodiscard]] std::int64_t UniformInt(std::int64_t lo, std::int64_t hi);
-
-  /// Exponential with the given mean (inter-arrival intervals).
+  /// Exponential with the given mean (inter-arrival intervals). Throws
+  /// std::invalid_argument unless mean > 0.
   [[nodiscard]] double Exponential(double mean);
 
   /// Standard normal via Box-Muller (cached second deviate).
@@ -144,13 +142,8 @@ class RandomStream {
 
   /// Normal truncated below at `lo` (re-draws; used for strictly positive
   /// job sizes and batch counts with the paper's mean/variance settings).
+  /// Throws std::invalid_argument unless stddev >= 0.
   [[nodiscard]] double TruncatedNormal(double mean, double stddev, double lo);
-
-  /// Poisson with the given mean (Knuth for small means, PTRS otherwise).
-  [[nodiscard]] std::uint32_t Poisson(double mean);
-
-  /// log-normal such that the underlying normal has the given mu/sigma.
-  [[nodiscard]] double LogNormal(double mu, double sigma);
 
   /// Pick an index in [0, weights.size()) proportional to weights.
   [[nodiscard]] std::size_t WeightedIndex(const std::vector<double>& weights);

@@ -4,9 +4,8 @@
 //
 // The paper reports every measurement as a mean over 10 repetitions with
 // error bars of one standard deviation; RunningStats provides exactly that
-// via Welford's numerically stable online algorithm. Histogram/percentile
-// support is used by the microbenchmarks and the scheduler's queue-time
-// estimators.
+// via Welford's numerically stable online algorithm. FitLine calibrates
+// linear models, and Ewma feeds the scheduler's queue-time estimator.
 
 #include <cstddef>
 #include <string>
@@ -38,7 +37,7 @@ class RunningStats {
   [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return count_ ? mean_ * static_cast<double>(count_) : 0.0; }
 
-  /// "mean ± stddev (n=count)"
+  /// "mean +- stddev (n=count)"
   [[nodiscard]] std::string ToString() const;
 
  private:
@@ -47,36 +46,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Stores all samples; supports exact percentiles. Use for modest sample
-/// counts (experiment-level summaries, queue-latency traces).
-class SampleSet {
- public:
-  void Add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-  void Reserve(std::size_t n) { samples_.reserve(n); }
-
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-  [[nodiscard]] bool empty() const { return samples_.empty(); }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double stddev() const;
-
-  /// Exact percentile with linear interpolation; p in [0, 100].
-  /// Requires a non-empty set.
-  [[nodiscard]] double Percentile(double p);
-
-  [[nodiscard]] double Median() { return Percentile(50.0); }
-
-  [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
-
- private:
-  void EnsureSorted();
-
-  std::vector<double> samples_;
-  bool sorted_ = false;
 };
 
 /// Ordinary least squares for y = slope * x + intercept.

@@ -1,31 +1,18 @@
 #include "scan/common/rng.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
+#include "scan/common/str.hpp"
+
 namespace scan {
 
-std::int64_t RandomStream::UniformInt(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (span <= 0xffffffffULL) {
-    return lo + static_cast<std::int64_t>(
-                    gen_.UniformBelow(static_cast<std::uint32_t>(span)));
-  }
-  // Wide range: combine two 32-bit draws, rejection to stay unbiased.
-  for (;;) {
-    const std::uint64_t r =
-        (static_cast<std::uint64_t>(gen_()) << 32) | gen_();
-    if (span == 0) return lo + static_cast<std::int64_t>(r);  // full range
-    const std::uint64_t limit = (~0ULL / span) * span;
-    if (r < limit) return lo + static_cast<std::int64_t>(r % span);
-  }
-}
-
 double RandomStream::Exponential(double mean) {
-  assert(mean > 0.0);
+  if (!(mean > 0.0)) {
+    throw std::invalid_argument(StrFormat(
+        "RandomStream::Exponential: mean is %g; it must be > 0", mean));
+  }
   // Inverse CDF; guard against log(0).
   double u = gen_.UniformDouble();
   if (u <= 0.0) u = 0x1.0p-53;
@@ -49,7 +36,11 @@ double RandomStream::Normal() {
 }
 
 double RandomStream::TruncatedNormal(double mean, double stddev, double lo) {
-  assert(stddev >= 0.0);
+  if (!(stddev >= 0.0)) {
+    throw std::invalid_argument(StrFormat(
+        "RandomStream::TruncatedNormal: stddev is %g; it must be >= 0",
+        stddev));
+  }
   if (stddev == 0.0) return mean < lo ? lo : mean;
   for (int attempt = 0; attempt < 1024; ++attempt) {
     const double x = Normal(mean, stddev);
@@ -57,30 +48,6 @@ double RandomStream::TruncatedNormal(double mean, double stddev, double lo) {
   }
   // Pathological truncation (mean far below lo): fall back to the bound.
   return lo;
-}
-
-std::uint32_t RandomStream::Poisson(double mean) {
-  assert(mean >= 0.0);
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth's product-of-uniforms method.
-    const double limit = std::exp(-mean);
-    double product = gen_.UniformDouble();
-    std::uint32_t count = 0;
-    while (product > limit) {
-      ++count;
-      product *= gen_.UniformDouble();
-    }
-    return count;
-  }
-  // Normal approximation with continuity correction for large means; exact
-  // Poisson tails do not matter for the simulation workloads (mean ~ 3).
-  const double x = Normal(mean, std::sqrt(mean));
-  return x < 0.0 ? 0u : static_cast<std::uint32_t>(x + 0.5);
-}
-
-double RandomStream::LogNormal(double mu, double sigma) {
-  return std::exp(Normal(mu, sigma));
 }
 
 std::size_t RandomStream::WeightedIndex(const std::vector<double>& weights) {

@@ -1,7 +1,6 @@
 #include "scan/common/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
 #include <sstream>
@@ -54,40 +53,6 @@ std::string RunningStats::ToString() const {
   std::ostringstream os;
   os << mean() << " +- " << stddev() << " (n=" << count_ << ")";
   return os.str();
-}
-
-double SampleSet::mean() const {
-  if (samples_.empty()) return 0.0;
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
-}
-
-double SampleSet::stddev() const {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double m2 = 0.0;
-  for (const double x : samples_) m2 += (x - m) * (x - m);
-  return std::sqrt(m2 / static_cast<double>(samples_.size() - 1));
-}
-
-void SampleSet::EnsureSorted() {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-double SampleSet::Percentile(double p) {
-  assert(!samples_.empty());
-  assert(p >= 0.0 && p <= 100.0);
-  EnsureSorted();
-  if (samples_.size() == 1) return samples_.front();
-  const double rank =
-      p / 100.0 * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
 LinearFit FitLine(const std::vector<double>& xs, const std::vector<double>& ys) {

@@ -61,19 +61,6 @@ struct FaultConfig {
   /// Must exceed 1 to be meaningful; 0 disables speculation (and its
   /// check event).
   double speculation_slowdown = 0.0;
-
-  /// True when any fault-injection knob beyond the legacy crash rate is
-  /// active (extra RNG draws happen per assignment).
-  [[nodiscard]] bool InjectsBeyondCrashes() const {
-    return straggle_rate > 0.0 || flap_rate > 0.0;
-  }
-
-  /// True when any recovery-path knob deviates from legacy behavior.
-  [[nodiscard]] bool RecoveryActive() const {
-    return checkpoint_interval > SimTime{0.0} || max_retries_per_job >= 0 ||
-           backoff_base > SimTime{0.0} || breaker_threshold > 0 ||
-           speculation_slowdown > 0.0;
-  }
 };
 
 }  // namespace scan::fault

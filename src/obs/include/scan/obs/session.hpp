@@ -2,7 +2,7 @@
 
 // ObsSession: RAII wiring from command-line flags to the observability
 // subsystems. Construction enables whatever the options request (trace
-// recorder, metrics registry, decision audit, log level); Finish() — or
+// recorder, metrics registry, decision audit); Finish() — or
 // destruction — exports each to its path and disables collection again.
 //
 // Intended use in bench/example binaries:
@@ -23,7 +23,6 @@ struct ObsOptions {
   std::string trace_path;    ///< empty = tracing stays off
   std::string metrics_path;  ///< empty = metrics stay off
   std::string audit_path;    ///< empty = decision audit stays off
-  std::string log_level;     ///< empty = leave the process log level alone
   std::size_t trace_capacity = 0;  ///< 0 = recorder default per-thread ring
 };
 

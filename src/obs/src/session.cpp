@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "scan/common/log.hpp"
 #include "scan/common/str.hpp"
 #include "scan/obs/audit.hpp"
 #include "scan/obs/metrics.hpp"
@@ -12,14 +11,6 @@
 namespace scan::obs {
 
 ObsSession::ObsSession(ObsOptions options) : options_(std::move(options)) {
-  if (!options_.log_level.empty()) {
-    if (const auto level = ParseLogLevel(options_.log_level)) {
-      SetLogLevel(*level);
-    } else {
-      std::fprintf(stderr, "obs: unknown log level '%s' (ignored)\n",
-                   options_.log_level.c_str());
-    }
-  }
   if (!options_.trace_path.empty()) {
     TraceRecorder::Global().Clear();
     TraceRecorder::Global().Enable(options_.trace_capacity);

@@ -44,33 +44,25 @@
 #include "scan/runtime/completion_queue.hpp"
 #include "scan/runtime/ingest.hpp"
 #include "scan/runtime/live_worker.hpp"
-#include "scan/workload/trace.hpp"
 
 namespace scan::runtime {
 
-/// Knobs of one live run (the runtime analogue of SchedulerOptions).
-struct RuntimeOptions {
+/// Knobs of one live run: the engine's (core::SchedulerOptions, which the
+/// engine reads exactly as the simulator does) plus the host's own. The
+/// engine's trace_hook and inspection_hook run on the coordinator thread,
+/// before each calendar event, under either clock.
+struct RuntimeOptions : core::SchedulerOptions {
   ClockMode clock = ClockMode::kVirtual;
   /// WallClock only: real seconds per simulated TU. The default maps a
   /// 200 TU smoke run onto ~0.4 s of wall time.
   double wall_seconds_per_tu = 0.002;
   /// Execution pool size (0 = hardware concurrency).
   std::size_t exec_threads = 0;
-  /// Completion channel bound (producer backpressure threshold).
-  std::size_t completion_capacity = 1024;
-  std::optional<core::ThreadPlan> forced_plan;
-  std::optional<double> allocation_price_hint;
-  /// Replay this recorded workload instead of the synthetic arrivals.
-  std::optional<workload::JobTrace> trace;
   /// Streaming ingest source (not owned; must outlive the platform).
   /// When set it replaces both the synthetic generator and `trace`: the
   /// platform pulls batches one at a time and reports every job outcome
   /// back, so a front end can meter admission against completions.
   IngestSource* ingest = nullptr;
-  /// Record the parity payload (RunMetrics::stage_schedule et al.).
-  bool record_schedule = false;
-  /// When positive, sample a TimelinePoint every this many TU.
-  SimTime timeline_sample_period{0.0};
 };
 
 /// What one live run produced: the simulator-shaped metrics plus the
@@ -93,12 +85,6 @@ struct RuntimeReport {
                : static_cast<double>(metrics.jobs_completed) / wall_seconds;
   }
 };
-
-/// The engine options a live run implies: everything but the host's own
-/// knobs (clock, pool, ingest). The runtime has no trace or inspection
-/// hooks; the parity oracle runs the simulator with exactly these.
-[[nodiscard]] core::SchedulerOptions EngineOptions(
-    const RuntimeOptions& options);
 
 /// One live SCAN deployment. Construct, then Serve() exactly once.
 class RuntimePlatform : private core::EngineHost {

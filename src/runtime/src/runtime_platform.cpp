@@ -11,25 +11,23 @@
 
 namespace scan::runtime {
 
-core::SchedulerOptions EngineOptions(const RuntimeOptions& options) {
-  core::SchedulerOptions engine;
-  engine.forced_plan = options.forced_plan;
-  engine.allocation_price_hint = options.allocation_price_hint;
-  engine.timeline_sample_period = options.timeline_sample_period;
-  engine.trace = options.trace;
-  engine.record_schedule = options.record_schedule;
-  return engine;
-}
+namespace {
+
+/// Completion channel bound: an executor that finds this many messages
+/// unconsumed blocks until the coordinator pops one.
+constexpr std::size_t kCompletionCapacity = 1024;
+
+}  // namespace
 
 RuntimePlatform::RuntimePlatform(const core::SimulationConfig& config,
                                  gatk::PipelineModel model,
                                  std::uint64_t seed, RuntimeOptions options)
     : options_(std::move(options)),
-      engine_(config, std::move(model), seed, EngineOptions(options_), this,
+      engine_(config, std::move(model), seed, options_, this,
               options_.ingest),
       kernel_(options_.clock == ClockMode::kWall ? SpinKernel::Calibrate()
                                                  : SpinKernel{}),
-      completions_(options_.completion_capacity) {
+      completions_(kCompletionCapacity) {
   dispatch_micros_hist_ = &obs::MetricsRegistry::Global().GetHistogram(
       "scan_dispatch_micros", "Coordinator time per dispatch round (us)",
       {1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0});

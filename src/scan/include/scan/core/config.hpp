@@ -87,12 +87,8 @@ struct SimulationConfig {
   /// (0.5 TU at 1 TU = 1 minute) whenever CELAR must shut a worker down,
   /// adjust its VCPUs, and restart it. Swept by the boot-penalty ablation.
   SimTime boot_penalty{0.5};
-  /// Adaptive replanning interval (completions) for kLongTermAdaptive.
-  std::size_t adaptive_replan_every = 200;
-  /// kLearnedBandit: epoch length between policy re-selections, and the
-  /// exploration probability.
+  /// kLearnedBandit: epoch length between policy re-selections.
   SimTime bandit_epoch{50.0};
-  double bandit_epsilon = 0.1;
   /// Failure injection: probability per worker per TU of a crash while
   /// executing a task (0 = reliable cloud, the paper's setting). A crashed
   /// worker is lost (its cost is still billed up to the crash) and the

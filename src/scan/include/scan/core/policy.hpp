@@ -87,7 +87,6 @@ class SchedulingPolicy {
   SchedulingPolicy(const SimulationConfig& config,
                    const gatk::PipelineModel& model,
                    std::optional<ThreadPlan> forced_plan,
-                   std::optional<double> allocation_price_hint,
                    std::uint64_t seed);
 
   /// The scaled pipeline model every execution-time estimate uses.
@@ -143,7 +142,8 @@ class SchedulingPolicy {
                          threads, head_size, boot_penalty, eval);
   }
 
-  /// Core price per TU the plan optimizers assume (for the plan audit).
+  /// Core price per TU the plan optimizers assume, the midpoint of the
+  /// private and public tier prices (for the plan audit).
   [[nodiscard]] double price_hint() const { return price_hint_; }
 
   /// The policy governing public hiring right now: the configured one, or

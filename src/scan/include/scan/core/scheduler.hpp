@@ -228,9 +228,6 @@ struct SchedulerOptions {
   /// Overrides the allocation algorithm with a fixed plan (used by the
   /// Figure 5 core-stage sweep).
   std::optional<ThreadPlan> forced_plan;
-  /// Price per core-TU assumed by the plan optimizers; defaults to the
-  /// midpoint of the private and public tier prices.
-  std::optional<double> allocation_price_hint;
   /// When positive, sample a TimelinePoint every this many TU.
   SimTime timeline_sample_period{0.0};
   /// Replay this recorded workload instead of the synthetic arrival

@@ -5,7 +5,6 @@
 #include <map>
 #include <cmath>
 
-#include "scan/common/log.hpp"
 #include "scan/obs/trace.hpp"
 
 namespace scan::core {
@@ -18,14 +17,12 @@ bool ValidBounds(const ShardBounds& bounds) {
          bounds.min_gb >= 0.0 && bounds.max_gb >= bounds.min_gb;
 }
 
-/// Broker calls happen outside any one scheduler event, so the shard-split
-/// trace instant is stamped with the ambient logging sim-time when one is
-/// set (see SetLogSimTime) and 0 otherwise.
+/// Broker calls happen outside any scheduler event and have no clock of
+/// their own, so the shard-split trace instant is stamped 0.
 void TraceShardSplit(const BrokerPlan& plan) {
   if (!obs::TraceEnabled()) return;
-  const double sim = GetLogSimTime();
-  obs::TraceEmit(obs::EventKind::kShardSplit, std::isnan(sim) ? 0.0 : sim, 0,
-                 0, plan.shard_count, plan.shard_size_gb);
+  obs::TraceEmit(obs::EventKind::kShardSplit, 0.0, 0, 0, plan.shard_count,
+                 plan.shard_size_gb);
 }
 
 }  // namespace

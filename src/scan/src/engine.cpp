@@ -21,8 +21,7 @@ Engine::Engine(const SimulationConfig& config, gatk::PipelineModel model,
       options_(std::move(options)),
       host_(host),
       ingest_(ingest),
-      policy_(config, model, options_.forced_plan,
-              options_.allocation_price_hint, seed),
+      policy_(config, model, options_.forced_plan, seed),
       cloud_(config.MakeCloudConfig()),
       arrivals_(config.MakeArrivalParams(), seed),
       queues_(policy_.model().stage_count()),

@@ -10,10 +10,20 @@
 
 namespace scan::core {
 
+namespace {
+
+/// kLongTermAdaptive replans the long-term plan every this many completed
+/// pipeline runs.
+constexpr std::size_t kAdaptiveReplanEvery = 200;
+/// kLearnedBandit: probability that an epoch explores a random arm instead
+/// of the best one so far.
+constexpr double kBanditEpsilon = 0.1;
+
+}  // namespace
+
 SchedulingPolicy::SchedulingPolicy(const SimulationConfig& config,
                                    const gatk::PipelineModel& model,
                                    std::optional<ThreadPlan> forced_plan,
-                                   std::optional<double> allocation_price_hint,
                                    std::uint64_t seed)
     : config_(config),
       // A model carrying its own calibration (compiled .pdl profiles) wins
@@ -49,11 +59,10 @@ SchedulingPolicy::SchedulingPolicy(const SimulationConfig& config,
   }
   // Every price feeds a comparison (plan scores, hire-vs-wait), which a
   // NaN fails silently.
-  const double hint = allocation_price_hint.value_or(0.0);
   for (const auto& [what, price] :
        {std::pair{"private_cost_per_core_tu", config_.private_cost_per_core_tu},
-        std::pair{"public_cost_per_core_tu", config_.public_cost_per_core_tu},
-        std::pair{"allocation_price_hint", hint}}) {
+        std::pair{"public_cost_per_core_tu",
+                  config_.public_cost_per_core_tu}}) {
     if (!std::isfinite(price) || price < 0.0) {
       throw std::invalid_argument(StrFormat(
           "SchedulingPolicy: %s is %g; prices must be finite and >= 0", what,
@@ -61,11 +70,10 @@ SchedulingPolicy::SchedulingPolicy(const SimulationConfig& config,
     }
   }
   // Plan optimizers assume the blended core price of the tier mix the run
-  // will see; the midpoint of the two tiers is a robust default (pure
-  // private prices over-widen plans, pure public prices over-narrow them).
-  const double default_price_hint =
+  // will see; the midpoint of the two tiers is robust (pure private prices
+  // over-widen plans, pure public prices over-narrow them).
+  price_hint_ =
       0.5 * (config_.private_cost_per_core_tu + config_.public_cost_per_core_tu);
-  price_hint_ = allocation_price_hint.value_or(default_price_hint);
   const AllocationContext ctx = MakeContext(price_hint_);
   const DataSize expected{config_.mean_job_size};
   switch (config_.allocation) {
@@ -154,7 +162,7 @@ void SchedulingPolicy::BanditEpoch(double total_reward_so_far,
       return;
     }
   }
-  if (bandit_rng_.Uniform() < config_.bandit_epsilon) {
+  if (bandit_rng_.Uniform() < kBanditEpsilon) {
     bandit_current_arm_ = bandit_rng_.UniformBelow(
         static_cast<std::uint32_t>(bandit_arms_.size()));
     return;
@@ -173,7 +181,7 @@ bool SchedulingPolicy::NoteCompletion() {
   if (config_.allocation != AllocationAlgorithm::kLongTermAdaptive) {
     return false;
   }
-  if (++completions_since_replan_ < config_.adaptive_replan_every) {
+  if (++completions_since_replan_ < kAdaptiveReplanEvery) {
     return false;
   }
   completions_since_replan_ = 0;

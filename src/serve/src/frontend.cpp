@@ -35,7 +35,7 @@ ServeFrontend::ServeFrontend(const core::SimulationConfig& config,
                              std::vector<TenantSpec> tenants,
                              std::uint64_t seed, ServeOptions options)
     : config_(config),
-      policy_(config, model, std::nullopt, std::nullopt,
+      policy_(config, model, std::nullopt,
               MixSeed(seed, Fnv1a64("serve-frontend"))),
       options_(options),
       specs_(std::move(tenants)) {

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "scan/common/log.hpp"
-
 namespace scan::sim {
 
 bool Simulator::Cancel(EventId id) {
@@ -56,7 +54,6 @@ void Simulator::PopAndRun() {
   }
   assert(entry.when >= now_.value());
   now_ = SimTime{entry.when};
-  SetLogSimTime(entry.when);
   if (trace_hook_) trace_hook_(SimTime{entry.when}, entry.seq);
   ++stats_.events_executed;
   // The callback may schedule further events (growing the arena) but can

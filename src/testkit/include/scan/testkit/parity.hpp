@@ -48,8 +48,8 @@ struct ParityResult {
 /// Runs the discrete-event simulator and the live runtime (forced to the
 /// virtual clock, schedule recording on) with the same config and seed
 /// and compares the full parity payload. Remaining `runtime_options`
-/// fields (forced plan, price hint, trace, timeline sampling) are honored;
-/// the simulator runs with runtime::EngineOptions of them.
+/// fields (forced plan, trace, timeline sampling) are honored; the
+/// simulator runs with their core::SchedulerOptions part.
 [[nodiscard]] ParityResult CheckSimRuntimeParity(
     const core::SimulationConfig& config, const gatk::PipelineModel& model,
     std::uint64_t seed, runtime::RuntimeOptions runtime_options = {});

@@ -275,8 +275,9 @@ ParityResult CheckSimRuntimeParity(const core::SimulationConfig& config,
   runtime_options.clock = runtime::ClockMode::kVirtual;
   runtime_options.record_schedule = true;
 
-  const core::SchedulerOptions sim_options =
-      runtime::EngineOptions(runtime_options);
+  // The simulator runs the engine options of the live run; the host's own
+  // knobs (clock, pool, ingest) have no simulator counterpart.
+  const core::SchedulerOptions& sim_options = runtime_options;
 
   // Per-check artifact capture under SCAN_OBS_FULL: each engine runs
   // against a cleared recorder and audit (quiescent here — no run is in

@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
+
+#include "expect_rejected.hpp"
 
 namespace scan {
 namespace {
@@ -85,21 +89,6 @@ TEST(RandomStreamTest, UniformRange) {
   }
 }
 
-TEST(RandomStreamTest, UniformIntInclusiveBounds) {
-  RandomStream s(5, "i");
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const auto v = s.UniformInt(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RandomStreamTest, ExponentialMeanConverges) {
   RandomStream s(11, "exp");
   double sum = 0.0;
@@ -112,6 +101,45 @@ TEST(RandomStreamTest, ExponentialAlwaysNonNegative) {
   RandomStream s(11, "exp2");
   for (int i = 0; i < 10'000; ++i) {
     EXPECT_GE(s.Exponential(0.001), 0.0);
+  }
+}
+
+TEST(RandomStreamTest, ExponentialRejectsAMeanThatIsNotPositive) {
+  // -mean * log(u) with mean <= 0 is a draw <= 0 (NaN for a NaN mean): an
+  // inter-arrival or crash time that runs backwards.
+  RandomStream s(11, "exp-bad");
+  ExpectRejected([&] { (void)s.Exponential(0.0); }, {"Exponential", "0"});
+  ExpectRejected([&] { (void)s.Exponential(-2.5); }, {"Exponential", "-2.5"});
+  ExpectRejected(
+      [&] { (void)s.Exponential(std::numeric_limits<double>::quiet_NaN()); },
+      {"Exponential", "nan"});
+  // A rejected call draws nothing: the stream continues as a fresh one.
+  RandomStream fresh(11, "exp-bad");
+  EXPECT_EQ(s.Exponential(2.0), fresh.Exponential(2.0));
+}
+
+TEST(RandomStreamTest, TruncatedNormalRejectsANegativeStddev) {
+  // A negative variance's square root is NaN: every draw would fail the
+  // bound test, so the re-draw loop would spend its 1024 attempts and
+  // return the bound as if it were a sample.
+  RandomStream s(17, "trunc-bad");
+  ExpectRejected([&] { (void)s.TruncatedNormal(3.0, -1.0, 0.0); },
+                 {"TruncatedNormal", "-1"});
+  ExpectRejected([&] { (void)s.TruncatedNormal(3.0, std::sqrt(-2.0), 0.0); },
+                 {"TruncatedNormal", "nan"});
+  RandomStream fresh(17, "trunc-bad");
+  EXPECT_EQ(s.TruncatedNormal(3.0, 1.5, 0.0),
+            fresh.TruncatedNormal(3.0, 1.5, 0.0));
+}
+
+TEST(RandomStreamTest, ExponentialAcceptsTheSmallestPositiveMean) {
+  // The precondition is mean > 0, nothing stricter: a subnormal mean is
+  // valid and yields finite, non-negative draws.
+  RandomStream s(11, "exp-tiny");
+  for (int i = 0; i < 1000; ++i) {
+    const double x = s.Exponential(std::numeric_limits<double>::denorm_min());
+    EXPECT_TRUE(std::isfinite(x));
+    EXPECT_GE(x, 0.0);
   }
 }
 
@@ -144,25 +172,31 @@ TEST(RandomStreamTest, TruncatedNormalDegenerateSigma) {
   EXPECT_DOUBLE_EQ(s.TruncatedNormal(0.0, 0.0, 1.0), 1.0);
 }
 
-TEST(RandomStreamTest, PoissonMeanConverges) {
-  RandomStream s(19, "poisson");
-  double sum = 0.0;
-  const int n = 100'000;
-  for (int i = 0; i < n; ++i) sum += s.Poisson(3.0);
-  EXPECT_NEAR(sum / n, 3.0, 0.05);
+TEST(RandomStreamTest, TruncatedNormalReturnsTheBoundWhenNoDrawReachesIt) {
+  // The re-draw loop gives up after 1024 attempts and returns the bound; a
+  // floor 50 standard deviations above the mean is never drawn.
+  RandomStream s(17, "trunc-far");
+  EXPECT_EQ(s.TruncatedNormal(0.0, 1.0, 50.0), 50.0);
 }
 
-TEST(RandomStreamTest, PoissonZeroMean) {
-  RandomStream s(19, "poisson0");
-  EXPECT_EQ(s.Poisson(0.0), 0u);
-}
-
-TEST(RandomStreamTest, PoissonLargeMeanUsesApproximation) {
-  RandomStream s(23, "plarge");
-  double sum = 0.0;
-  const int n = 50'000;
-  for (int i = 0; i < n; ++i) sum += s.Poisson(100.0);
-  EXPECT_NEAR(sum / n, 100.0, 0.5);
+TEST(RandomStreamTest, NormalDrawsOnePairOfUniformsPerTwoDeviates) {
+  // Box-Muller turns two uniforms into two deviates on one circle of
+  // radius sqrt(-2 ln u1); the second Normal() call returns the cached
+  // deviate and draws nothing.
+  RandomStream s(13, "pair");
+  RandomStream uniforms(13, "pair");
+  const double first = s.Normal();
+  const double second = s.Normal();
+  const double u1 = uniforms.Uniform();
+  (void)uniforms.Uniform();
+  const double radius_sq = -2.0 * std::log(u1);
+  EXPECT_NEAR(first * first + second * second, radius_sq, 1e-12 * radius_sq);
+  EXPECT_EQ(s.Uniform(), uniforms.Uniform());
+  // A third call starts the next pair.
+  (void)s.Normal();
+  (void)uniforms.Uniform();
+  (void)uniforms.Uniform();
+  EXPECT_EQ(s.Uniform(), uniforms.Uniform());
 }
 
 TEST(RandomStreamTest, WeightedIndexDistribution) {

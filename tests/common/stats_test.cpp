@@ -106,37 +106,11 @@ TEST(RunningStatsTest, ResetClears) {
   EXPECT_TRUE(s.empty());
 }
 
-TEST(SampleSetTest, PercentileInterpolates) {
-  SampleSet set;
-  for (const double x : {10.0, 20.0, 30.0, 40.0}) set.Add(x);
-  EXPECT_DOUBLE_EQ(set.Percentile(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(set.Percentile(100.0), 40.0);
-  EXPECT_DOUBLE_EQ(set.Median(), 25.0);
-  EXPECT_DOUBLE_EQ(set.Percentile(25.0), 17.5);
-}
-
-TEST(SampleSetTest, SingleSamplePercentiles) {
-  SampleSet set;
-  set.Add(7.0);
-  EXPECT_DOUBLE_EQ(set.Percentile(0.0), 7.0);
-  EXPECT_DOUBLE_EQ(set.Percentile(50.0), 7.0);
-  EXPECT_DOUBLE_EQ(set.Percentile(100.0), 7.0);
-}
-
-TEST(SampleSetTest, MeanAndStddev) {
-  SampleSet set;
-  for (const double x : {1.0, 2.0, 3.0}) set.Add(x);
-  EXPECT_DOUBLE_EQ(set.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(set.stddev(), 1.0);
-}
-
-TEST(SampleSetTest, AddAfterPercentileResorts) {
-  SampleSet set;
-  set.Add(10.0);
-  set.Add(30.0);
-  EXPECT_DOUBLE_EQ(set.Median(), 20.0);
-  set.Add(0.0);
-  EXPECT_DOUBLE_EQ(set.Median(), 10.0);
+TEST(RunningStatsTest, ToStringShowsMeanStddevAndCount) {
+  RunningStats s;
+  for (const double x : {1.0, 2.0, 3.0}) s.Add(x);
+  EXPECT_EQ(s.ToString(), "2 +- 1 (n=3)");
+  EXPECT_EQ(RunningStats{}.ToString(), "0 +- 0 (n=0)");
 }
 
 TEST(FitLineTest, ExactLine) {

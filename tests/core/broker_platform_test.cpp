@@ -6,8 +6,11 @@
 
 #include "scan/core/data_broker.hpp"
 #include "scan/core/platform.hpp"
+#include "scan/core/scheduler.hpp"
+#include "scan/gatk/pipeline_model.hpp"
 #include "scan/genomics/fastq.hpp"
 #include "scan/genomics/synthetic.hpp"
+#include "scan/obs/trace.hpp"
 
 namespace scan::core {
 namespace {
@@ -283,6 +286,48 @@ TEST(DataBrokerTest, ProfitAwareValidation) {
                 .status()
                 .code(),
             ErrorCode::kNotFound);
+}
+
+TEST(DataBrokerTest, ShardSplitTraceInstantIsStampedZero) {
+  // The broker has no clock: a plan made after a simulation must not carry
+  // the time of that run's last event.
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  struct RecorderReset {
+    obs::TraceRecorder& recorder;
+    ~RecorderReset() {
+      recorder.Disable();
+      recorder.Clear();
+    }
+  } reset{recorder};
+  recorder.Disable();
+  recorder.Clear();
+  recorder.Enable();
+
+  SimulationConfig config;
+  config.duration = SimTime{50.0};
+  SchedulerOptions options;
+  double last_event_tu = 0.0;
+  options.trace_hook = [&last_event_tu](SimTime when, std::uint64_t) {
+    last_event_tu = when.value();
+  };
+  Scheduler scheduler(config, gatk::PipelineModel::PaperGatk(), 3,
+                      std::move(options));
+  (void)scheduler.Run();
+  ASSERT_GT(last_event_tu, 0.0);
+
+  kb::KnowledgeBase knowledge = MakePaperKb();
+  DataBroker broker(knowledge);
+  ASSERT_TRUE(broker.PlanJob("GATK", 100.0, ShardBounds{0.5, 8.0}).ok());
+  recorder.Disable();
+
+  std::vector<obs::TraceEvent> splits;
+  for (const obs::TraceEvent& event : recorder.Collect()) {
+    if (event.kind == obs::EventKind::kShardSplit) splits.push_back(event);
+  }
+  ASSERT_EQ(splits.size(), 1u);
+  EXPECT_EQ(splits[0].time_tu, 0.0);
+  EXPECT_EQ(splits[0].b, 25u);
+  EXPECT_EQ(splits[0].value, 4.0);
 }
 
 // ---- Platform ----

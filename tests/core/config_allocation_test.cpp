@@ -273,9 +273,8 @@ TEST(PolicyTest, RejectsPricesThatAreNotFiniteAndNonNegative) {
   const auto model = gatk::PipelineModel::PaperGatk();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  const auto make = [&](const SimulationConfig& config,
-                        std::optional<double> hint) {
-    return SchedulingPolicy(config, model, std::nullopt, hint, 1);
+  const auto make = [&](const SimulationConfig& config) {
+    return SchedulingPolicy(config, model, std::nullopt, 1);
   };
   for (const AllocationAlgorithm allocation :
        {AllocationAlgorithm::kGreedy, AllocationAlgorithm::kBestConstant}) {
@@ -283,19 +282,116 @@ TEST(PolicyTest, RejectsPricesThatAreNotFiniteAndNonNegative) {
       SimulationConfig config;
       config.allocation = allocation;
       config.public_cost_per_core_tu = price;
-      EXPECT_THROW((void)make(config, std::nullopt), std::invalid_argument);
+      EXPECT_THROW((void)make(config), std::invalid_argument);
       config = SimulationConfig{};
       config.allocation = allocation;
       config.private_cost_per_core_tu = price;
-      EXPECT_THROW((void)make(config, std::nullopt), std::invalid_argument);
-      config = SimulationConfig{};
-      config.allocation = allocation;
-      EXPECT_THROW((void)make(config, price), std::invalid_argument);
+      EXPECT_THROW((void)make(config), std::invalid_argument);
     }
   }
   SimulationConfig free_public;
   free_public.public_cost_per_core_tu = 0.0;
-  EXPECT_NO_THROW((void)make(free_public, 0.0));
+  EXPECT_NO_THROW((void)make(free_public));
+}
+
+TEST(PolicyTest, PlansAssumeTheMidpointOfTheTierPrices) {
+  // The plan optimizers price a core at the midpoint of the private and
+  // public tiers, and price_hint() reports that price to the plan audit.
+  const auto model = gatk::PipelineModel::PaperGatk();
+  for (const double public_price : {0.0, 20.0, 50.0, 110.0}) {
+    SCOPED_TRACE(public_price);
+    SimulationConfig config;
+    config.public_cost_per_core_tu = public_price;
+    const double midpoint =
+        0.5 * (config.private_cost_per_core_tu + public_price);
+    const AllocationContext ctx = MakeContext(
+        midpoint, config.instance_sizes, config.MakeRewardParams());
+    const DataSize size{config.mean_job_size};
+
+    config.allocation = AllocationAlgorithm::kLongTerm;
+    const SchedulingPolicy long_term(config, model, std::nullopt, 1);
+    EXPECT_EQ(long_term.price_hint(), midpoint);
+    EXPECT_EQ(long_term.PlanFor(size),
+              LongTermPlan(long_term.model(), size, ctx));
+
+    config.allocation = AllocationAlgorithm::kGreedy;
+    const SchedulingPolicy greedy(config, model, std::nullopt, 1);
+    EXPECT_EQ(greedy.price_hint(), midpoint);
+    EXPECT_EQ(greedy.PlanFor(size), GreedyPlan(greedy.model(), size, ctx));
+  }
+}
+
+TEST(PolicyTest, AdaptiveAllocationAsksForAReplanEvery200Completions) {
+  SimulationConfig config;
+  config.allocation = AllocationAlgorithm::kLongTermAdaptive;
+  SchedulingPolicy policy(config, gatk::PipelineModel::PaperGatk(),
+                          std::nullopt, 1);
+  std::vector<int> due;
+  for (int completion = 1; completion <= 1000; ++completion) {
+    if (policy.NoteCompletion()) due.push_back(completion);
+  }
+  EXPECT_EQ(due, (std::vector<int>{200, 400, 600, 800, 1000}));
+}
+
+TEST(PolicyTest, OnlyTheAdaptiveAllocationAsksForReplans) {
+  for (const AllocationAlgorithm allocation :
+       {AllocationAlgorithm::kGreedy, AllocationAlgorithm::kLongTerm,
+        AllocationAlgorithm::kBestConstant}) {
+    SimulationConfig config;
+    config.allocation = allocation;
+    SchedulingPolicy policy(config, gatk::PipelineModel::PaperGatk(),
+                            std::nullopt, 1);
+    int due = 0;
+    for (int completion = 0; completion < 1000; ++completion) {
+      due += policy.NoteCompletion() ? 1 : 0;
+    }
+    EXPECT_EQ(due, 0) << static_cast<int>(allocation);
+  }
+}
+
+TEST(PolicyTest, BanditGivesEveryArmAnEpochBeforeChoosing) {
+  // The bandit starts on the paper's predictive policy, then runs each
+  // untried arm in turn before comparing profit rates.
+  SimulationConfig config;
+  config.scaling = ScalingAlgorithm::kLearnedBandit;
+  SchedulingPolicy policy(config, gatk::PipelineModel::PaperGatk(),
+                          std::nullopt, 1);
+  std::vector<ScalingAlgorithm> arms = {policy.EffectiveScaling()};
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    policy.BanditEpoch(0.0, 0.0);
+    arms.push_back(policy.EffectiveScaling());
+  }
+  EXPECT_EQ(arms, (std::vector<ScalingAlgorithm>{
+                      ScalingAlgorithm::kPredictive,
+                      ScalingAlgorithm::kNeverScale,
+                      ScalingAlgorithm::kAlwaysScale}));
+}
+
+TEST(PolicyTest, BanditExploresATenthOfItsEpochs) {
+  // Once every arm has run, an epoch explores a uniformly drawn arm with
+  // probability 0.1 and otherwise runs the best profit rate so far, so
+  // 0.1 * 2/3 of the epochs run an arm other than the best one.
+  SimulationConfig config;
+  config.scaling = ScalingAlgorithm::kLearnedBandit;
+  SchedulingPolicy policy(config, gatk::PipelineModel::PaperGatk(),
+                          std::nullopt, 7);
+  const double epoch_tu = config.bandit_epoch.value();
+  constexpr int kTrialEpochs = 2;  // the untried arms after the first
+  constexpr int kEpochs = 30'000;
+  double reward = 0.0;
+  int off_best = 0;
+  for (int epoch = 0; epoch < kTrialEpochs + kEpochs; ++epoch) {
+    // kAlwaysScale earns 1 per TU, every other arm nothing.
+    if (policy.EffectiveScaling() == ScalingAlgorithm::kAlwaysScale) {
+      reward += epoch_tu;
+    }
+    policy.BanditEpoch(reward, 0.0);
+    if (epoch >= kTrialEpochs) {
+      off_best +=
+          policy.EffectiveScaling() != ScalingAlgorithm::kAlwaysScale ? 1 : 0;
+    }
+  }
+  EXPECT_NEAR(static_cast<double>(off_best) / kEpochs, 0.1 * 2.0 / 3.0, 0.01);
 }
 
 TEST(AllocationTest, TotalCoreStages) {

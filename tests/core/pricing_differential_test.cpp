@@ -105,7 +105,7 @@ void ExpectPricingMatchesReference(const gatk::PipelineModel& model,
   const std::vector<int>& sizes = config.instance_sizes;
   std::size_t priced = 0;
   for (int round = 0; round < 4; ++round) {
-    SchedulingPolicy policy(config, model, std::nullopt, std::nullopt, seed);
+    SchedulingPolicy policy(config, model, std::nullopt, seed);
     const std::size_t stages = policy.model().stage_count();
     QueueTimeEstimator eqt(stages);  // mirrors the policy's estimator
     std::vector<bool> fed(stages, false);
@@ -202,7 +202,7 @@ TEST(PricingDifferential, CompiledDagThroughputBased) {
 TEST(PricingDifferential, NoBusyWorkerOrImmediateFreeSkipsPricing) {
   const SimulationConfig config;
   const SchedulingPolicy policy(config, gatk::PipelineModel::PaperGatk(),
-                                std::nullopt, std::nullopt, 1);
+                                std::nullopt, 1);
   const std::vector<const PricedJob*> empty;
   HireEvaluation eval;
   EXPECT_TRUE(policy.PredictiveShouldHire(empty, 0, 4, DataSize{1.0},

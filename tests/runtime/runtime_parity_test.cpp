@@ -13,7 +13,9 @@
 
 #include <cstdlib>
 #include <string>
+#include <thread>
 
+#include "scan/core/scheduler.hpp"
 #include "scan/gatk/pipeline_model.hpp"
 #include "scan/testkit/digest.hpp"
 
@@ -135,6 +137,66 @@ TEST(RuntimeDeterminism, DifferentSeedsDiverge) {
   const runtime::RuntimeReport b = second.Serve();
   EXPECT_NE(MetricsFingerprint::Of(a.metrics).digest,
             MetricsFingerprint::Of(b.metrics).digest);
+}
+
+TEST(RuntimeParity, EngineHooksSeeTheSimulatorsEventsOnTheCoordinator) {
+  // RuntimeOptions is a SchedulerOptions, so the engine's hooks reach the
+  // live engine too: under the virtual clock the trace hook sees the
+  // simulator's (time, sequence) stream, and both hooks run on the thread
+  // that called Serve().
+  core::SimulationConfig config = BaseConfig();
+  config.scaling = core::ScalingAlgorithm::kPredictive;
+  TraceDigest sim_events;
+  core::SchedulerOptions sim_options;
+  sim_events.Attach(sim_options);
+  core::Scheduler scheduler(config, gatk::PipelineModel::PaperGatk(), 0xE2,
+                            sim_options);
+  (void)scheduler.Run();
+
+  TraceDigest live_events;
+  runtime::RuntimeOptions options;
+  options.exec_threads = 2;
+  live_events.Attach(options);
+  const std::thread::id coordinator = std::this_thread::get_id();
+  std::uint64_t views = 0;
+  bool off_coordinator = false;
+  options.inspection_hook = [&](const core::SchedulerView&) {
+    ++views;
+    off_coordinator |= std::this_thread::get_id() != coordinator;
+  };
+  runtime::RuntimePlatform platform(config, gatk::PipelineModel::PaperGatk(),
+                                    0xE2, options);
+  (void)platform.Serve();
+
+  EXPECT_GT(sim_events.events(), 0u);
+  EXPECT_EQ(live_events.events(), sim_events.events());
+  EXPECT_EQ(live_events.value(), sim_events.value());
+  EXPECT_EQ(views, live_events.events());
+  EXPECT_FALSE(off_coordinator);
+}
+
+TEST(RuntimeParity, EngineHooksLeaveTheLiveRunUnchanged) {
+  // The hooks only observe: a live run with both attached produces the
+  // metrics of the same run without them.
+  const core::SimulationConfig config = BaseConfig();
+  runtime::RuntimeOptions plain;
+  plain.exec_threads = 2;
+  runtime::RuntimeOptions hooked = plain;
+  TraceDigest events;
+  events.Attach(hooked);
+  std::uint64_t views = 0;
+  hooked.inspection_hook = [&views](const core::SchedulerView&) { ++views; };
+  runtime::RuntimePlatform bare(config, gatk::PipelineModel::PaperGatk(),
+                                0xE3, plain);
+  runtime::RuntimePlatform watched(config, gatk::PipelineModel::PaperGatk(),
+                                   0xE3, hooked);
+  const runtime::RuntimeReport a = bare.Serve();
+  const runtime::RuntimeReport b = watched.Serve();
+  EXPECT_GT(views, 0u);
+  EXPECT_EQ(views, events.events());
+  EXPECT_EQ(MetricsFingerprint::Of(a.metrics).digest,
+            MetricsFingerprint::Of(b.metrics).digest);
+  EXPECT_EQ(a.stage_tasks_dispatched, b.stage_tasks_dispatched);
 }
 
 TEST(RuntimeParity, ServeTwiceThrows) {

@@ -6,12 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <initializer_list>
 #include <limits>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
+#include "expect_rejected.hpp"
+#include "scan/obs/metrics.hpp"
 #include "scan/serve/frontend.hpp"
 #include "scan/serve/serve.hpp"
 #include "scan/testkit/chaos.hpp"
@@ -46,20 +46,6 @@ TEST(ServeFrontendTest, RejectsBadSpecs) {
   bad_weight[0].weight = 0.0;
   EXPECT_THROW(ServeFrontend(config, model, bad_weight, 1),
                std::invalid_argument);
-}
-
-/// Expects `action` to throw std::invalid_argument naming every `part`.
-template <class Action>
-void ExpectRejected(Action action, std::initializer_list<const char*> parts) {
-  try {
-    action();
-    ADD_FAILURE() << "accepted";
-  } catch (const std::invalid_argument& e) {
-    for (const char* part : parts) {
-      EXPECT_NE(std::string(e.what()).find(part), std::string::npos)
-          << e.what() << " does not name " << part;
-    }
-  }
 }
 
 TEST(ServeFrontendTest, RejectsAWeightThatIsNotFinite) {
@@ -284,6 +270,78 @@ TEST(ServeTest, OverloadShedsAtBoundedQueueAndReplaysBitIdentically) {
   const testkit::TenancyCheck replay = testkit::CheckServeReplay(
       config, gatk::PipelineModel::PaperGatk(), tenants, 99, options);
   EXPECT_TRUE(replay.ok()) << replay.Describe();
+}
+
+/// The serve and pool registry series equal the books they mirror: one
+/// overloaded episode with metrics on, its counters checked against the
+/// front end's ledger and the platform's report, its gauges against the
+/// end-of-run levels (submitted - shed - released jobs are still queued,
+/// released jobs without an outcome are still in flight).
+TEST(ServeTest, RegistrySeriesEqualTheLedgers) {
+  std::vector<TenantSpec> tenants;
+  TenantSpec bursty = MakeTenant(1, "bursty");
+  bursty.pattern.pattern = workload::ArrivalPattern::kBursty;
+  bursty.rate_scale = 4.0;
+  bursty.max_queue_depth = 8;
+  TenantSpec steady = MakeTenant(2, "steady");
+  steady.rate_scale = 2.0;
+  steady.max_queue_depth = 8;
+  tenants.push_back(bursty);
+  tenants.push_back(steady);
+  ServeOptions options;
+  options.global_max_in_flight = 8;
+  runtime::RuntimeOptions ropts;
+  ropts.exec_threads = 2;
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.ResetAll();
+  obs::EnableMetrics();
+  const ServeReport report =
+      RunMultiTenantServe(BaseConfig(), tenants, /*seed=*/99, options, ropts);
+  obs::DisableMetrics();
+  const auto counter = [&](const char* name) {
+    return registry.GetCounter(name, "").value();
+  };
+  const auto gauge = [&](const char* name) {
+    return registry.GetGauge(name, "").value();
+  };
+
+  std::uint64_t outcomes = 0;
+  std::uint64_t queued = 0;
+  std::uint64_t in_flight = 0;
+  for (const TenantReport& t : report.tenants) {
+    const TenantStats& s = t.stats;
+    const std::uint64_t depth = s.submitted - s.shed - s.released;
+    outcomes += s.completed + s.abandoned;
+    queued += depth;
+    in_flight += s.released - s.completed - s.abandoned;
+    EXPECT_EQ(obs::TenantQueueGauge(t.id).value(), static_cast<double>(depth))
+        << t.name;
+  }
+  // Not vacuous: the episode sheds, prices, and ends with work queued and
+  // in flight.
+  EXPECT_GT(report.jobs_shed, 0u);
+  EXPECT_GT(report.pricing_evaluations, 0u);
+  EXPECT_GT(queued, 0u);
+  EXPECT_GT(in_flight, 0u);
+
+  EXPECT_EQ(counter("scan_serve_jobs_submitted_total"), report.jobs_submitted);
+  EXPECT_EQ(counter("scan_serve_jobs_admitted_total"),
+            report.jobs_submitted - report.jobs_shed);
+  EXPECT_EQ(counter("scan_serve_jobs_shed_total"), report.jobs_shed);
+  EXPECT_EQ(counter("scan_serve_jobs_released_total"), report.jobs_released);
+  EXPECT_EQ(counter("scan_serve_jobs_completed_total"), outcomes);
+  EXPECT_EQ(counter("scan_serve_decision_rounds_total"),
+            report.decision_rounds);
+  EXPECT_EQ(counter("scan_serve_pricing_evaluations_total"),
+            report.pricing_evaluations);
+  EXPECT_EQ(gauge("scan_serve_queued_jobs"), static_cast<double>(queued));
+  EXPECT_EQ(gauge("scan_serve_in_flight_jobs"),
+            static_cast<double>(in_flight));
+  EXPECT_EQ(counter("scan_pool_tasks_executed_total"),
+            report.runtime.pool_tasks_executed);
+  EXPECT_EQ(counter("scan_completions_pushed_total"),
+            report.runtime.stage_tasks_dispatched);
 }
 
 TEST(ServeTest, QuotasHoldUnderChaosPresets) {
