@@ -27,7 +27,9 @@ class InplaceFunction<R(Args...), Capacity> {
                 "buffer must at least hold the heap-fallback pointer");
 
  public:
-  InplaceFunction() = default;
+  // User-provided (not defaulted) so an empty `const` instance is valid and
+  // default construction never zero-fills the buffer.
+  InplaceFunction() noexcept {}  // NOLINT(modernize-use-equals-default)
 
   template <class F, class D = std::decay_t<F>>
     requires(!std::is_same_v<D, InplaceFunction> &&

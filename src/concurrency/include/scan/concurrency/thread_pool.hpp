@@ -2,26 +2,41 @@
 
 // Work-stealing thread pool used to parallelize SCAN's host-side work:
 // the experiment driver fans parameter points × repetitions across workers,
-// the data sharders split large files in parallel, and the GATK profiler
-// runs its input-size × thread-count sweep concurrently.
+// the data sharders split large files in parallel, the GATK profiler
+// runs its input-size × thread-count sweep concurrently, and the live
+// runtime runs its stage tasks' slices.
 //
 // Design (per the C++ Core Guidelines CP rules and common HPC practice):
-//  - per-worker deques with stealing from the back of victims, which keeps
-//    the common case (own work) contention-free;
-//  - tasks are type-erased move-only callables;
+//  - per-worker home queues with stealing from the back of victims, which
+//    keeps the common case (own work) contention-free;
+//  - a task is an InplaceFunction<void(), kTaskCapacity>: move-only, and
+//    any callable of up to kTaskCapacity bytes (a live worker's slice, a
+//    ParallelFor chunk, a packaged_task) is stored inline, so wrapping a
+//    task allocates nothing;
 //  - Submit returns a future only through the typed helper, so hot paths
 //    that don't need results avoid promise/future overhead;
+//  - each home queue is a ring that keeps its capacity: a warm submit
+//    writes into storage the queue already owns and a pop moves out of
+//    it, so no heap block is allocated on the submitting thread and freed
+//    on the executing one;
+//  - an executor pops a batch per lock into its own buffer (which also
+//    keeps its capacity) and runs it outside the lock: the whole queue
+//    when the pool has one thread, at most half of it when other workers
+//    could steal the rest;
 //  - one Submit body, over a batch: a caller fanning out N tasks (a live
 //    worker's slices, ParallelFor's chunks) pays each home queue's lock,
 //    the shared counters and the wake-ups once per batch, not once per
 //    task, and a single task is the batch of one;
+//  - idle workers sleep until work is queued, not while work merely runs
+//    on another worker, and a submitter takes the sleep lock before it
+//    wakes them, so no wake-up is lost;
 //  - the pool joins its threads in the destructor (RAII; no detached
 //    threads anywhere).
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
@@ -31,39 +46,18 @@
 #include <type_traits>
 #include <vector>
 
+#include "scan/common/function_ref.hpp"
+#include "scan/common/inplace_function.hpp"
+
 namespace scan {
 
-/// Move-only wrapper for arbitrary callables (std::function requires
-/// copyability, which packaged_task lacks).
-class UniqueTask {
- public:
-  UniqueTask() = default;
+/// Inline bytes of a pool task: a 64-byte task, one cache line.
+inline constexpr std::size_t kTaskCapacity = 48;
 
-  template <class F,
-            class = std::enable_if_t<!std::is_same_v<std::decay_t<F>, UniqueTask> &&
-                                     std::is_invocable_v<std::decay_t<F>&>>>
-  UniqueTask(F&& f)  // NOLINT(google-explicit-constructor)
-      : impl_(std::make_unique<Model<std::decay_t<F>>>(std::forward<F>(f))) {}
-
-  UniqueTask(UniqueTask&&) noexcept = default;
-  UniqueTask& operator=(UniqueTask&&) noexcept = default;
-
-  explicit operator bool() const { return impl_ != nullptr; }
-  void operator()() { impl_->Invoke(); }
-
- private:
-  struct Concept {
-    virtual ~Concept() = default;
-    virtual void Invoke() = 0;
-  };
-  template <class F>
-  struct Model final : Concept {
-    explicit Model(F f) : fn(std::move(f)) {}
-    void Invoke() override { fn(); }
-    F fn;
-  };
-  std::unique_ptr<Concept> impl_;
-};
+/// Move-only type-erased task (std::function requires copyability, which
+/// packaged_task lacks). Callables above kTaskCapacity bytes still work;
+/// they fall back to one heap block.
+using UniqueTask = InplaceFunction<void(), kTaskCapacity>;
 
 /// Fixed-size work-stealing thread pool.
 class ThreadPool {
@@ -88,6 +82,12 @@ class ThreadPool {
   /// Enqueues one fire-and-forget task (the batch of one).
   void Submit(UniqueTask task) { Submit(std::span<UniqueTask>(&task, 1)); }
 
+  /// Enqueues `n` tasks, task k being make(k), placed and woken exactly as
+  /// Submit(span) places and wakes a batch of n, but built straight into
+  /// the home queues instead of staged in caller storage (the live
+  /// runtime's slice fan-out). `make` must return non-empty tasks.
+  void Submit(std::size_t n, FunctionRef<UniqueTask(std::size_t)> make);
+
   /// Enqueues a task and returns a future for its result.
   template <class F>
   auto SubmitWithResult(F&& f) -> std::future<std::invoke_result_t<F>> {
@@ -108,8 +108,10 @@ class ThreadPool {
   }
 
   /// Tasks submitted but not yet picked up by a worker — the backlog the
-  /// runtime's utilization feedback watches. Instantaneous and approximate
-  /// under concurrency (monitoring only, never for synchronization).
+  /// runtime's utilization feedback watches. A task counts as picked up
+  /// once its worker has popped it into its batch. Instantaneous and
+  /// approximate under concurrency (monitoring only, never for
+  /// synchronization).
   [[nodiscard]] std::size_t queue_depth() const {
     return queued_.load(std::memory_order_relaxed);
   }
@@ -120,14 +122,30 @@ class ThreadPool {
   }
 
  private:
+  /// Initial ring size of a home queue, and of a worker's batch buffer.
+  static constexpr std::size_t kRingStart = 16;
+
+  /// One worker's home queue: a ring over `ring` (its size a power of two,
+  /// grown by doubling when full and never shrunk) holding `size` tasks
+  /// from `head` on; every other slot is empty.
   struct WorkerQueue {
     std::mutex mutex;
-    std::deque<UniqueTask> deque;
+    std::vector<UniqueTask> ring = std::vector<UniqueTask>(kRingStart);
+    std::size_t head = 0;
+    std::size_t size = 0;
+
+    void Push(UniqueTask&& task);
+    /// Moves the `n` oldest tasks onto the end of `out`.
+    void PopFront(std::size_t n, std::vector<UniqueTask>& out);
+    /// Moves the newest task onto the end of `out`.
+    void PopBack(std::vector<UniqueTask>& out);
   };
 
   void WorkerLoop(std::size_t index);
-  bool TryPop(std::size_t index, UniqueTask& out);
-  bool TrySteal(std::size_t thief, UniqueTask& out);
+  /// Pops a batch from the worker's own queue (see the header comment).
+  bool PopBatch(std::size_t index, std::vector<UniqueTask>& batch);
+  /// Steals one task from the cold end of another worker's queue.
+  bool Steal(std::size_t thief, std::vector<UniqueTask>& batch);
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
@@ -137,7 +155,7 @@ class ThreadPool {
   std::condition_variable idle_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> pending_{0};  // submitted but not yet finished
-  std::atomic<std::size_t> queued_{0};   // submitted but not yet started
+  std::atomic<std::size_t> queued_{0};   // submitted but not yet popped
   std::atomic<std::size_t> next_queue_{0};
   std::atomic<std::uint64_t> tasks_executed_{0};
 };

@@ -1,7 +1,6 @@
 #include "scan/concurrency/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <stdexcept>
 
@@ -41,7 +40,11 @@ void ThreadPool::Submit(std::span<UniqueTask> tasks) {
   for (const UniqueTask& task : tasks) {
     if (!task) throw std::invalid_argument("ThreadPool::Submit: empty task");
   }
-  const std::size_t n = tasks.size();
+  Submit(tasks.size(), [tasks](std::size_t k) { return std::move(tasks[k]); });
+}
+
+void ThreadPool::Submit(std::size_t n,
+                        FunctionRef<UniqueTask(std::size_t)> make) {
   if (n == 0) return;
   pending_.fetch_add(n, std::memory_order_acq_rel);
   const std::size_t depth = queued_.fetch_add(n, std::memory_order_relaxed) + n;
@@ -53,13 +56,18 @@ void ThreadPool::Submit(std::span<UniqueTask> tasks) {
   // Task k's home is (first + k) mod queues, the round-robin order of one
   // Submit per task; each home takes its tasks under a single lock.
   const std::size_t queues = queues_.size();
-  const std::size_t first = next_queue_.fetch_add(n, std::memory_order_relaxed);
+  const std::size_t first =
+      queues == 1 ? 0 : next_queue_.fetch_add(n, std::memory_order_relaxed);
   for (std::size_t h = 0; h < std::min(n, queues); ++h) {
     WorkerQueue& home = *queues_[(first + h) % queues];
     const std::scoped_lock lock(home.mutex);
-    for (std::size_t k = h; k < n; k += queues) {
-      home.deque.push_back(std::move(tasks[k]));
-    }
+    for (std::size_t k = h; k < n; k += queues) home.Push(make(k));
+  }
+  {
+    // A worker checks queued_ and starts waiting under the sleep lock, so
+    // taking it here orders this notify after any wait that missed the new
+    // tasks: no wake-up is lost.
+    const std::scoped_lock lock(sleep_mutex_);
   }
   if (n >= workers_.size()) {
     work_available_.notify_all();
@@ -68,24 +76,53 @@ void ThreadPool::Submit(std::span<UniqueTask> tasks) {
   }
 }
 
-bool ThreadPool::TryPop(std::size_t index, UniqueTask& out) {
-  auto& q = *queues_[index];
+void ThreadPool::WorkerQueue::Push(UniqueTask&& task) {
+  if (size == ring.size()) {
+    std::vector<UniqueTask> grown(2 * ring.size());
+    for (std::size_t i = 0; i < size; ++i) {
+      grown[i] = std::move(ring[(head + i) & (ring.size() - 1)]);
+    }
+    ring.swap(grown);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = std::move(task);
+  ++size;
+}
+
+void ThreadPool::WorkerQueue::PopFront(std::size_t n,
+                                       std::vector<UniqueTask>& out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(std::move(ring[head]));
+    head = (head + 1) & (ring.size() - 1);
+  }
+  size -= n;
+}
+
+void ThreadPool::WorkerQueue::PopBack(std::vector<UniqueTask>& out) {
+  --size;
+  out.push_back(std::move(ring[(head + size) & (ring.size() - 1)]));
+}
+
+bool ThreadPool::PopBatch(std::size_t index, std::vector<UniqueTask>& batch) {
+  WorkerQueue& q = *queues_[index];
   const std::scoped_lock lock(q.mutex);
-  if (q.deque.empty()) return false;
-  out = std::move(q.deque.front());
-  q.deque.pop_front();
-  queued_.fetch_sub(1, std::memory_order_relaxed);
+  if (q.size == 0) return false;
+  const std::size_t take =
+      queues_.size() == 1 ? q.size : std::max<std::size_t>(1, q.size / 2);
+  // No batch outgrows the ring, so the buffer grows only when a ring has.
+  batch.reserve(q.ring.size());
+  q.PopFront(take, batch);
+  queued_.fetch_sub(take, std::memory_order_relaxed);
   return true;
 }
 
-bool ThreadPool::TrySteal(std::size_t thief, UniqueTask& out) {
+bool ThreadPool::Steal(std::size_t thief, std::vector<UniqueTask>& batch) {
   const std::size_t n = queues_.size();
   for (std::size_t offset = 1; offset < n; ++offset) {
-    auto& q = *queues_[(thief + offset) % n];
+    WorkerQueue& q = *queues_[(thief + offset) % n];
     const std::scoped_lock lock(q.mutex);
-    if (!q.deque.empty()) {
-      out = std::move(q.deque.back());  // steal from the cold end
-      q.deque.pop_back();
+    if (q.size > 0) {
+      q.PopBack(batch);  // steal from the cold end
       queued_.fetch_sub(1, std::memory_order_relaxed);
       return true;
     }
@@ -94,19 +131,22 @@ bool ThreadPool::TrySteal(std::size_t thief, UniqueTask& out) {
 }
 
 void ThreadPool::WorkerLoop(std::size_t index) {
+  std::vector<UniqueTask> batch;  // keeps its capacity from round to round
+  batch.reserve(kRingStart);
   for (;;) {
-    UniqueTask task;
-    if (TryPop(index, task) || TrySteal(index, task)) {
+    if (PopBatch(index, batch) || Steal(index, batch)) {
       // Tasks must not throw across the pool boundary; a throwing
       // fire-and-forget task is a programming error -> terminate, matching
       // std::thread semantics. packaged_task-based submissions capture
       // exceptions into the future before reaching here.
-      task();
-      tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+      for (UniqueTask& task : batch) task();
+      const std::size_t ran = batch.size();
+      batch.clear();
+      tasks_executed_.fetch_add(ran, std::memory_order_relaxed);
       if (obs::MetricsEnabled()) {
-        obs::PoolMetrics::Global().tasks_executed->Increment();
+        obs::PoolMetrics::Global().tasks_executed->Increment(ran);
       }
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      if (pending_.fetch_sub(ran, std::memory_order_acq_rel) == ran) {
         const std::scoped_lock lock(sleep_mutex_);
         idle_.notify_all();
       }
@@ -117,13 +157,10 @@ void ThreadPool::WorkerLoop(std::size_t index) {
     if (pending_.load(std::memory_order_acquire) == 0) {
       idle_.notify_all();
     }
-    // Re-check queues under the sleep mutex is unnecessary: a submitter
-    // enqueues before notifying, and notify_one is called after release of
-    // the queue mutex, so a missed notify leaves pending_ > 0 and the
-    // timed wait below recovers promptly.
-    work_available_.wait_for(lock, std::chrono::milliseconds(1), [this] {
+    // Wakes for queued work, not for work running elsewhere.
+    work_available_.wait(lock, [this] {
       return stopping_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
+             queued_.load(std::memory_order_acquire) > 0;
     });
     if (stopping_.load(std::memory_order_acquire)) return;
   }
@@ -173,15 +210,13 @@ void ParallelFor(ThreadPool& pool, std::size_t begin, std::size_t end,
   auto state = std::make_shared<CompletionState>();
   state->remaining = chunks;
 
-  std::vector<UniqueTask> tasks;
-  tasks.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
+  pool.Submit(chunks, [&](std::size_t c) -> UniqueTask {
     const std::size_t chunk_begin = begin + c * grain;
     const std::size_t chunk_end = std::min(end, chunk_begin + grain);
     // `fn` by reference is safe: the waiter cannot return before
     // `remaining` hits zero, which happens only after every chunk has
     // finished calling `fn`.
-    tasks.emplace_back([state, &fn, chunk_begin, chunk_end] {
+    return [state, &fn, chunk_begin, chunk_end] {
       std::exception_ptr error;
       try {
         for (std::size_t i = chunk_begin; i < chunk_end; ++i) fn(i);
@@ -191,9 +226,8 @@ void ParallelFor(ThreadPool& pool, std::size_t begin, std::size_t end,
       const std::scoped_lock lock(state->mutex);
       if (error && !state->first_error) state->first_error = error;
       if (--state->remaining == 0) state->done_cv.notify_all();
-    });
-  }
-  pool.Submit(tasks);
+    };
+  });
   std::unique_lock lock(state->mutex);
   state->done_cv.wait(lock, [&] { return state->remaining == 0; });
   if (state->first_error) std::rethrow_exception(state->first_error);

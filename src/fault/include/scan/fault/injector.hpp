@@ -32,11 +32,13 @@ class FaultInjector {
  public:
   /// `seed` is the scheduler's root seed; the injector derives the same
   /// "worker-failures" substream the legacy scheduler used. `crash_rate`
-  /// is SimulationConfig::worker_failure_rate.
+  /// is SimulationConfig::worker_failure_rate. Both hosts build one before
+  /// a run starts, so a bad rate fails there: throws std::invalid_argument,
+  /// naming the field, unless the crash and flap rates are finite and
+  /// >= 0, the straggle rate lies in [0, 1] and the straggle factor is
+  /// finite.
   FaultInjector(std::uint64_t seed, double crash_rate,
-                const FaultConfig& config)
-      : rng_(seed, "worker-failures"), crash_rate_(crash_rate),
-        config_(config) {}
+                const FaultConfig& config);
 
   /// Draws the fate of an assignment spanning [start, planned_end).
   [[nodiscard]] FaultDecision Draw(SimTime start, SimTime planned_end);

@@ -1,8 +1,41 @@
 #include "scan/fault/injector.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+
+#include "scan/common/str.hpp"
 
 namespace scan::fault {
+
+namespace {
+
+void Reject(const char* field, double value, const char* rule) {
+  throw std::invalid_argument(StrFormat(
+      "FaultInjector: %s is %g; it must be %s", field, value, rule));
+}
+
+}  // namespace
+
+FaultInjector::FaultInjector(std::uint64_t seed, double crash_rate,
+                             const FaultConfig& config)
+    : rng_(seed, "worker-failures"), crash_rate_(crash_rate), config_(config) {
+  // Checked here, not per draw: a NaN or negative rate would silently run
+  // as a reliable cloud, and an infinite one would fail mid-run inside
+  // RandomStream::Exponential.
+  if (!(std::isfinite(crash_rate) && crash_rate >= 0.0)) {
+    Reject("worker_failure_rate", crash_rate, "finite and >= 0");
+  }
+  if (!(std::isfinite(config.flap_rate) && config.flap_rate >= 0.0)) {
+    Reject("fault.flap_rate", config.flap_rate, "finite and >= 0");
+  }
+  if (!(config.straggle_rate >= 0.0 && config.straggle_rate <= 1.0)) {
+    Reject("fault.straggle_rate", config.straggle_rate, "in [0, 1]");
+  }
+  if (!std::isfinite(config.straggle_factor)) {
+    Reject("fault.straggle_factor", config.straggle_factor, "finite");
+  }
+}
 
 FaultDecision FaultInjector::Draw(SimTime start, SimTime planned_end) {
   FaultDecision decision;

@@ -4,17 +4,23 @@
 //
 // Producers are the runtime's execution threads (the last slice of a stage
 // task pushes exactly one message); the single consumer is the coordinator
-// loop inside RuntimePlatform. The queue is bounded so a slow coordinator
-// exerts backpressure on workers instead of growing memory without bound:
-// Push blocks while the queue is full, and the coordinator always drains
-// (stashing out-of-order tickets aside), so the system cannot deadlock.
+// loop inside RuntimePlatform. The queue is a fixed ring of `capacity`
+// messages, allocated once at construction, so a message costs no heap
+// traffic on either side. It is bounded so a slow coordinator exerts
+// backpressure on workers instead of growing memory without bound: Push
+// blocks while the ring is full. The coordinator takes messages by
+// draining: every message queued (up to its buffer) under one lock, which
+// also frees room for every blocked producer at once. It always drains
+// (marking tickets that arrive ahead of their gate), so the system cannot
+// deadlock.
 
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <optional>
+#include <span>
+#include <vector>
 
 namespace scan::runtime {
 
@@ -29,66 +35,64 @@ struct TaskCompletion {
 class CompletionQueue {
  public:
   explicit CompletionQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+      : ring_(capacity == 0 ? 1 : capacity) {}
 
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
 
-  /// Blocks while the queue is full (producer backpressure).
+  /// Blocks while the ring is full (producer backpressure).
   void Push(TaskCompletion completion) {
     std::unique_lock lock(mutex_);
-    not_full_.wait(lock, [this] { return items_.size() < capacity_; });
-    items_.push_back(completion);
+    not_full_.wait(lock, [this] { return count_ < ring_.size(); });
+    const std::size_t tail = head_ + count_;
+    ring_[tail < ring_.size() ? tail : tail - ring_.size()] = completion;
+    ++count_;
     lock.unlock();
     not_empty_.notify_one();
   }
 
-  /// Blocks until a message is available.
-  [[nodiscard]] TaskCompletion Pop() {
+  /// Moves queued messages, oldest first, into `out` (as many as fit)
+  /// under one lock, blocking until at least one is queued. Returns the
+  /// number moved.
+  [[nodiscard]] std::size_t Drain(std::span<TaskCompletion> out) {
     std::unique_lock lock(mutex_);
-    not_empty_.wait(lock, [this] { return !items_.empty(); });
-    return PopLocked(lock);
+    not_empty_.wait(lock, [this] { return count_ > 0; });
+    return TakeLocked(out, lock);
   }
 
-  /// Non-blocking pop.
-  [[nodiscard]] std::optional<TaskCompletion> TryPop() {
-    std::unique_lock lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    return PopLocked(lock);
-  }
-
-  /// Pops, waiting at most until `deadline`; nullopt on timeout.
-  [[nodiscard]] std::optional<TaskCompletion> PopUntil(
+  /// Drain, waiting at most until `deadline`; 0 on timeout.
+  [[nodiscard]] std::size_t DrainUntil(
+      std::span<TaskCompletion> out,
       std::chrono::steady_clock::time_point deadline) {
     std::unique_lock lock(mutex_);
-    if (!not_empty_.wait_until(lock, deadline,
-                               [this] { return !items_.empty(); })) {
-      return std::nullopt;
+    if (!not_empty_.wait_until(lock, deadline, [this] { return count_ > 0; })) {
+      return 0;
     }
-    return PopLocked(lock);
+    return TakeLocked(out, lock);
   }
 
-  [[nodiscard]] std::size_t size() const {
-    const std::scoped_lock lock(mutex_);
-    return items_.size();
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
 
  private:
-  TaskCompletion PopLocked(std::unique_lock<std::mutex>& lock) {
-    const TaskCompletion front = items_.front();
-    items_.pop_front();
+  std::size_t TakeLocked(std::span<TaskCompletion> out,
+                         std::unique_lock<std::mutex>& lock) {
+    const std::size_t n = count_ < out.size() ? count_ : out.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = ring_[head_];
+      if (++head_ == ring_.size()) head_ = 0;
+    }
+    count_ -= n;
     lock.unlock();
-    not_full_.notify_one();
-    return front;
+    not_full_.notify_all();
+    return n;
   }
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::deque<TaskCompletion> items_;
-  std::size_t capacity_;
+  std::vector<TaskCompletion> ring_;
+  std::size_t head_ = 0;   ///< oldest message
+  std::size_t count_ = 0;  ///< messages queued
 };
 
 }  // namespace scan::runtime

@@ -6,15 +6,19 @@
 // slices on the runtime's shared execution pool — modeling the paper's
 // multithreaded stage execution (T_i(t, d)) with real concurrency — and
 // the last slice to finish reports the task's ticket over the bounded
-// completion queue. A task's slices reach the pool in one batch submit,
-// so the coordinator pays the pool's locks and wake-ups once per task.
+// completion queue. A task's slices are built straight into the pool's
+// home queues in one batch submit, so the coordinator pays the pool's
+// locks and wake-ups once per task and allocates nothing.
 //
 // The coordinator owns all scheduling state; a LiveWorker holds only what
-// execution needs. It is safe to destroy a LiveWorker while its slices are
-// still running (the failure-injection path does exactly this): slices
-// share ownership of their slice group and capture the kernel by value, so
-// they never touch the worker object after launch.
+// execution needs. What a task's slices share while they run is a
+// SliceGroup the caller owns (in the runtime, a TicketBook slot held until
+// the ticket's completion has been consumed): slices point at the group
+// and copy nothing, and they never touch the worker object after launch,
+// so it is safe to destroy a LiveWorker while its slices are still running
+// (the failure-injection path does exactly this).
 
+#include <atomic>
 #include <cstdint>
 
 #include "scan/concurrency/thread_pool.hpp"
@@ -45,6 +49,18 @@ struct StageTask {
   std::uint64_t parent_span = 0;
 };
 
+/// What one stage task's slices share while they run: the task, the
+/// kernel, the completion channel, and the countdown whose last decrement
+/// reports the ticket. LiveWorker::Execute fills it; its owner must keep it
+/// alive and unused until the ticket's completion message has been drained
+/// (every slice's last access happens before that push).
+struct SliceGroup {
+  StageTask task;
+  SpinKernel kernel;
+  CompletionQueue* completions = nullptr;
+  std::atomic<int> remaining{0};
+};
+
 /// One hired worker VM executing stage tasks on the shared pool.
 class LiveWorker {
  public:
@@ -66,11 +82,12 @@ class LiveWorker {
   /// modeled time; physically this just resizes the slice fan-out).
   void Configure(int threads) { threads_ = threads; }
 
-  /// Launches the task's slices on the pool in one handoff. The
-  /// coordinator guarantees one task at a time per worker (the engine's
-  /// worker book). Throws std::invalid_argument, before anything is
-  /// queued, when task.slices < 1 (its ticket could never be reported).
-  void Execute(const StageTask& task);
+  /// Launches the task's slices on the pool in one handoff, sharing
+  /// `group` (see SliceGroup for its lifetime). The coordinator guarantees
+  /// one task at a time per worker (the engine's worker book). Throws
+  /// std::invalid_argument, before anything is queued, when task.slices < 1
+  /// (its ticket could never be reported).
+  void Execute(const StageTask& task, SliceGroup& group);
 
  private:
   std::uint64_t key_ = 0;

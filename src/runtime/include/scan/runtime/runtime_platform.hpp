@@ -12,7 +12,11 @@
 //  - Each hired worker VM is represented by a LiveWorker that physically
 //    executes its stage task as `threads` parallel slices on a shared
 //    execution ThreadPool and reports completion over a bounded MPSC
-//    CompletionQueue.
+//    CompletionQueue. The slices share a slice group that is a slot of the
+//    platform's TicketBook, reused only after the coordinator has consumed
+//    that ticket's completion and run its terminal event, and the
+//    coordinator drains every queued completion under one lock: a warm
+//    handoff allocates nothing on either side.
 //  - Under the virtual clock the calendar's clock is the run's clock: each
 //    assignment's terminal event sits at its modeled instant and *gates on
 //    the physical completion message* (the worker's ticket) before the
@@ -31,7 +35,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "scan/common/stats.hpp"
 #include "scan/concurrency/thread_pool.hpp"
@@ -44,6 +48,7 @@
 #include "scan/runtime/completion_queue.hpp"
 #include "scan/runtime/ingest.hpp"
 #include "scan/runtime/live_worker.hpp"
+#include "scan/runtime/ticket_book.hpp"
 
 namespace scan::runtime {
 
@@ -76,6 +81,11 @@ struct RuntimeReport {
   /// Pool-level slice tasks executed over the run.
   std::uint64_t pool_tasks_executed = 0;
   std::size_t peak_pool_queue_depth = 0;
+  /// Most tickets outstanding at once (dispatched, terminal event not yet
+  /// run) and the slots the ticket book held for them: the book is bounded
+  /// by the former, not by the run's length.
+  std::size_t peak_tickets_outstanding = 0;
+  std::size_t ticket_slots = 0;
   std::size_t exec_threads = 0;
   ClockMode clock = ClockMode::kVirtual;
 
@@ -109,14 +119,6 @@ class RuntimePlatform : private core::EngineHost {
   }
 
  private:
-  /// A dispatched assignment whose completion message is still owed.
-  /// `orphaned` marks one whose worker crashed or flapped (wall clock):
-  /// its eventual message is drained and discarded.
-  struct InFlight {
-    core::Assignment assignment;
-    bool orphaned = false;
-  };
-
   // --- core::EngineHost ---
   void OnHire(std::uint64_t worker_key, int threads) override;
   void OnReconfigure(std::uint64_t worker_key, int threads) override;
@@ -131,15 +133,18 @@ class RuntimePlatform : private core::EngineHost {
   /// Wall clock: fires calendar events as their instants pass and puts
   /// each completion message on the calendar at its arrival instant.
   void RunWall();
-  /// Schedules the completion of `ticket`, which arrived at `arrived`.
+  /// Schedules the terminal event of `ticket`'s completion, which arrived
+  /// at `arrived`: it runs the engine's bookkeeping and frees the slot.
   void DeliverCompletion(std::uint64_t ticket, SimTime arrived);
-  /// Blocks until the worker message for `ticket` has been consumed,
-  /// draining (and stashing) other tickets that arrive first. Virtual
-  /// clock only: this is the gate that makes real threads replay the
-  /// modeled timeline.
-  void WaitForTicket(std::uint64_t ticket);
+  /// Blocks until at least one completion message is queued, then drains
+  /// every queued one and marks its slot reported. Virtual clock only:
+  /// Claim repeats it until the claimed ticket is reported, the gate that
+  /// makes real threads replay the modeled timeline.
+  void DrainReported();
   /// Consumes every message still owed by dispatched tasks (end of run).
   void DrainInFlight();
+  /// The slot of a ticket that must be booked (std::logic_error if not).
+  TicketBook::Slot& BookedSlot(std::uint64_t ticket);
 
   RuntimeOptions options_;
   core::Engine engine_;
@@ -147,9 +152,8 @@ class RuntimePlatform : private core::EngineHost {
   /// Set for the run's duration under ClockMode::kWall.
   std::optional<WallClock> wall_;
   CompletionQueue completions_;
-  std::unordered_map<std::uint64_t, InFlight> in_flight_;
-  std::unordered_set<std::uint64_t> reaped_;  ///< popped ahead of their gate
-  std::size_t unconsumed_ = 0;  ///< tickets dispatched, message not popped
+  std::vector<TaskCompletion> drained_;  ///< drain buffer, the ring's size
+  std::size_t unconsumed_ = 0;  ///< tickets dispatched, message not drained
   bool ran_ = false;
 
   // --- runtime-only measurements ---
@@ -160,8 +164,10 @@ class RuntimePlatform : private core::EngineHost {
 
   std::unordered_map<std::uint64_t, std::unique_ptr<LiveWorker>>
       live_workers_;
+  /// Every dispatched ticket's slot: its slice group and its assignment.
+  TicketBook book_;
   /// Declared last: its destructor joins executor threads that may still
-  /// touch completions_ / live worker slice groups.
+  /// touch completions_ / the book's slice groups.
   std::unique_ptr<ThreadPool> exec_pool_;
 };
 

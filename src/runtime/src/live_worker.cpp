@@ -2,10 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <stdexcept>
 #include <thread>
-#include <vector>
 
 #include "scan/common/str.hpp"
 #include "scan/obs/metrics.hpp"
@@ -19,20 +17,6 @@ namespace {
 /// Token work per slice under the virtual clock — enough to force real pool
 /// scheduling and memory traffic, small enough not to dominate the run.
 constexpr std::uint64_t kTokenIterations = 256;
-
-/// What one task's slices share: the task, the kernel, and the countdown
-/// whose last decrement reports the ticket. Heap-owned and shared by every
-/// slice so the worker (and even the platform's worker map entry) may be
-/// destroyed while slices are still in flight.
-struct SliceGroup {
-  SliceGroup(const StageTask& t, SpinKernel k, CompletionQueue* queue)
-      : task(t), kernel(k), completions(queue), remaining(t.slices) {}
-
-  const StageTask task;
-  const SpinKernel kernel;
-  CompletionQueue* const completions;
-  std::atomic<int> remaining;
-};
 
 void RunSlice(SliceGroup& group, int slice) {
   const StageTask& task = group.task;
@@ -65,7 +49,7 @@ void RunSlice(SliceGroup& group, int slice) {
 
 }  // namespace
 
-void LiveWorker::Execute(const StageTask& task) {
+void LiveWorker::Execute(const StageTask& task, SliceGroup& group) {
   // Checked before anything is queued: a task with no slice would never
   // report its ticket, and the coordinator would wait for it forever.
   if (task.slices < 1) {
@@ -75,14 +59,18 @@ void LiveWorker::Execute(const StageTask& task) {
         static_cast<unsigned long long>(task.ticket),
         static_cast<unsigned long long>(key_), task.slices));
   }
-  const auto group = std::make_shared<SliceGroup>(task, kernel_, completions_);
-  // All slices go to the pool in one handoff.
-  std::vector<UniqueTask> slices;
-  slices.reserve(static_cast<std::size_t>(task.slices));
-  for (int slice = 0; slice < task.slices; ++slice) {
-    slices.emplace_back([group, slice] { RunSlice(*group, slice); });
-  }
-  pool_->Submit(slices);
+  group.task = task;
+  group.kernel = kernel_;
+  group.completions = completions_;
+  group.remaining.store(task.slices, std::memory_order_relaxed);
+  // All slices go to the pool in one handoff (the pool's queue lock
+  // publishes the group to the executors).
+  pool_->Submit(static_cast<std::size_t>(task.slices),
+                [&group](std::size_t slice) -> UniqueTask {
+                  return [&group, slice] {
+                    RunSlice(group, static_cast<int>(slice));
+                  };
+                });
 }
 
 }  // namespace scan::runtime

@@ -13,8 +13,8 @@ namespace scan::runtime {
 
 namespace {
 
-/// Completion channel bound: an executor that finds this many messages
-/// unconsumed blocks until the coordinator pops one.
+/// Completion ring size: an executor that finds this many messages
+/// undrained blocks until the coordinator drains them.
 constexpr std::size_t kCompletionCapacity = 1024;
 
 }  // namespace
@@ -27,7 +27,8 @@ RuntimePlatform::RuntimePlatform(const core::SimulationConfig& config,
               options_.ingest),
       kernel_(options_.clock == ClockMode::kWall ? SpinKernel::Calibrate()
                                                  : SpinKernel{}),
-      completions_(kCompletionCapacity) {
+      completions_(kCompletionCapacity),
+      drained_(completions_.capacity()) {
   dispatch_micros_hist_ = &obs::MetricsRegistry::Global().GetHistogram(
       "scan_dispatch_micros", "Coordinator time per dispatch round (us)",
       {1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0});
@@ -75,6 +76,8 @@ RuntimeReport RuntimePlatform::Serve() {
   report.stage_tasks_dispatched = stage_tasks_dispatched_;
   report.pool_tasks_executed = exec_pool_->tasks_executed();
   report.peak_pool_queue_depth = peak_pool_queue_depth_;
+  report.peak_tickets_outstanding = book_.peak_outstanding();
+  report.ticket_slots = book_.slots();
   report.exec_threads = exec_pool_->thread_count();
   report.clock = options_.clock;
   return report;
@@ -84,76 +87,65 @@ void RuntimePlatform::RunWall() {
   sim::Simulator& calendar = engine_.calendar();
   const SimTime horizon = engine_.config().duration;
   for (;;) {
-    // Completions that already arrived join the calendar at this instant;
-    // then everything due by now fires in (time, sequence) order. The
-    // calendar's clock never runs ahead of the wall clock.
+    // Everything due by now fires in (time, sequence) order, including the
+    // completions delivered below; the calendar's clock never runs ahead
+    // of the wall clock.
     const SimTime now = wall_->Now();
-    while (const auto completion = completions_.TryPop()) {
-      --unconsumed_;
-      DeliverCompletion(completion->ticket, now);
-    }
     calendar.RunUntil(std::min(now, horizon));
     if (now >= horizon) break;
     // Quiescent early exit: nothing in flight and no future event inside
     // the horizon means nothing can change any more.
-    if (in_flight_.empty() && calendar.NextEventTime() > horizon) break;
+    if (book_.outstanding() == 0 && calendar.NextEventTime() > horizon) break;
     // Sleep until the next event, the horizon, or a completion — whichever
-    // comes first.
+    // comes first — then put every completion that arrived on the calendar
+    // at its arrival instant.
     const SimTime next = std::min(calendar.NextEventTime(), horizon);
-    if (const auto completion = completions_.PopUntil(wall_->DeadlineFor(next))) {
-      --unconsumed_;
-      DeliverCompletion(completion->ticket, wall_->Now());
+    const std::size_t n =
+        completions_.DrainUntil(drained_, wall_->DeadlineFor(next));
+    const SimTime arrived = wall_->Now();
+    for (std::size_t i = 0; i < n; ++i) {
+      DeliverCompletion(drained_[i].ticket, arrived);
     }
+    unconsumed_ -= n;
   }
 }
 
 void RuntimePlatform::DeliverCompletion(std::uint64_t ticket, SimTime arrived) {
   engine_.calendar().ScheduleAt(arrived, [this, ticket](sim::Simulator& s) {
-    const auto it = in_flight_.find(ticket);
-    if (it == in_flight_.end()) {
-      throw std::logic_error("completion message for unknown ticket " +
-                             std::to_string(ticket));
-    }
-    const InFlight task = it->second;
-    in_flight_.erase(it);
+    TicketBook::Slot& task = BookedSlot(ticket);
     if (obs::TraceEnabled()) {
       obs::TraceEmit(obs::EventKind::kTicketDelivery, s.Now().value(), 0,
                      ticket, 0, 0.0, 0.0, task.assignment.span);
     }
-    if (task.orphaned) return;  // its worker crashed; the result is lost
-    const core::Assignment& a = task.assignment;
+    // Copied out first: the engine may book the freed slot again.
+    const core::Assignment a = task.assignment;
+    const bool orphaned = task.orphaned;
+    book_.Release(task);
+    if (orphaned) return;  // its worker crashed; the result is lost
     engine_.OnTaskComplete(a.job_id, a.stage, a.worker_key, a.epoch, a.extra);
   });
 }
 
-void RuntimePlatform::WaitForTicket(std::uint64_t ticket) {
-  if (reaped_.erase(ticket) > 0) return;
-  for (;;) {
-    const TaskCompletion completion = completions_.Pop();
-    --unconsumed_;
-    if (completion.ticket == ticket) {
-      if (obs::TraceEnabled()) {
-        const auto it = in_flight_.find(ticket);
-        const std::uint64_t span = it != in_flight_.end()
-                                       ? it->second.assignment.span
-                                       : obs::kSpanNone;
-        obs::TraceEmit(obs::EventKind::kTicketDelivery,
-                       engine_.calendar().Now().value(), 0, ticket, 0, 0.0,
-                       0.0, span);
-      }
-      return;
-    }
-    reaped_.insert(completion.ticket);
+void RuntimePlatform::DrainReported() {
+  const std::size_t n = completions_.Drain(drained_);
+  for (std::size_t i = 0; i < n; ++i) {
+    BookedSlot(drained_[i].ticket).reported = true;
   }
+  unconsumed_ -= n;
+}
+
+TicketBook::Slot& RuntimePlatform::BookedSlot(std::uint64_t ticket) {
+  TicketBook::Slot* slot = book_.Find(ticket);
+  if (slot == nullptr) {
+    throw std::logic_error("no dispatched task holds ticket " +
+                           std::to_string(ticket));
+  }
+  return *slot;
 }
 
 void RuntimePlatform::DrainInFlight() {
-  while (unconsumed_ > 0) {
-    (void)completions_.Pop();
-    --unconsumed_;
-  }
-  reaped_.clear();
-  in_flight_.clear();
+  while (unconsumed_ > 0) unconsumed_ -= completions_.Drain(drained_);
+  book_.Clear();
 }
 
 void RuntimePlatform::OnHire(std::uint64_t worker_key, int threads) {
@@ -188,11 +180,12 @@ void RuntimePlatform::Execute(const core::Assignment& assignment) {
   task.burn_seconds = actual_exec.value() * seconds_per_tu;
   task.sim_start_tu = assignment.start.value();
   task.sim_exec_tu = actual_exec.value();
-  live_workers_.at(assignment.worker_key)->Execute(task);
-  // Booked only once the task is launched: a message is owed from here on
-  // (the coordinator alone pops the completion queue, so none can be
-  // consumed before this).
-  in_flight_.emplace(assignment.ticket, InFlight{assignment});
+  LiveWorker& worker = *live_workers_.at(assignment.worker_key);
+  TicketBook::Slot& slot = book_.Acquire(assignment.ticket);
+  slot.assignment = assignment;
+  worker.Execute(task, slot.group);
+  // A message is owed from here on (the coordinator alone drains the
+  // completion queue, so none can be consumed before this).
   ++unconsumed_;
   ++stage_tasks_dispatched_;
   peak_pool_queue_depth_ =
@@ -201,16 +194,28 @@ void RuntimePlatform::Execute(const core::Assignment& assignment) {
 
 bool RuntimePlatform::Claim(std::uint64_t ticket) {
   if (!wall_) {
-    WaitForTicket(ticket);
-    in_flight_.erase(ticket);
+    // The gate: the terminal event waits for the physical completion,
+    // draining (and marking) whatever else arrives first.
+    TicketBook::Slot& slot = BookedSlot(ticket);
+    if (!slot.reported) {
+      do {
+        DrainReported();
+      } while (!slot.reported);
+      if (obs::TraceEnabled()) {
+        obs::TraceEmit(obs::EventKind::kTicketDelivery,
+                       engine_.calendar().Now().value(), 0, ticket, 0, 0.0,
+                       0.0, slot.assignment.span);
+      }
+    }
+    book_.Release(slot);
     return true;
   }
   // A wall-clock crash or flap timer. The physical task may have beaten
   // the modeled fault; then the fault simply does not happen (wall mode
   // tracks physical reality). Otherwise its result is orphaned.
-  const auto it = in_flight_.find(ticket);
-  if (it == in_flight_.end() || it->second.orphaned) return false;
-  it->second.orphaned = true;
+  TicketBook::Slot* slot = book_.Find(ticket);
+  if (slot == nullptr || slot->orphaned) return false;
+  slot->orphaned = true;
   return true;
 }
 

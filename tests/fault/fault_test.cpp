@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "expect_rejected.hpp"
+#include "scan/core/scheduler.hpp"
 #include "scan/fault/fault_config.hpp"
 #include "scan/fault/health.hpp"
 #include "scan/fault/injector.hpp"
 #include "scan/fault/retry.hpp"
+#include "scan/gatk/pipeline_model.hpp"
+#include "scan/runtime/runtime_platform.hpp"
 
 namespace scan::fault {
 namespace {
@@ -193,6 +198,75 @@ TEST(FaultInjectorTest, FaultsLandInsideTheExecutionWindow) {
   }
   EXPECT_GT(crashes, 0);
   EXPECT_GT(flaps, 0);
+}
+
+// ---- Fault rates are checked before a run starts ---------------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(FaultInjectorTest, RejectsACrashRateThatIsNotFiniteAndNonNegative) {
+  // Unchecked, NaN and -0.5 run as a reliable cloud and +inf fails mid-run
+  // in RandomStream::Exponential.
+  for (const double rate : {kNaN, -0.5, kInf}) {
+    ExpectRejected([&] { FaultInjector(1, rate, FaultConfig{}); },
+                   {"FaultInjector", "worker_failure_rate"});
+  }
+}
+
+TEST(FaultInjectorTest, RejectsAFlapRateThatIsNotFiniteAndNonNegative) {
+  for (const double rate : {kNaN, -0.5, kInf}) {
+    FaultConfig config;
+    config.flap_rate = rate;
+    ExpectRejected([&] { FaultInjector(1, 0.0, config); },
+                   {"FaultInjector", "fault.flap_rate"});
+  }
+}
+
+TEST(FaultInjectorTest, RejectsAStraggleRateOutsideZeroToOne) {
+  for (const double rate : {kNaN, -0.1, 1.5, kInf}) {
+    FaultConfig config;
+    config.straggle_rate = rate;
+    ExpectRejected([&] { FaultInjector(1, 0.0, config); },
+                   {"FaultInjector", "fault.straggle_rate"});
+  }
+}
+
+TEST(FaultInjectorTest, RejectsAStraggleFactorThatIsNotFinite) {
+  for (const double factor : {kNaN, kInf, -kInf}) {
+    FaultConfig config;
+    config.straggle_rate = 0.5;
+    config.straggle_factor = factor;
+    ExpectRejected([&] { FaultInjector(1, 0.0, config); },
+                   {"FaultInjector", "fault.straggle_factor"});
+  }
+}
+
+TEST(FaultInjectorTest, AcceptsTheEdgesOfEveryRange) {
+  FaultConfig config;
+  config.straggle_rate = 1.0;
+  config.straggle_factor = 0.5;  // below 1 is treated as 1
+  config.flap_rate = 0.0;
+  FaultInjector injector(1, 0.0, config);
+  EXPECT_DOUBLE_EQ(injector.Draw(SimTime{0.0}, SimTime{2.0}).actual_end.value(),
+                   2.0);
+}
+
+TEST(FaultInjectorTest, BothHostsRejectABadRateBeforeTheRun) {
+  core::SimulationConfig config;
+  config.duration = SimTime{50.0};
+  config.worker_failure_rate = kNaN;
+  ExpectRejected(
+      [&] {
+        core::Scheduler scheduler(config, gatk::PipelineModel::PaperGatk(), 1);
+      },
+      {"worker_failure_rate"});
+  ExpectRejected(
+      [&] {
+        runtime::RuntimePlatform platform(
+            config, gatk::PipelineModel::PaperGatk(), 1);
+      },
+      {"worker_failure_rate"});
 }
 
 }  // namespace

@@ -95,7 +95,9 @@ void ExpectPathsExact(const SpanGraph& graph) {
       EXPECT_GE(hop.run_tu(), 0.0) << "job " << path.job_id;
       EXPECT_EQ(TagOf(hop.span), SpanTag::kStage);
       EXPECT_EQ(SpanJob(hop.span), path.job_id);
-      if (h > 0) EXPECT_GE(hop.enqueue_tu, path.hops[h - 1].enqueue_tu);
+      if (h > 0) {
+        EXPECT_GE(hop.enqueue_tu, path.hops[h - 1].enqueue_tu);
+      }
     }
   }
 }

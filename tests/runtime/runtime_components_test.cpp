@@ -2,39 +2,89 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <random>
+#include <span>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include "scan/concurrency/thread_pool.hpp"
 #include "scan/runtime/clock.hpp"
 #include "scan/runtime/completion_queue.hpp"
 #include "scan/runtime/live_worker.hpp"
+#include "scan/runtime/ticket_book.hpp"
 
 namespace scan::runtime {
 namespace {
+
+/// Drains exactly one message (blocking).
+TaskCompletion NextMessage(CompletionQueue& queue) {
+  TaskCompletion message;
+  EXPECT_EQ(queue.Drain(std::span<TaskCompletion>(&message, 1)), 1u);
+  return message;
+}
+
+/// True when no message is queued right now.
+bool NoMessage(CompletionQueue& queue) {
+  TaskCompletion message;
+  return queue.DrainUntil(std::span<TaskCompletion>(&message, 1),
+                          std::chrono::steady_clock::now()) == 0;
+}
 
 TEST(CompletionQueueTest, FifoOrder) {
   CompletionQueue queue(8);
   queue.Push({1});
   queue.Push({2});
   queue.Push({3});
-  EXPECT_EQ(queue.size(), 3u);
-  EXPECT_EQ(queue.Pop().ticket, 1u);
-  EXPECT_EQ(queue.Pop().ticket, 2u);
-  EXPECT_EQ(queue.Pop().ticket, 3u);
-  EXPECT_EQ(queue.size(), 0u);
+  std::vector<TaskCompletion> out(8);
+  ASSERT_EQ(queue.Drain(out), 3u);
+  EXPECT_EQ(out[0].ticket, 1u);
+  EXPECT_EQ(out[1].ticket, 2u);
+  EXPECT_EQ(out[2].ticket, 3u);
+  EXPECT_TRUE(NoMessage(queue));
 }
 
-TEST(CompletionQueueTest, TryPopOnEmptyReturnsNullopt) {
-  CompletionQueue queue(4);
-  EXPECT_FALSE(queue.TryPop().has_value());
+TEST(CompletionQueueTest, DrainTakesAtMostItsBuffer) {
+  CompletionQueue queue(8);
+  for (std::uint64_t t = 1; t <= 5; ++t) queue.Push({t});
+  std::vector<TaskCompletion> out(2);
+  ASSERT_EQ(queue.Drain(out), 2u);
+  EXPECT_EQ(out[0].ticket, 1u);
+  EXPECT_EQ(out[1].ticket, 2u);
+  out.resize(8);
+  ASSERT_EQ(queue.Drain(out), 3u);
+  EXPECT_EQ(out[0].ticket, 3u);
+  EXPECT_EQ(out[2].ticket, 5u);
 }
 
-TEST(CompletionQueueTest, PopUntilTimesOut) {
+TEST(CompletionQueueTest, WrapsAroundTheRing) {
+  // Capacity 3 is not a power of two, and 20 rounds of two messages cross
+  // the wrap point many times.
+  CompletionQueue queue(3);
+  std::vector<TaskCompletion> out(3);
+  for (std::uint64_t round = 0; round < 20; ++round) {
+    queue.Push({2 * round});
+    queue.Push({2 * round + 1});
+    ASSERT_EQ(queue.Drain(out), 2u);
+    EXPECT_EQ(out[0].ticket, 2 * round);
+    EXPECT_EQ(out[1].ticket, 2 * round + 1);
+  }
+}
+
+TEST(CompletionQueueTest, DrainUntilOnEmptyWithPastDeadlineReturnsZero) {
   CompletionQueue queue(4);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
-  EXPECT_FALSE(queue.PopUntil(deadline).has_value());
+  EXPECT_TRUE(NoMessage(queue));
+}
+
+TEST(CompletionQueueTest, DrainUntilTimesOut) {
+  CompletionQueue queue(4);
+  std::vector<TaskCompletion> out(4);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(queue.DrainUntil(out, start + std::chrono::milliseconds(20)), 0u);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(20));
 }
 
 TEST(CompletionQueueTest, PushBlocksWhenFullUntilConsumerDrains) {
@@ -43,16 +93,18 @@ TEST(CompletionQueueTest, PushBlocksWhenFullUntilConsumerDrains) {
   queue.Push({2});
   std::atomic<bool> third_pushed{false};
   std::thread producer([&] {
-    queue.Push({3});  // must block until the consumer pops
+    queue.Push({3});  // must block until the consumer drains
     third_pushed.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(third_pushed.load());
-  EXPECT_EQ(queue.Pop().ticket, 1u);
+  std::vector<TaskCompletion> out(2);
+  ASSERT_EQ(queue.Drain(out), 2u);
+  EXPECT_EQ(out[0].ticket, 1u);
+  EXPECT_EQ(out[1].ticket, 2u);
   producer.join();
   EXPECT_TRUE(third_pushed.load());
-  EXPECT_EQ(queue.Pop().ticket, 2u);
-  EXPECT_EQ(queue.Pop().ticket, 3u);
+  EXPECT_EQ(NextMessage(queue).ticket, 3u);
 }
 
 TEST(CompletionQueueTest, ManyProducersOneConsumer) {
@@ -66,7 +118,12 @@ TEST(CompletionQueueTest, ManyProducersOneConsumer) {
         [&queue, i] { queue.Push({static_cast<std::uint64_t>(i + 1)}); });
   }
   std::uint64_t ticket_sum = 0;
-  for (int i = 0; i < kProducers; ++i) ticket_sum += queue.Pop().ticket;
+  std::vector<TaskCompletion> out(4);
+  for (int drained = 0; drained < kProducers;) {
+    const std::size_t n = queue.Drain(out);
+    for (std::size_t i = 0; i < n; ++i) ticket_sum += out[i].ticket;
+    drained += static_cast<int>(n);
+  }
   for (auto& t : producers) t.join();
   EXPECT_EQ(ticket_sum, static_cast<std::uint64_t>(kProducers) *
                             (kProducers + 1) / 2);
@@ -100,27 +157,29 @@ TEST(LiveWorkerTest, ReportsTicketAfterAllSlicesFinish) {
   ThreadPool pool(4);
   CompletionQueue completions(8);
   LiveWorker worker(7, 4, pool, completions, SpinKernel{});
+  SliceGroup group;
   StageTask task;
   task.ticket = 42;
   task.slices = 4;
-  worker.Execute(task);
-  EXPECT_EQ(completions.Pop().ticket, 42u);
+  worker.Execute(task, group);
+  EXPECT_EQ(NextMessage(completions).ticket, 42u);
   pool.WaitIdle();
-  EXPECT_FALSE(completions.TryPop().has_value()) << "exactly one message";
+  EXPECT_TRUE(NoMessage(completions)) << "exactly one message";
 }
 
 TEST(LiveWorkerTest, SurvivesDestructionWhileSlicesRun) {
   ThreadPool pool(2);
   CompletionQueue completions(8);
+  SliceGroup group;
   {
     LiveWorker worker(1, 8, pool, completions, SpinKernel{});
     StageTask task;
     task.ticket = 9;
     task.slices = 8;
     task.burn_seconds = 0.005;
-    worker.Execute(task);
+    worker.Execute(task, group);
   }  // worker destroyed with slices in flight (the failure-injection path)
-  EXPECT_EQ(completions.Pop().ticket, 9u);
+  EXPECT_EQ(NextMessage(completions).ticket, 9u);
   pool.WaitIdle();
 }
 
@@ -129,15 +188,16 @@ TEST(LiveWorkerTest, OneCompletionPerTaskForEverySliceCount) {
     ThreadPool pool(threads);
     CompletionQueue completions(64);
     LiveWorker worker(5, 1, pool, completions, SpinKernel{});
+    SliceGroup group;
     std::uint64_t slices_total = 0;
     for (int slices = 1; slices <= 17; ++slices) {
       StageTask task;
       task.ticket = 100 + static_cast<std::uint64_t>(slices);
       task.slices = slices;
-      worker.Execute(task);
-      EXPECT_EQ(completions.Pop().ticket, task.ticket);
+      worker.Execute(task, group);  // one group, reused once reported
+      EXPECT_EQ(NextMessage(completions).ticket, task.ticket);
       pool.WaitIdle();
-      EXPECT_FALSE(completions.TryPop().has_value())
+      EXPECT_TRUE(NoMessage(completions))
           << slices << " slices on " << threads << " threads";
       slices_total += static_cast<std::uint64_t>(slices);
     }
@@ -152,16 +212,17 @@ TEST(LiveWorkerTest, TaskWithoutSlicesIsRejected) {
   ThreadPool pool(2);
   CompletionQueue completions(8);
   LiveWorker worker(6, 2, pool, completions, SpinKernel{});
+  SliceGroup group;
   for (const int slices : {0, -1}) {
     StageTask task;
     task.ticket = 77;
     task.slices = slices;
-    EXPECT_THROW(worker.Execute(task), std::invalid_argument);
+    EXPECT_THROW(worker.Execute(task, group), std::invalid_argument);
   }
   EXPECT_EQ(pool.pending(), 0u);
   pool.WaitIdle();
   EXPECT_EQ(pool.tasks_executed(), 0u);
-  EXPECT_FALSE(completions.TryPop().has_value());
+  EXPECT_TRUE(NoMessage(completions));
 }
 
 TEST(LiveWorkerTest, ReconfigureChangesSliceFanOut) {
@@ -171,6 +232,138 @@ TEST(LiveWorkerTest, ReconfigureChangesSliceFanOut) {
   EXPECT_EQ(worker.threads(), 2);
   worker.Configure(8);
   EXPECT_EQ(worker.threads(), 8);
+}
+
+// ---- Ticket book ------------------------------------------------------------
+
+TEST(TicketBookTest, FindsBookedTicketsAndReusesReleasedSlots) {
+  TicketBook book;
+  std::vector<TicketBook::Slot*> slots;
+  for (std::uint64_t t = 0; t < 10; ++t) slots.push_back(&book.Acquire(t));
+  EXPECT_EQ(book.slots(), 10u);
+  for (std::uint64_t t = 0; t < 10; ++t) EXPECT_EQ(book.Find(t), slots[t]);
+  for (std::uint64_t t = 1; t < 10; t += 2) book.Release(*slots[t]);
+  EXPECT_EQ(book.outstanding(), 5u);
+  for (std::uint64_t t = 1; t < 10; t += 2) EXPECT_EQ(book.Find(t), nullptr);
+  // Five new tickets take the five freed slots: the book does not grow.
+  for (std::uint64_t t = 10; t < 15; ++t) {
+    TicketBook::Slot& slot = book.Acquire(t);
+    EXPECT_EQ(slot.ticket, t);
+    EXPECT_FALSE(slot.reported);
+    EXPECT_EQ(book.Find(t), &slot);
+  }
+  EXPECT_EQ(book.slots(), 10u);
+  EXPECT_EQ(book.peak_outstanding(), 10u);
+  book.Clear();
+  EXPECT_EQ(book.outstanding(), 0u);
+  EXPECT_EQ(book.Find(12), nullptr);
+}
+
+TEST(TicketBookTest, AgreesWithAMapUnderRandomTraffic) {
+  // Tickets count up as the engine issues them; each step books the next
+  // or releases a random outstanding one, so probe runs are cut and
+  // shifted in every pattern. A hash map is the reference.
+  TicketBook book;
+  std::unordered_map<std::uint64_t, TicketBook::Slot*> reference;
+  std::vector<std::uint64_t> live;
+  std::mt19937_64 rng(0x7B00C);
+  std::uint64_t next = 0;
+  std::size_t peak = 0;
+  for (int step = 0; step < 20000; ++step) {
+    // Drifts between ~0 and ~200 outstanding over the run.
+    const bool book_next =
+        live.empty() || rng() % 400 < (step / 2000 % 2 == 0 ? 230u : 170u);
+    if (book_next) {
+      reference[next] = &book.Acquire(next);
+      live.push_back(next++);
+    } else {
+      const std::size_t k = rng() % live.size();
+      const std::uint64_t ticket = live[k];
+      live[k] = live.back();
+      live.pop_back();
+      book.Release(*book.Find(ticket));
+      reference.erase(ticket);
+    }
+    peak = std::max(peak, live.size());
+    if (step % 97 == 0) {
+      for (const auto& [ticket, slot] : reference) {
+        ASSERT_EQ(book.Find(ticket), slot) << "ticket " << ticket;
+      }
+      for (std::uint64_t gone = next > 300 ? next - 300 : 0; gone < next;
+           ++gone) {
+        if (!reference.contains(gone)) {
+          ASSERT_EQ(book.Find(gone), nullptr);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(book.outstanding(), live.size());
+  EXPECT_EQ(book.peak_outstanding(), peak);
+  EXPECT_EQ(book.slots(), peak) << "a slot per ticket outstanding, no more";
+  EXPECT_GT(next, 10 * peak) << "not vacuous: slots were reused many times";
+}
+
+TEST(TicketBookTest, RejectsDoubleBookingAndReleasingAFreedSlot) {
+  TicketBook book;
+  TicketBook::Slot& slot = book.Acquire(5);
+  EXPECT_THROW((void)book.Acquire(5), std::logic_error);
+  book.Release(slot);
+  EXPECT_THROW(book.Release(slot), std::logic_error);
+}
+
+TEST(LiveWorkerTest, SlotsAreReusedWhileOtherTasksSlicesRun) {
+  // Four executors; every task burns real time, so slices of several
+  // tickets overlap. Each slot a drained completion frees is booked again
+  // at once for the next ticket while other tickets' slices still run,
+  // and every 25th ticket's worker is released mid-task (as on a crash)
+  // and replaced.
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::uint64_t kTickets = 300;
+  constexpr std::uint64_t kWindow = 6;
+  ThreadPool pool(4);
+  CompletionQueue completions(1024);
+  std::vector<TaskCompletion> drained(completions.capacity());
+  TicketBook book;
+  std::vector<std::unique_ptr<LiveWorker>> workers;
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    workers.push_back(std::make_unique<LiveWorker>(w, 1, pool, completions,
+                                                   SpinKernel{}));
+  }
+  std::uint64_t next = 0;
+  const auto launch = [&] {
+    const std::uint64_t ticket = next++;
+    StageTask task;
+    task.ticket = ticket;
+    task.slices = 1 + static_cast<int>(ticket % 4);
+    task.burn_seconds = 0.0002;
+    std::unique_ptr<LiveWorker>& worker = workers[ticket % kWorkers];
+    worker->Execute(task, book.Acquire(ticket).group);
+    if (ticket % 25 == 0) {
+      worker = std::make_unique<LiveWorker>(ticket, 1, pool, completions,
+                                            SpinKernel{});
+    }
+  };
+  while (next < kWindow) launch();
+  std::vector<int> reports(kTickets, 0);
+  for (std::uint64_t done = 0; done < kTickets;) {
+    const std::size_t n = completions.Drain(drained);
+    for (std::size_t i = 0; i < n; ++i) {
+      TicketBook::Slot* slot = book.Find(drained[i].ticket);
+      ASSERT_NE(slot, nullptr) << "ticket " << drained[i].ticket;
+      ASSERT_EQ(slot->group.task.ticket, drained[i].ticket);
+      ++reports[drained[i].ticket];
+      book.Release(*slot);
+      ++done;
+      if (next < kTickets) launch();
+    }
+  }
+  pool.WaitIdle();
+  for (std::uint64_t t = 0; t < kTickets; ++t) {
+    EXPECT_EQ(reports[t], 1) << "ticket " << t;
+  }
+  EXPECT_EQ(book.outstanding(), 0u);
+  EXPECT_EQ(book.peak_outstanding(), kWindow);
+  EXPECT_EQ(book.slots(), kWindow);
 }
 
 TEST(WallClockTest, TracksElapsedWallTime) {

@@ -104,8 +104,8 @@ INSTANTIATE_TEST_SUITE_P(
                    ScalingAlgorithm::kAlwaysScale, 0xA62, 0.05},
         ParityCase{"PredictiveWithTimeline", AllocationAlgorithm::kLongTerm,
                    ScalingAlgorithm::kPredictive, 0xA71, 0.0, 10.0}),
-    [](const testing::TestParamInfo<ParityCase>& info) {
-      return info.param.name;
+    [](const testing::TestParamInfo<ParityCase>& param_info) {
+      return param_info.param.name;
     });
 
 TEST(RuntimeDeterminism, SameSeedVirtualRunsAreBitIdentical) {

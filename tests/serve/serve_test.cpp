@@ -344,6 +344,44 @@ TEST(ServeTest, RegistrySeriesEqualTheLedgers) {
             report.runtime.stage_tasks_dispatched);
 }
 
+TEST(ServeTest, TicketBookStaysBoundedOverLongRuns) {
+  // The runtime's ticket book holds one slot per ticket outstanding at
+  // once, whatever the run's length: a 4x longer run dispatches ~4x the
+  // stage tasks through the same few slots.
+  using P = workload::ArrivalPattern;
+  std::vector<TenantSpec> tenants;
+  const auto add = [&tenants](std::uint64_t id, const char* name, P pattern) {
+    TenantSpec spec = MakeTenant(id, name);
+    spec.pattern.pattern = pattern;
+    tenants.push_back(spec);
+  };
+  add(1, "steady", P::kHomogeneous);
+  add(2, "diurnal", P::kDiurnal);
+  add(3, "bursty", P::kBursty);
+  ServeOptions options;
+  options.global_max_in_flight = 32;
+  runtime::RuntimeOptions ropts;
+  ropts.exec_threads = 2;
+
+  std::vector<runtime::RuntimeReport> runs;
+  for (const double duration : {2000.0, 8000.0}) {
+    core::SimulationConfig config = BaseConfig();
+    config.duration = SimTime{duration};
+    const ServeReport report =
+        RunMultiTenantServe(config, tenants, /*seed=*/31, options, ropts);
+    const testkit::TenancyCheck check = testkit::CheckServeInvariants(report);
+    EXPECT_TRUE(check.ok()) << duration << " TU:\n" << check.Describe();
+    const runtime::RuntimeReport& r = report.runtime;
+    EXPECT_GT(r.ticket_slots, 0u) << duration << " TU";
+    EXPECT_LE(r.ticket_slots, r.peak_tickets_outstanding) << duration << " TU";
+    runs.push_back(r);
+  }
+  EXPECT_GT(runs[1].stage_tasks_dispatched,
+            3 * runs[0].stage_tasks_dispatched);
+  EXPECT_LT(runs[1].ticket_slots, runs[1].stage_tasks_dispatched / 100)
+      << "not one slot per ticket of the run";
+}
+
 TEST(ServeTest, QuotasHoldUnderChaosPresets) {
   for (const testkit::ChaosSpec& spec : testkit::ChaosScenarios()) {
     core::SimulationConfig config = spec.config;
