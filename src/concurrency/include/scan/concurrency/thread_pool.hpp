@@ -27,9 +27,6 @@
 //    worker's slices, ParallelFor's chunks) pays each home queue's lock,
 //    the shared counters and the wake-ups once per batch, not once per
 //    task, and a single task is the batch of one;
-//  - idle workers sleep until work is queued, not while work merely runs
-//    on another worker, and a submitter takes the sleep lock before it
-//    wakes them, so no wake-up is lost;
 //  - the pool joins its threads in the destructor (RAII; no detached
 //    threads anywhere).
 
@@ -41,7 +38,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -71,22 +67,18 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
 
-  /// Enqueues fire-and-forget tasks, moving each out of `tasks`. Task k
-  /// goes to home queue (n + k) mod thread_count() for a shared round-robin
-  /// cursor n, exactly where one Submit per task would put it, so a batch
+  /// Enqueues `n` fire-and-forget tasks, task k being make(k), built
+  /// straight into the home queues (no staging in caller storage). Task k
+  /// goes to home queue (c + k) mod thread_count() for a shared round-robin
+  /// cursor c, exactly where one Submit per task would put it, so a batch
   /// still spreads over every worker. Each home queue's lock is taken once
-  /// and at most min(tasks.size(), thread_count()) workers are woken. An
-  /// empty task throws std::invalid_argument before anything is enqueued.
-  void Submit(std::span<UniqueTask> tasks);
-
-  /// Enqueues one fire-and-forget task (the batch of one).
-  void Submit(UniqueTask task) { Submit(std::span<UniqueTask>(&task, 1)); }
-
-  /// Enqueues `n` tasks, task k being make(k), placed and woken exactly as
-  /// Submit(span) places and wakes a batch of n, but built straight into
-  /// the home queues instead of staged in caller storage (the live
-  /// runtime's slice fan-out). `make` must return non-empty tasks.
+  /// and at most min(n, thread_count()) workers are woken. `make` must
+  /// return non-empty tasks.
   void Submit(std::size_t n, FunctionRef<UniqueTask(std::size_t)> make);
+
+  /// Enqueues one fire-and-forget task (the batch of one). An empty task
+  /// throws std::invalid_argument before anything is enqueued.
+  void Submit(UniqueTask task);
 
   /// Enqueues a task and returns a future for its result.
   template <class F>

@@ -1,6 +1,7 @@
 #include "scan/concurrency/thread_pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <stdexcept>
 
@@ -34,13 +35,11 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::Submit(std::span<UniqueTask> tasks) {
+void ThreadPool::Submit(UniqueTask task) {
   // Checked before any counter or queue changes: an empty task would be
   // called through a null pointer on a worker thread.
-  for (const UniqueTask& task : tasks) {
-    if (!task) throw std::invalid_argument("ThreadPool::Submit: empty task");
-  }
-  Submit(tasks.size(), [tasks](std::size_t k) { return std::move(tasks[k]); });
+  if (!task) throw std::invalid_argument("ThreadPool::Submit: empty task");
+  Submit(1, [&task](std::size_t) { return std::move(task); });
 }
 
 void ThreadPool::Submit(std::size_t n,
@@ -62,12 +61,6 @@ void ThreadPool::Submit(std::size_t n,
     WorkerQueue& home = *queues_[(first + h) % queues];
     const std::scoped_lock lock(home.mutex);
     for (std::size_t k = h; k < n; k += queues) home.Push(make(k));
-  }
-  {
-    // A worker checks queued_ and starts waiting under the sleep lock, so
-    // taking it here orders this notify after any wait that missed the new
-    // tasks: no wake-up is lost.
-    const std::scoped_lock lock(sleep_mutex_);
   }
   if (n >= workers_.size()) {
     work_available_.notify_all();
@@ -157,10 +150,13 @@ void ThreadPool::WorkerLoop(std::size_t index) {
     if (pending_.load(std::memory_order_acquire) == 0) {
       idle_.notify_all();
     }
-    // Wakes for queued work, not for work running elsewhere.
-    work_available_.wait(lock, [this] {
+    // Re-check queues under the sleep mutex is unnecessary: a submitter
+    // enqueues before notifying, and notify_one is called after release of
+    // the queue mutex, so a missed notify leaves pending_ > 0 and the
+    // timed wait below recovers promptly.
+    work_available_.wait_for(lock, std::chrono::milliseconds(1), [this] {
       return stopping_.load(std::memory_order_acquire) ||
-             queued_.load(std::memory_order_acquire) > 0;
+             pending_.load(std::memory_order_acquire) > 0;
     });
     if (stopping_.load(std::memory_order_acquire)) return;
   }

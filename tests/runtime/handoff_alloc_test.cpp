@@ -3,11 +3,14 @@
 // run -> completion drained -> slot released) neither the coordinator nor
 // any executor thread touches the heap, for pools of 1 and 4 threads.
 //
-// This file replaces the global operator new / delete of the whole
-// runtime_test binary with malloc/free wrappers that tally allocations per
-// thread: each thread claims a tally on its first allocation and bumps it
-// with one relaxed increment per allocation after that. Every variant is
-// replaced so a sanitizer sees malloc/free pairs throughout.
+// This file replaces the global operator new / delete of its binary with
+// malloc/free wrappers that tally allocations per thread: each thread
+// claims a tally on its first allocation and bumps it with one relaxed
+// increment per allocation after that. Every variant is replaced, so the
+// binary never mixes the wrappers with the library's own allocator. The
+// file is a binary of its own (handoff_alloc_test): ASan sees only
+// malloc/free under the wrappers and cannot report a new/delete mismatch,
+// so no other suite is linked in with them.
 
 #include <gtest/gtest.h>
 
@@ -180,14 +183,12 @@ TEST_P(HandoffAllocationTest, WarmHandoffsAllocateNothing) {
   // finishes only once all of them run at once), and the book and the
   // buffers are at size.
   std::atomic<std::size_t> started{0};
-  std::vector<UniqueTask> rendezvous;
-  for (std::size_t k = 0; k < pool.thread_count(); ++k) {
-    rendezvous.emplace_back([&started, &pool] {
+  pool.Submit(pool.thread_count(), [&started, &pool](std::size_t) {
+    return UniqueTask([&started, &pool] {
       started.fetch_add(1);
       while (started.load() < pool.thread_count()) std::this_thread::yield();
     });
-  }
-  pool.Submit(rendezvous);
+  });
   for (int r = 0; r < 50; ++r) round();
   pool.WaitIdle();
   std::vector<std::uint64_t> before(kMaxTallies);
