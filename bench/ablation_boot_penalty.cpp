@@ -24,6 +24,8 @@ int main(int argc, char** argv) {
   const int reps = flags.GetInt("reps", 5);
   const double duration = flags.GetDouble("duration", 3000.0);
   const double interval = flags.GetDouble("interval", 2.2);
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
 
   std::cout << "Ablation: boot/reconfiguration penalty sweep "
                "(interval " << interval << " TU, " << reps
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
                   CsvTable::Num(always.mean_latency.mean()),
                   CsvTable::Num(predictive.mean_latency.mean())});
   }
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
 
   const double always_drop = results[1].profit_per_run.mean() -
                              results[(penalties.size() - 1) * 3 + 1]

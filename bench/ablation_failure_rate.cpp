@@ -25,6 +25,8 @@ int main(int argc, char** argv) {
   const int reps = flags.GetInt("reps", 5);
   const double duration = flags.GetDouble("duration", 3000.0);
   const double interval = flags.GetDouble("interval", 2.4);
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
 
   std::cout << "Ablation: worker failure rate sweep (interval " << interval
             << " TU, " << reps << " reps x " << duration << " TU)\n\n";
@@ -59,7 +61,7 @@ int main(int argc, char** argv) {
          CsvTable::Num(results[i * 3 + 0].mean_latency.mean()),
          CsvTable::Num(results[i * 3 + 2].mean_latency.mean())});
   }
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
 
   const double clean = results[2].profit_per_run.mean();
   const double worst = results[(rates.size() - 1) * 3 + 2].profit_per_run.mean();

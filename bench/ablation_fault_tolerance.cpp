@@ -27,6 +27,8 @@ int main(int argc, char** argv) {
   const int reps = flags.GetInt("reps", 5);
   const double duration = flags.GetDouble("duration", 3000.0);
   const double interval = flags.GetDouble("interval", 2.4);
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
 
   std::cout << "Ablation: checkpoint interval x crash rate (interval "
             << interval << " TU, " << reps << " reps x " << duration
@@ -62,7 +64,7 @@ int main(int argc, char** argv) {
          CsvTable::Num(results[i * 3 + 0].mean_latency.mean()),
          CsvTable::Num(results[i * 3 + 2].mean_latency.mean())});
   }
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
 
   const std::size_t worst = (rates.size() - 1) * 3;
   std::cout << "\nprofit at rate " << rates.back() << ": no checkpoints "

@@ -26,6 +26,8 @@ int main(int argc, char** argv) {
   const int reps = flags.GetInt("reps", 5);
   const double duration = flags.GetDouble("duration", 5000.0);
   const double epoch = flags.GetDouble("epoch", 50.0);
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
 
   std::cout << "Extension: learned (bandit) scaling vs. static policies\n"
             << "epoch " << epoch << " TU, epsilon 0.1, " << reps << " reps x "
@@ -65,7 +67,7 @@ int main(int argc, char** argv) {
                   CsvTable::Num(bandit),
                   CsvTable::Num(bandit - best_static)});
   }
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
 
   std::cout << "\nmean regret vs. best static policy: "
             << CsvTable::Num(total_regret /

@@ -79,6 +79,8 @@ int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
   const double job_gb = flags.GetDouble("job-gb", 40.0);
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
   const double price = 5.0;  // private tier
 
   const auto model = gatk::PipelineModel::PaperGatk().Scaled(0.25);
@@ -134,7 +136,7 @@ int main(int argc, char** argv) {
                   CsvTable::Num(outcome.cost_cu),
                   CsvTable::Num(outcome.profit_cu), note});
   }
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
 
   std::cout << "\noptimal fixed shard size: " << best_size << " GB (profit "
             << CsvTable::Num(best_profit) << ")\n";

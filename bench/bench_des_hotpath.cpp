@@ -202,6 +202,9 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(flags.GetDouble("events", 1'000'000));
   const auto pending =
       static_cast<std::uint64_t>(flags.GetDouble("pending", 10'000));
+  const int reps = flags.GetInt("reps", 3);
+  const TableOutput output(flags);
+  flags.RejectUnread();
 
   const std::vector<ScenarioSpec> scenarios = {
       {"des_10kworkers_1mjobs", Increments::kStageLattice, false},
@@ -214,7 +217,6 @@ int main(int argc, char** argv) {
   CsvTable table({"scenario", "pending", "events", "reference_eps",
                   "ladder_eps", "speedup", "reseeds", "bucket_sorts",
                   "checksum_match"});
-  const int reps = flags.GetInt("reps", 3);
   for (const ScenarioSpec& spec : scenarios) {
     // Untimed warm-up pass primes the allocator and branch predictors.
     (void)RunLadderLeg(spec, events / 10, pending, dummy);
@@ -249,6 +251,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  Emit(table, flags);
+  Emit(table, output);
   return 0;
 }

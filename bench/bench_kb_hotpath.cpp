@@ -186,6 +186,8 @@ int main(int argc, char** argv) {
   const auto profiles =
       static_cast<std::size_t>(flags.GetDouble("profiles", 1'250'000));
   const int reps = flags.GetInt("reps", 3);
+  const TableOutput output(flags);
+  flags.RejectUnread();
 
   std::fprintf(stderr, "building workload: %zu profiles...\n", profiles);
   Workload w = BuildWorkload(profiles);
@@ -371,6 +373,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  Emit(table, flags);
+  Emit(table, output);
   return 0;
 }

@@ -68,9 +68,12 @@ double TimedRun(const core::SimulationConfig& config, std::uint64_t seed,
 int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const int runs = flags.GetInt("runs", 9);
+  const double duration = flags.GetDouble("duration", 2000.0);
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
 
   core::SimulationConfig config;
-  config.duration = SimTime{flags.GetDouble("duration", 2000.0)};
+  config.duration = SimTime{duration};
   config.scaling = core::ScalingAlgorithm::kPredictive;
 
   const Mode modes[] = {
@@ -114,7 +117,7 @@ int main(int argc, char** argv) {
                   CsvTable::Num(static_cast<double>(events)),
                   CsvTable::Num(static_cast<double>(jobs))});
   }
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
   std::printf(
       "\nthe \"off\" row is the always-on cost: one relaxed load + branch "
       "per site.\nrel_throughput = off_mean_ms / mode_mean_ms (1.0 = free); "

@@ -48,6 +48,8 @@ int main(int argc, char** argv) {
   const double virtual_tu = flags.GetDouble("duration", 2000.0);
   const double wall_tu = flags.GetDouble("wall-duration", 150.0);
   const double ms_per_tu = flags.GetDouble("ms-per-tu", 2.0);
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
 
   std::cout << "runtime throughput: virtual " << virtual_tu << " TU, wall "
             << wall_tu << " TU at " << ms_per_tu << " ms/TU\n\n";
@@ -107,6 +109,6 @@ int main(int argc, char** argv) {
                   CsvTable::Num(static_cast<double>(r.pool_tasks_executed)),
                   CsvTable::Num(static_cast<double>(r.peak_pool_queue_depth))});
   }
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
   return 0;
 }

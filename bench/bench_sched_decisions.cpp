@@ -247,11 +247,13 @@ int main(int argc, char** argv) {
   const auto ops = static_cast<std::uint64_t>(flags.GetDouble("ops", 400'000));
   const auto workers =
       static_cast<std::uint64_t>(flags.GetDouble("workers", 10'000));
+  const int reps = flags.GetInt("reps", 3);
+  const TableOutput output(flags);
+  flags.RejectUnread();
 
   const std::vector<std::uint64_t> scales = {1'000, workers};
   CsvTable table({"scenario", "workers", "ops", "legacy_dps", "indexed_dps",
                   "speedup", "checksum_match"});
-  const int reps = flags.GetInt("reps", 3);
   for (const std::uint64_t scale : scales) {
     (void)RunLegacyLeg(scale, ops / 10);  // warm-up
     (void)RunIndexedLeg(scale, ops / 10);
@@ -281,6 +283,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  Emit(table, flags);
+  Emit(table, output);
   return 0;
 }

@@ -91,6 +91,8 @@ int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
   const double duration_tu = flags.GetDouble("duration", 2000.0);
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
 
   std::cout << "serve throughput: " << duration_tu << " TU horizon\n\n";
 
@@ -152,7 +154,7 @@ int main(int argc, char** argv) {
          check.ok() ? "ok" : "violated", replay_match ? "yes" : "no"});
   }
 
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
   if (failed) {
     std::cerr << "\nFAIL: serving invariants violated\n";
     return 1;

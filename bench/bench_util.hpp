@@ -1,10 +1,10 @@
 #pragma once
 
 // Shared helpers for the exhibit-reproduction binaries: a tiny flag parser
-// and common output plumbing. Every bench prints the rows/series of its
-// paper table or figure to stdout and optionally saves CSV via --csv=PATH
-// or JSON via --json=PATH (an array of {column: value} objects, numbers
-// unquoted).
+// that refuses flags the binary never reads, and common output plumbing.
+// Every bench prints the rows/series of its paper table or figure to
+// stdout and optionally saves CSV via --csv=PATH or JSON via --json=PATH
+// (an array of {column: value} objects, numbers unquoted).
 
 #include <cmath>
 #include <cstdio>
@@ -22,7 +22,9 @@
 
 namespace scan::bench {
 
-/// Minimal --flag=value / --flag parser.
+/// Minimal --flag=value / --flag parser. Every Has/Get* call marks the
+/// flag it names as read, so the binary's own reads are the list of flags
+/// it takes: RejectUnread() then refuses any other flag.
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -35,51 +37,84 @@ class Flags {
       arg.remove_prefix(2);
       const std::size_t eq = arg.find('=');
       if (eq == std::string_view::npos) {
-        values_.emplace_back(std::string(arg), "");
+        values_.push_back({std::string(arg), ""});
       } else {
-        values_.emplace_back(std::string(arg.substr(0, eq)),
-                             std::string(arg.substr(eq + 1)));
+        values_.push_back({std::string(arg.substr(0, eq)),
+                           std::string(arg.substr(eq + 1))});
       }
     }
   }
 
   [[nodiscard]] bool Has(std::string_view name) const {
-    for (const auto& [key, _] : values_) {
-      if (key == name) return true;
-    }
-    return false;
+    return Find(name) != nullptr;
   }
 
   [[nodiscard]] std::string GetString(std::string_view name,
                                       std::string fallback) const {
-    for (const auto& [key, value] : values_) {
-      if (key == name) return value;
-    }
-    return fallback;
+    const Flag* flag = Find(name);
+    return flag == nullptr ? fallback : flag->value;
   }
 
   [[nodiscard]] double GetDouble(std::string_view name,
                                  double fallback) const {
-    for (const auto& [key, value] : values_) {
-      if (key == name) {
-        const auto parsed = ParseDouble(value);
-        if (!parsed) {
-          std::fprintf(stderr, "bad value for --%s\n",
-                       std::string(name).c_str());
-          std::exit(2);
-        }
-        return *parsed;
-      }
+    const Flag* flag = Find(name);
+    if (flag == nullptr) return fallback;
+    const auto parsed = ParseDouble(flag->value);
+    if (!parsed) {
+      std::fprintf(stderr, "bad value for --%s\n", std::string(name).c_str());
+      std::exit(2);
     }
-    return fallback;
+    return *parsed;
   }
 
   [[nodiscard]] int GetInt(std::string_view name, int fallback) const {
     return static_cast<int>(GetDouble(name, fallback));
   }
 
+  /// Exits 2, naming it, if a flag was given that no Has/Get* call has
+  /// read: a misspelt or retired flag must not leave the binary running
+  /// its defaults. Call it once every flag the binary takes has been read,
+  /// before any work starts.
+  void RejectUnread() const {
+    for (const Flag& flag : values_) {
+      if (!flag.read) {
+        std::fprintf(stderr, "unknown flag: --%s\n", flag.name.c_str());
+        std::exit(2);
+      }
+    }
+  }
+
  private:
-  std::vector<std::pair<std::string, std::string>> values_;
+  struct Flag {
+    std::string name;
+    std::string value;
+    mutable bool read = false;
+  };
+
+  /// The first flag called `name` (or nullptr); marks every one read.
+  const Flag* Find(std::string_view name) const {
+    const Flag* first = nullptr;
+    for (const Flag& flag : values_) {
+      if (flag.name != name) continue;
+      flag.read = true;
+      if (first == nullptr) first = &flag;
+    }
+    return first;
+  }
+
+  std::vector<Flag> values_;
+};
+
+/// Where Emit saves a table besides printing it: --csv=PATH and
+/// --json=PATH. Build it with the binary's other flag reads, before
+/// Flags::RejectUnread.
+struct TableOutput {
+  explicit TableOutput(const Flags& flags)
+      : csv_path(flags.GetString("csv", "")),
+        json_path(flags.GetString("json", "")) {}
+
+  std::string csv_path;
+  std::string json_path;
 };
 
 /// JSON string literal with the escapes that can appear in table cells.
@@ -124,24 +159,22 @@ inline bool SaveJson(const CsvTable& table, const std::string& path) {
   return out.good();
 }
 
-/// Prints the table and optionally saves CSV per --csv=PATH and JSON per
-/// --json=PATH.
-inline void Emit(const CsvTable& table, const Flags& flags) {
+/// Prints the table and saves it to the output's CSV and JSON paths, if
+/// set.
+inline void Emit(const CsvTable& table, const TableOutput& output) {
   table.WritePretty(std::cout);
-  const std::string csv_path = flags.GetString("csv", "");
-  if (!csv_path.empty()) {
-    if (table.SaveCsv(csv_path)) {
-      std::cout << "\n[csv saved to " << csv_path << "]\n";
+  if (!output.csv_path.empty()) {
+    if (table.SaveCsv(output.csv_path)) {
+      std::cout << "\n[csv saved to " << output.csv_path << "]\n";
     } else {
-      std::cerr << "failed to save CSV to " << csv_path << "\n";
+      std::cerr << "failed to save CSV to " << output.csv_path << "\n";
     }
   }
-  const std::string json_path = flags.GetString("json", "");
-  if (!json_path.empty()) {
-    if (SaveJson(table, json_path)) {
-      std::cout << "\n[json saved to " << json_path << "]\n";
+  if (!output.json_path.empty()) {
+    if (SaveJson(table, output.json_path)) {
+      std::cout << "\n[json saved to " << output.json_path << "]\n";
     } else {
-      std::cerr << "failed to save JSON to " << json_path << "\n";
+      std::cerr << "failed to save JSON to " << output.json_path << "\n";
     }
   }
 }

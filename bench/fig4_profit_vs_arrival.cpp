@@ -28,6 +28,8 @@ int main(int argc, char** argv) {
   const bool quick = flags.Has("quick");
   const int reps = flags.GetInt("reps", quick ? 3 : 10);
   const double duration = flags.GetDouble("duration", quick ? 2000.0 : 10000.0);
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
 
   std::cout << "Figure 4: profit vs. mean arrival interval "
                "(time-based reward, public cost 50, best-constant plan)\n"
@@ -68,7 +70,7 @@ int main(int argc, char** argv) {
                   CsvTable::Num(always.stddev()),
                   CsvTable::Num(never.stddev())});
   }
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
 
   // Shape checks reported alongside the series.
   const auto profit = [&](std::size_t interval_idx, std::size_t scaling_idx) {

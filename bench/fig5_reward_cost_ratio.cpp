@@ -61,6 +61,8 @@ int main(int argc, char** argv) {
   const int reps = flags.GetInt("reps", quick ? 3 : 10);
   const double duration = flags.GetDouble("duration", quick ? 1500.0 : 5000.0);
   const double interval = flags.GetDouble("interval", 2.5);
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
 
   std::cout << "Figure 5: reward-to-cost ratio vs. total core-stages per "
                "pipeline run\n"
@@ -100,7 +102,7 @@ int main(int argc, char** argv) {
                   CsvTable::Num(agg.public_hires.mean() /
                                 std::max(1.0, agg.jobs_completed.mean()))});
   }
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
 
   std::cout << "\npeak ratio " << bench::MeanStd(best_ratio, 0.0)
             << " at core-stages=" << best_width

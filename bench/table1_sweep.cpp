@@ -39,6 +39,8 @@ int main(int argc, char** argv) {
   const bool verify = flags.Has("verify");
   const int reps = flags.GetInt("reps", full ? 10 : 3);
   const double duration = flags.GetDouble("duration", full ? 10000.0 : 2000.0);
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
 
   Table1Grid grid;
   if (!full) {
@@ -89,7 +91,7 @@ int main(int argc, char** argv) {
                   CsvTable::Num(agg.reward_to_cost.mean()),
                   CsvTable::Num(agg.jobs_completed.mean())});
   }
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
 
   // Summary claims. Group by (interval, reward, cost) cell.
   struct CellBest {

@@ -27,6 +27,8 @@ int main(int argc, char** argv) {
   spec.noise_stddev = flags.GetDouble("noise", 0.02);
   spec.repetitions = flags.GetInt("reps", 3);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
 
   const PipelineModel truth = PipelineModel::PaperGatk();
 
@@ -53,7 +55,7 @@ int main(int argc, char** argv) {
                   std::to_string(fits[i].single_thread_samples +
                                  fits[i].multi_thread_samples)});
   }
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
 
   std::cout << "\nmax |coefficient error| = "
             << CsvTable::Num(MaxCoefficientError(truth, fitted))

@@ -17,6 +17,8 @@ using namespace scan::core;
 int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
+  const bench::TableOutput output(flags);
+  flags.RejectUnread();
   const SimulationConfig config;
 
   struct Row {
@@ -54,7 +56,7 @@ int main(int argc, char** argv) {
     table.AddRow({"Possible instance sizes (cores)", "1,2,4,8,16",
                   "1,2,4,8,16", match ? "yes" : "NO"});
   }
-  bench::Emit(table, flags);
+  bench::Emit(table, output);
 
   std::cout << "\ncalibration knobs added by this reproduction (documented "
                "in EXPERIMENTS.md):\n"

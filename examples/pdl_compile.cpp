@@ -42,7 +42,7 @@ bool Check(const std::string& path, bool quiet) {
 }
 
 void PrintPipeline(const scan::pdl::CompiledPipeline& pipeline,
-                   const scan::bench::Flags& flags) {
+                   const scan::bench::TableOutput& output) {
   const scan::gatk::PipelineModel& model = pipeline.model;
   std::printf("pipeline \"%s\": %zu stages (%s), shard %s%s\n",
               pipeline.name.c_str(), model.stage_count(),
@@ -97,7 +97,7 @@ void PrintPipeline(const scan::pdl::CompiledPipeline& pipeline,
                   max_speedup > 1e6 ? "inf" : scan::CsvTable::Num(max_speedup),
                   after.empty() ? "-" : after});
   }
-  scan::bench::Emit(table, flags);
+  scan::bench::Emit(table, output);
 }
 
 }  // namespace
@@ -107,6 +107,8 @@ int main(int argc, char** argv) {
   const std::string file = flags.GetString("file", "");
   const std::string dir = flags.GetString("dir", "");
   const bool check_only = flags.Has("check");
+  const scan::bench::TableOutput output(flags);
+  flags.RejectUnread();
 
   if (file.empty() && dir.empty()) {
     std::fprintf(stderr,
@@ -139,6 +141,6 @@ int main(int argc, char** argv) {
     std::cerr << scan::pdl::FormatDiagnostics(result.diagnostics);
     return 1;
   }
-  if (!check_only) PrintPipeline(*result.pipeline, flags);
+  if (!check_only) PrintPipeline(*result.pipeline, output);
   return 0;
 }

@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
       SimTime{flags.GetDouble("checkpoint-interval", 0.0)};
   config.fault.backoff_base =
       SimTime{flags.GetDouble("backoff-base", 0.0)};
+  flags.RejectUnread();
   if (wall) {
     // Real CPU is the scarce resource now: lighten the modeled load so the
     // physical pool can keep pace (see DESIGN.md, "Live runtime").

@@ -22,9 +22,10 @@ using namespace scan;
 using namespace scan::serve;
 
 int main(int argc, char** argv) {
+  const bench::Flags flags(argc, argv);
   core::SimulationConfig config;
-  config.duration =
-      SimTime{bench::Flags(argc, argv).GetDouble("duration", 400.0)};
+  config.duration = SimTime{flags.GetDouble("duration", 400.0)};
+  flags.RejectUnread();
 
   std::vector<TenantSpec> tenants;
   TenantSpec lab;

@@ -10,7 +10,7 @@
 //  - per-worker home queues with stealing from the back of victims, which
 //    keeps the common case (own work) contention-free;
 //  - a task is an InplaceFunction<void(), kTaskCapacity>: move-only, and
-//    any callable of up to kTaskCapacity bytes (a live worker's slice, a
+//    any callable of up to kTaskCapacity bytes (a stage task's slice, a
 //    ParallelFor chunk, a packaged_task) is stored inline, so wrapping a
 //    task allocates nothing;
 //  - Submit returns a future only through the typed helper, so hot paths
@@ -23,8 +23,8 @@
 //    keeps its capacity) and runs it outside the lock: the whole queue
 //    when the pool has one thread, at most half of it when other workers
 //    could steal the rest;
-//  - one Submit body, over a batch: a caller fanning out N tasks (a live
-//    worker's slices, ParallelFor's chunks) pays each home queue's lock,
+//  - one Submit body, over a batch: a caller fanning out N tasks (a stage
+//    task's slices, ParallelFor's chunks) pays each home queue's lock,
 //    the shared counters and the wake-ups once per batch, not once per
 //    task, and a single task is the batch of one;
 //  - the pool joins its threads in the destructor (RAII; no detached

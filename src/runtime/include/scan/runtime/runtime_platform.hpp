@@ -9,12 +9,13 @@
 //    SchedulingPolicy the simulator runs — on its sim::Simulator calendar
 //    (ladder queue, inline events, (time, sequence) FIFO tie-breaking).
 //    RuntimePlatform is the engine's live host.
-//  - Each hired worker VM is represented by a LiveWorker that physically
-//    executes its stage task as `threads` parallel slices on a shared
-//    execution ThreadPool and reports completion over a bounded MPSC
-//    CompletionQueue. The slices share a slice group that is a slot of the
-//    platform's TicketBook, reused only after the coordinator has consumed
-//    that ticket's completion and run its terminal event, and the
+//  - The engine's worker book is the only one: a worker VM has no object
+//    here. Each dispatched assignment is booked in the platform's
+//    TicketBook and executed as `threads` parallel slices on a shared
+//    execution ThreadPool (LaunchSlices), the last of which reports the
+//    ticket over a bounded MPSC CompletionQueue. The slices read their
+//    ticket's slot, which is reused only after the coordinator has
+//    consumed that ticket's completion and run its terminal event, and the
 //    coordinator drains every queued completion under one lock: a warm
 //    handoff allocates nothing on either side.
 //  - Under the virtual clock the calendar's clock is the run's clock: each
@@ -34,7 +35,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "scan/common/stats.hpp"
@@ -43,11 +43,9 @@
 #include "scan/core/engine.hpp"
 #include "scan/core/scheduler.hpp"
 #include "scan/gatk/pipeline_model.hpp"
-#include "scan/obs/metrics.hpp"
 #include "scan/runtime/clock.hpp"
 #include "scan/runtime/completion_queue.hpp"
 #include "scan/runtime/ingest.hpp"
-#include "scan/runtime/live_worker.hpp"
 #include "scan/runtime/ticket_book.hpp"
 
 namespace scan::runtime {
@@ -58,8 +56,8 @@ namespace scan::runtime {
 /// before each calendar event, under either clock.
 struct RuntimeOptions : core::SchedulerOptions {
   ClockMode clock = ClockMode::kVirtual;
-  /// WallClock only: real seconds per simulated TU. The default maps a
-  /// 200 TU smoke run onto ~0.4 s of wall time.
+  /// WallClock only: real seconds per simulated TU, finite and > 0. The
+  /// default maps a 200 TU smoke run onto ~0.4 s of wall time.
   double wall_seconds_per_tu = 0.002;
   /// Execution pool size (0 = hardware concurrency).
   std::size_t exec_threads = 0;
@@ -99,6 +97,9 @@ struct RuntimeReport {
 /// One live SCAN deployment. Construct, then Serve() exactly once.
 class RuntimePlatform : private core::EngineHost {
  public:
+  /// Throws std::invalid_argument, before anything is built, when the wall
+  /// clock is selected with a wall_seconds_per_tu that is not finite and
+  /// > 0.
   RuntimePlatform(const core::SimulationConfig& config,
                   gatk::PipelineModel model, std::uint64_t seed,
                   RuntimeOptions options = {});
@@ -120,9 +121,6 @@ class RuntimePlatform : private core::EngineHost {
 
  private:
   // --- core::EngineHost ---
-  void OnHire(std::uint64_t worker_key, int threads) override;
-  void OnReconfigure(std::uint64_t worker_key, int threads) override;
-  void OnRelease(std::uint64_t worker_key) override;
   void Execute(const core::Assignment& assignment) override;
   [[nodiscard]] bool DeliversCompletions() const override {
     return wall_.has_value();
@@ -158,16 +156,13 @@ class RuntimePlatform : private core::EngineHost {
 
   // --- runtime-only measurements ---
   RunningStats dispatch_micros_;
-  obs::Histogram* dispatch_micros_hist_ = nullptr;  ///< resolved in ctor
   std::uint64_t stage_tasks_dispatched_ = 0;
   std::size_t peak_pool_queue_depth_ = 0;
 
-  std::unordered_map<std::uint64_t, std::unique_ptr<LiveWorker>>
-      live_workers_;
-  /// Every dispatched ticket's slot: its slice group and its assignment.
+  /// Every dispatched ticket's slot (see ticket_book.hpp).
   TicketBook book_;
   /// Declared last: its destructor joins executor threads that may still
-  /// touch completions_ / the book's slice groups.
+  /// touch kernel_, completions_ or the book's slots.
   std::unique_ptr<ThreadPool> exec_pool_;
 };
 

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "scan/obs/span.hpp"
+#include "scan/common/str.hpp"
 #include "scan/obs/trace.hpp"
 
 namespace scan::runtime {
@@ -17,23 +18,34 @@ namespace {
 /// undrained blocks until the coordinator drains them.
 constexpr std::size_t kCompletionCapacity = 1024;
 
+/// The host's own options, checked before anything is built: a wall-clock
+/// TU scale that is not a positive finite number puts every calendar
+/// deadline in the past (or nowhere), and the serving loop would spin.
+RuntimeOptions Checked(RuntimeOptions options) {
+  if (options.clock == ClockMode::kWall &&
+      !(std::isfinite(options.wall_seconds_per_tu) &&
+        options.wall_seconds_per_tu > 0.0)) {
+    throw std::invalid_argument(StrFormat(
+        "RuntimeOptions::wall_seconds_per_tu is %g; the wall clock needs a "
+        "finite value > 0",
+        options.wall_seconds_per_tu));
+  }
+  return options;
+}
+
 }  // namespace
 
 RuntimePlatform::RuntimePlatform(const core::SimulationConfig& config,
                                  gatk::PipelineModel model,
                                  std::uint64_t seed, RuntimeOptions options)
-    : options_(std::move(options)),
+    : options_(Checked(std::move(options))),
       engine_(config, std::move(model), seed, options_, this,
               options_.ingest),
       kernel_(options_.clock == ClockMode::kWall ? SpinKernel::Calibrate()
                                                  : SpinKernel{}),
       completions_(kCompletionCapacity),
-      drained_(completions_.capacity()) {
-  dispatch_micros_hist_ = &obs::MetricsRegistry::Global().GetHistogram(
-      "scan_dispatch_micros", "Coordinator time per dispatch round (us)",
-      {1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0});
-  exec_pool_ = std::make_unique<ThreadPool>(options_.exec_threads);
-}
+      drained_(completions_.capacity()),
+      exec_pool_(std::make_unique<ThreadPool>(options_.exec_threads)) {}
 
 RuntimePlatform::~RuntimePlatform() = default;
 
@@ -148,42 +160,17 @@ void RuntimePlatform::DrainInFlight() {
   book_.Clear();
 }
 
-void RuntimePlatform::OnHire(std::uint64_t worker_key, int threads) {
-  live_workers_.emplace(worker_key,
-                        std::make_unique<LiveWorker>(worker_key, threads,
-                                                     *exec_pool_, completions_,
-                                                     kernel_));
-}
-
-void RuntimePlatform::OnReconfigure(std::uint64_t worker_key, int threads) {
-  live_workers_.at(worker_key)->Configure(threads);
-}
-
-void RuntimePlatform::OnRelease(std::uint64_t worker_key) {
-  // Safe with slices still running: they share their slice group, not the
-  // worker (see live_worker.hpp).
-  live_workers_.erase(worker_key);
-}
-
 void RuntimePlatform::Execute(const core::Assignment& assignment) {
   // Under the virtual clock the slices do token work; under the wall
   // clock they burn the (straggle-extended) duration in real CPU, and the
   // boot delay becomes a real sleep.
   const double seconds_per_tu = wall_ ? wall_->seconds_per_tu() : 0.0;
-  const SimTime actual_exec = assignment.actual_end - assignment.start;
-  StageTask task;
-  task.ticket = assignment.ticket;
-  task.slices = assignment.threads;
-  task.parent_span = assignment.span;
-  task.pre_delay_seconds =
+  TicketBook::Slot& slot = book_.Acquire(assignment);
+  slot.pre_delay_seconds =
       (assignment.start - engine_.calendar().Now()).value() * seconds_per_tu;
-  task.burn_seconds = actual_exec.value() * seconds_per_tu;
-  task.sim_start_tu = assignment.start.value();
-  task.sim_exec_tu = actual_exec.value();
-  LiveWorker& worker = *live_workers_.at(assignment.worker_key);
-  TicketBook::Slot& slot = book_.Acquire(assignment.ticket);
-  slot.assignment = assignment;
-  worker.Execute(task, slot.group);
+  slot.burn_seconds =
+      (assignment.actual_end - assignment.start).value() * seconds_per_tu;
+  LaunchSlices(slot, *exec_pool_, kernel_, completions_);
   // A message is owed from here on (the coordinator alone drains the
   // completion queue, so none can be consumed before this).
   ++unconsumed_;
@@ -197,15 +184,13 @@ bool RuntimePlatform::Claim(std::uint64_t ticket) {
     // The gate: the terminal event waits for the physical completion,
     // draining (and marking) whatever else arrives first.
     TicketBook::Slot& slot = BookedSlot(ticket);
-    if (!slot.reported) {
-      do {
-        DrainReported();
-      } while (!slot.reported);
-      if (obs::TraceEnabled()) {
-        obs::TraceEmit(obs::EventKind::kTicketDelivery,
-                       engine_.calendar().Now().value(), 0, ticket, 0, 0.0,
-                       0.0, slot.assignment.span);
-      }
+    while (!slot.reported) DrainReported();
+    // One per claimed ticket, whether or not its message came first: how
+    // many a trace records must not depend on thread timing.
+    if (obs::TraceEnabled()) {
+      obs::TraceEmit(obs::EventKind::kTicketDelivery,
+                     engine_.calendar().Now().value(), 0, ticket, 0, 0.0, 0.0,
+                     slot.assignment.span);
     }
     book_.Release(slot);
     return true;
@@ -221,7 +206,6 @@ bool RuntimePlatform::Claim(std::uint64_t ticket) {
 
 void RuntimePlatform::OnDispatchRound(double micros) {
   dispatch_micros_.Add(micros);
-  if (obs::MetricsEnabled()) dispatch_micros_hist_->Observe(micros);
 }
 
 }  // namespace scan::runtime

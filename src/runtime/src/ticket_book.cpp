@@ -2,9 +2,16 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
+
+#include "scan/common/str.hpp"
+#include "scan/obs/metrics.hpp"
+#include "scan/obs/span.hpp"
+#include "scan/obs/trace.hpp"
 
 namespace scan::runtime {
 
@@ -16,7 +23,65 @@ constexpr std::uint64_t kNoTicket = std::numeric_limits<std::uint64_t>::max();
 
 constexpr std::size_t kMinBuckets = 16;
 
+/// Token work per slice under the virtual clock — enough to force real pool
+/// scheduling and memory traffic, small enough not to dominate the run.
+constexpr std::uint64_t kTokenIterations = 256;
+
+void RunSlice(TicketBook::Slot& slot, std::uint64_t slice,
+              const SpinKernel& kernel, CompletionQueue& completions) {
+  const core::Assignment& a = slot.assignment;
+  if (slot.pre_delay_seconds > 0.0) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(slot.pre_delay_seconds));
+  }
+  if (slot.burn_seconds > 0.0) {
+    kernel.Burn(slot.burn_seconds);
+  } else {
+    kernel.BurnIterations(kTokenIterations);
+  }
+  if (obs::TraceEnabled()) {
+    // Executor-thread span on its own track band (1000 + lane), stamped
+    // with modeled time so virtual-mode traces stay deterministic.
+    obs::TraceEmit(obs::EventKind::kStageSlice, a.start.value(),
+                   1000 + obs::TraceRecorder::Global().CurrentLane(),
+                   a.ticket, slice, 0.0, (a.actual_end - a.start).value(),
+                   obs::SliceSpan(a.ticket, slice), a.span);
+  }
+  if (slot.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (obs::MetricsEnabled()) {
+      obs::PoolMetrics::Global().completions_pushed->Increment();
+    }
+    completions.Push({a.ticket});
+  }
+}
+
 }  // namespace
+
+void LaunchSlices(TicketBook::Slot& slot, ThreadPool& pool,
+                  const SpinKernel& kernel, CompletionQueue& completions) {
+  // Checked before anything is queued: a task with no slice would never
+  // report its ticket, and the coordinator would wait for it forever.
+  const core::Assignment& a = slot.assignment;
+  if (a.threads < 1) {
+    throw std::invalid_argument(StrFormat(
+        "LaunchSlices: ticket %llu on worker %llu has %d threads; a stage "
+        "task needs at least one slice",
+        static_cast<unsigned long long>(a.ticket),
+        static_cast<unsigned long long>(a.worker_key), a.threads));
+  }
+  slot.remaining.store(a.threads, std::memory_order_relaxed);
+  // All slices go to the pool in one handoff (the pool's queue lock
+  // publishes the slot to the executors).
+  TicketBook::Slot* const shared = &slot;
+  const SpinKernel* const spin = &kernel;
+  CompletionQueue* const report = &completions;
+  pool.Submit(static_cast<std::size_t>(a.threads),
+              [shared, spin, report](std::size_t slice) -> UniqueTask {
+                return [shared, spin, report, slice] {
+                  RunSlice(*shared, slice, *spin, *report);
+                };
+              });
+}
 
 std::size_t TicketBook::Home(std::uint64_t ticket) const {
   // Fibonacci hashing: the top bits of the product mix every ticket bit,
@@ -24,7 +89,7 @@ std::size_t TicketBook::Home(std::uint64_t ticket) const {
   return static_cast<std::size_t>((ticket * 0x9E3779B97F4A7C15ULL) >> shift_);
 }
 
-TicketBook::Slot& TicketBook::Acquire(std::uint64_t ticket) {
+TicketBook::Slot& TicketBook::Acquire(const core::Assignment& assignment) {
   if (free_.empty()) {
     slots_.push_back(std::make_unique<Slot>());
     free_.reserve(slots_.size());  // so Release never allocates
@@ -35,8 +100,10 @@ TicketBook::Slot& TicketBook::Acquire(std::uint64_t ticket) {
   }
   Slot& slot = *free_.back();
   free_.pop_back();
-  Insert(ticket, &slot);
-  slot.ticket = ticket;
+  Insert(assignment.ticket, &slot);
+  slot.assignment = assignment;
+  slot.pre_delay_seconds = 0.0;
+  slot.burn_seconds = 0.0;
   slot.reported = false;
   slot.orphaned = false;
   peak_ = std::max(peak_, ++outstanding_);
@@ -53,12 +120,13 @@ TicketBook::Slot* TicketBook::Find(std::uint64_t ticket) {
 }
 
 void TicketBook::Release(Slot& slot) {
+  const std::uint64_t ticket = slot.assignment.ticket;
   const std::size_t mask = index_.size() - 1;
-  std::size_t hole = Home(slot.ticket);
-  while (index_[hole].ticket != slot.ticket) {
+  std::size_t hole = Home(ticket);
+  while (index_[hole].ticket != ticket) {
     if (index_[hole].ticket == kNoTicket) {
       throw std::logic_error("TicketBook::Release: ticket " +
-                             std::to_string(slot.ticket) + " is not booked");
+                             std::to_string(ticket) + " is not booked");
     }
     hole = (hole + 1) & mask;
   }

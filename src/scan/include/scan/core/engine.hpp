@@ -8,13 +8,14 @@
 //  - core::Scheduler, the discrete-event simulator, runs it with no host:
 //    every assignment's terminal event is a plain calendar event.
 //  - runtime::RuntimePlatform, the live runtime, is an EngineHost: it
-//    hires LiveWorkers, executes each assignment on real threads, and
-//    gates or delivers its completion. Under the virtual clock the
-//    terminal event waits for the worker's completion ticket; under the
-//    wall clock the completion arrives as a message and only crash/flap
-//    timers are calendar events.
-// The host seam is touched only where the two differ, so the simulator
-// pays a null-pointer branch there and nothing per event.
+//    executes each assignment on real threads and gates or delivers its
+//    completion. Under the virtual clock the terminal event waits for the
+//    assignment's completion ticket; under the wall clock the completion
+//    arrives as a message and only crash/flap timers are calendar events.
+// The engine's worker books are the only ones either host keeps: a host
+// learns of a worker only through the assignments it is handed. The host
+// seam is touched only where the two differ, so the simulator pays a
+// null-pointer branch there and nothing per event.
 //
 // The run types (RunMetrics, SchedulerOptions, SchedulerView) are the
 // simulator's public ones, declared in scheduler.hpp.
@@ -54,6 +55,8 @@ struct Assignment {
   std::uint64_t worker_key = 0;
   /// Task epoch the assignment started under (stale-result detection).
   std::uint64_t epoch = 0;
+  /// The worker's thread configuration: the live host runs the task as
+  /// this many parallel slices.
   int threads = 0;
   SimTime start{0.0};       ///< includes any boot/reconfiguration delay
   SimTime actual_end{0.0};  ///< straggle-extended completion instant
@@ -67,11 +70,6 @@ struct Assignment {
 /// never owns its host.
 class EngineHost {
  public:
-  /// Physical worker lifecycle (keys derive from cloud worker ids).
-  virtual void OnHire(std::uint64_t worker_key, int threads) = 0;
-  virtual void OnReconfigure(std::uint64_t worker_key, int threads) = 0;
-  virtual void OnRelease(std::uint64_t worker_key) = 0;
-
   /// Launches one assignment's physical execution.
   virtual void Execute(const Assignment& assignment) = 0;
   /// True when completions arrive as host messages (delivered through

@@ -448,7 +448,6 @@ bool Engine::TryDispatchHead(std::size_t stage) {
       index_.RemoveIdle(IdleEntryFor(worker));
       const SimTime delay = cloud_.Configure(worker.id, threads, now).value();
       worker.threads = threads;
-      if (host_ != nullptr) host_->OnReconfigure(best_key, threads);
       ++metrics_.reconfigurations;
       AuditHire(obs::HireChoice::kReconfigure, stage, job, threads, queue_len,
                 nullptr);
@@ -513,7 +512,6 @@ bool Engine::TryDispatchHead(std::size_t stage) {
   worker.threads = threads;
   const std::uint64_t key = static_cast<std::uint64_t>(*hired);
   workers_.emplace(key, worker);
-  if (host_ != nullptr) host_->OnHire(key, threads);
   AuditHire(tier == cloud::Tier::kPrivate ? obs::HireChoice::kHirePrivate
                                           : obs::HireChoice::kHirePublic,
             stage, job, threads, queue_len, eval_ptr);
@@ -674,7 +672,6 @@ void Engine::RetireWorker(std::uint64_t worker_key, SimTime now) {
                   released.ToString().c_str()));
   }
   workers_.erase(worker_key);
-  if (host_ != nullptr) host_->OnRelease(worker_key);
 }
 
 void Engine::ReleaseIdleWorker(std::uint64_t worker_key, SimTime now) {
@@ -726,8 +723,7 @@ void Engine::OnWorkerFlap(std::uint64_t job_id, std::size_t stage,
   const SimTime now = sim_.Now();
   // The worker survives but drops its in-flight task: roll back the
   // unserved credit (same accounting as a crash) and return it to the
-  // idle pool. A live host keeps its LiveWorker: the machine only
-  // dropped its task.
+  // idle pool: the machine only dropped its task.
   WorkerBook& worker = workers_.at(worker_key);
   worker.busy_accumulated -= (worker.busy_until - now);
   worker.busy = false;

@@ -8,7 +8,7 @@
 // MetricsFingerprint — even though the runtime executed every stage task
 // on real OS threads. Both hosts run one mechanics core (core::Engine),
 // so agreement here checks the host seam: ticket gating (each terminal
-// event waits for its worker's completion message), LiveWorker fan-out
+// event waits for its assignment's completion message), the slice fan-out
 // onto the execution pool, and the shared calendar's event order.
 
 #include <cstdint>

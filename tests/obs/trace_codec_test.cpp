@@ -65,10 +65,14 @@ class TraceCodecTest : public ::testing::Test {
     TraceRecorder::Global().Disable();
   }
 
-  /// The text of the recorder's JSONL or Chrome export.
+  /// The text of the recorder's JSONL or Chrome export, through a file
+  /// named for the running test (ctest runs the cases as concurrent
+  /// processes).
   static std::string Export(bool chrome) {
     const std::string path =
-        testing::TempDir() + (chrome ? "codec_test.json" : "codec_test.jsonl");
+        testing::TempDir() + "codec_test_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() +
+        (chrome ? ".json" : ".jsonl");
     const TraceRecorder& recorder = TraceRecorder::Global();
     EXPECT_TRUE(chrome ? recorder.ExportChromeJson(path)
                        : recorder.ExportJsonl(path));

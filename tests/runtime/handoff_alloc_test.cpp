@@ -1,7 +1,7 @@
 // The live runtime's coordinator <-> executor handoff allocates nothing
-// once warm: over N handoffs (slot acquire -> LiveWorker::Execute -> slices
-// run -> completion drained -> slot released) neither the coordinator nor
-// any executor thread touches the heap, for pools of 1 and 4 threads.
+// once warm: over N handoffs (slot acquire -> LaunchSlices -> slices run ->
+// completion drained -> slot released) neither the coordinator nor any
+// executor thread touches the heap, for pools of 1 and 4 threads.
 //
 // This file replaces the global operator new / delete of its binary with
 // malloc/free wrappers that tally allocations per thread: each thread
@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "scan/concurrency/thread_pool.hpp"
+#include "scan/runtime/clock.hpp"
 #include "scan/runtime/completion_queue.hpp"
-#include "scan/runtime/live_worker.hpp"
 #include "scan/runtime/ticket_book.hpp"
 
 namespace {
@@ -146,12 +146,13 @@ constexpr int kSlices = 4;          ///< slices per task
 class HandoffAllocationTest : public testing::TestWithParam<std::size_t> {};
 
 TEST_P(HandoffAllocationTest, WarmHandoffsAllocateNothing) {
-  ThreadPool pool(GetParam());
+  const SpinKernel kernel;
   CompletionQueue completions(1024);
   std::vector<TaskCompletion> drained(completions.capacity());
   TicketBook book;
-  LiveWorker worker(1, kSlices, pool, completions, SpinKernel{});
-  std::uint64_t next_ticket = 0;
+  ThreadPool pool(GetParam());
+  core::Assignment task;  // ticket 0 first, counting up
+  task.threads = kSlices;
 
   // One round books and launches kWindow tickets, drains their messages
   // as they come (marking each slot reported), and releases each slot
@@ -159,11 +160,9 @@ TEST_P(HandoffAllocationTest, WarmHandoffsAllocateNothing) {
   const auto round = [&] {
     std::array<std::uint64_t, kWindow> tickets{};
     for (std::uint64_t& ticket : tickets) {
-      ticket = next_ticket++;
-      StageTask task;
-      task.ticket = ticket;
-      task.slices = kSlices;
-      worker.Execute(task, book.Acquire(ticket).group);
+      ticket = task.ticket;
+      LaunchSlices(book.Acquire(task), pool, kernel, completions);
+      ++task.ticket;
     }
     for (std::size_t owed = kWindow; owed > 0;) {
       const std::size_t n = completions.Drain(drained);

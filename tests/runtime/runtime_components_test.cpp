@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -13,7 +12,6 @@
 #include "scan/concurrency/thread_pool.hpp"
 #include "scan/runtime/clock.hpp"
 #include "scan/runtime/completion_queue.hpp"
-#include "scan/runtime/live_worker.hpp"
 #include "scan/runtime/ticket_book.hpp"
 
 namespace scan::runtime {
@@ -24,6 +22,14 @@ TaskCompletion NextMessage(CompletionQueue& queue) {
   TaskCompletion message;
   EXPECT_EQ(queue.Drain(std::span<TaskCompletion>(&message, 1)), 1u);
   return message;
+}
+
+/// An assignment holding `ticket`, run as `slices` slices.
+core::Assignment Task(std::uint64_t ticket, int slices = 1) {
+  core::Assignment assignment;
+  assignment.ticket = ticket;
+  assignment.threads = slices;
+  return assignment;
 }
 
 /// True when no message is queued right now.
@@ -153,71 +159,54 @@ TEST(SpinKernelTest, ZeroBurnReturnsImmediately) {
   SUCCEED();
 }
 
-TEST(LiveWorkerTest, ReportsTicketAfterAllSlicesFinish) {
-  ThreadPool pool(4);
+TEST(LaunchSlicesTest, ReportsTicketAfterAllSlicesFinish) {
+  const SpinKernel kernel;
   CompletionQueue completions(8);
-  LiveWorker worker(7, 4, pool, completions, SpinKernel{});
-  SliceGroup group;
-  StageTask task;
-  task.ticket = 42;
-  task.slices = 4;
-  worker.Execute(task, group);
+  TicketBook book;
+  ThreadPool pool(4);
+  LaunchSlices(book.Acquire(Task(42, 4)), pool, kernel, completions);
   EXPECT_EQ(NextMessage(completions).ticket, 42u);
   pool.WaitIdle();
   EXPECT_TRUE(NoMessage(completions)) << "exactly one message";
+  EXPECT_EQ(pool.tasks_executed(), 4u);
 }
 
-TEST(LiveWorkerTest, SurvivesDestructionWhileSlicesRun) {
-  ThreadPool pool(2);
-  CompletionQueue completions(8);
-  SliceGroup group;
-  {
-    LiveWorker worker(1, 8, pool, completions, SpinKernel{});
-    StageTask task;
-    task.ticket = 9;
-    task.slices = 8;
-    task.burn_seconds = 0.005;
-    worker.Execute(task, group);
-  }  // worker destroyed with slices in flight (the failure-injection path)
-  EXPECT_EQ(NextMessage(completions).ticket, 9u);
-  pool.WaitIdle();
-}
-
-TEST(LiveWorkerTest, OneCompletionPerTaskForEverySliceCount) {
+TEST(LaunchSlicesTest, OneCompletionPerTaskForEverySliceCount) {
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
+    const SpinKernel kernel;
     CompletionQueue completions(64);
-    LiveWorker worker(5, 1, pool, completions, SpinKernel{});
-    SliceGroup group;
+    TicketBook book;
+    ThreadPool pool(threads);
     std::uint64_t slices_total = 0;
     for (int slices = 1; slices <= 17; ++slices) {
-      StageTask task;
-      task.ticket = 100 + static_cast<std::uint64_t>(slices);
-      task.slices = slices;
-      worker.Execute(task, group);  // one group, reused once reported
-      EXPECT_EQ(NextMessage(completions).ticket, task.ticket);
+      const std::uint64_t ticket = 100 + static_cast<std::uint64_t>(slices);
+      TicketBook::Slot& slot = book.Acquire(Task(ticket, slices));
+      LaunchSlices(slot, pool, kernel, completions);
+      EXPECT_EQ(NextMessage(completions).ticket, ticket);
       pool.WaitIdle();
       EXPECT_TRUE(NoMessage(completions))
           << slices << " slices on " << threads << " threads";
+      book.Release(slot);  // one slot, reused once reported
       slices_total += static_cast<std::uint64_t>(slices);
     }
+    EXPECT_EQ(book.slots(), 1u);
     EXPECT_EQ(pool.tasks_executed(), slices_total);
     EXPECT_EQ(pool.pending(), 0u);
   }
 }
 
-TEST(LiveWorkerTest, TaskWithoutSlicesIsRejected) {
+TEST(LaunchSlicesTest, TaskWithoutSlicesIsRejected) {
   // A task with no slice would never report its ticket, and the
   // coordinator would block on it forever.
-  ThreadPool pool(2);
+  const SpinKernel kernel;
   CompletionQueue completions(8);
-  LiveWorker worker(6, 2, pool, completions, SpinKernel{});
-  SliceGroup group;
+  TicketBook book;
+  ThreadPool pool(2);
   for (const int slices : {0, -1}) {
-    StageTask task;
-    task.ticket = 77;
-    task.slices = slices;
-    EXPECT_THROW(worker.Execute(task, group), std::invalid_argument);
+    TicketBook::Slot& slot = book.Acquire(Task(77, slices));
+    EXPECT_THROW(LaunchSlices(slot, pool, kernel, completions),
+                 std::invalid_argument);
+    book.Release(slot);
   }
   EXPECT_EQ(pool.pending(), 0u);
   pool.WaitIdle();
@@ -225,21 +214,14 @@ TEST(LiveWorkerTest, TaskWithoutSlicesIsRejected) {
   EXPECT_TRUE(NoMessage(completions));
 }
 
-TEST(LiveWorkerTest, ReconfigureChangesSliceFanOut) {
-  ThreadPool pool(2);
-  CompletionQueue completions(8);
-  LiveWorker worker(3, 2, pool, completions, SpinKernel{});
-  EXPECT_EQ(worker.threads(), 2);
-  worker.Configure(8);
-  EXPECT_EQ(worker.threads(), 8);
-}
-
 // ---- Ticket book ------------------------------------------------------------
 
 TEST(TicketBookTest, FindsBookedTicketsAndReusesReleasedSlots) {
   TicketBook book;
   std::vector<TicketBook::Slot*> slots;
-  for (std::uint64_t t = 0; t < 10; ++t) slots.push_back(&book.Acquire(t));
+  for (std::uint64_t t = 0; t < 10; ++t) {
+    slots.push_back(&book.Acquire(Task(t)));
+  }
   EXPECT_EQ(book.slots(), 10u);
   for (std::uint64_t t = 0; t < 10; ++t) EXPECT_EQ(book.Find(t), slots[t]);
   for (std::uint64_t t = 1; t < 10; t += 2) book.Release(*slots[t]);
@@ -247,8 +229,8 @@ TEST(TicketBookTest, FindsBookedTicketsAndReusesReleasedSlots) {
   for (std::uint64_t t = 1; t < 10; t += 2) EXPECT_EQ(book.Find(t), nullptr);
   // Five new tickets take the five freed slots: the book does not grow.
   for (std::uint64_t t = 10; t < 15; ++t) {
-    TicketBook::Slot& slot = book.Acquire(t);
-    EXPECT_EQ(slot.ticket, t);
+    TicketBook::Slot& slot = book.Acquire(Task(t));
+    EXPECT_EQ(slot.assignment.ticket, t);
     EXPECT_FALSE(slot.reported);
     EXPECT_EQ(book.Find(t), &slot);
   }
@@ -274,7 +256,7 @@ TEST(TicketBookTest, AgreesWithAMapUnderRandomTraffic) {
     const bool book_next =
         live.empty() || rng() % 400 < (step / 2000 % 2 == 0 ? 230u : 170u);
     if (book_next) {
-      reference[next] = &book.Acquire(next);
+      reference[next] = &book.Acquire(Task(next));
       live.push_back(next++);
     } else {
       const std::size_t k = rng() % live.size();
@@ -305,43 +287,30 @@ TEST(TicketBookTest, AgreesWithAMapUnderRandomTraffic) {
 
 TEST(TicketBookTest, RejectsDoubleBookingAndReleasingAFreedSlot) {
   TicketBook book;
-  TicketBook::Slot& slot = book.Acquire(5);
-  EXPECT_THROW((void)book.Acquire(5), std::logic_error);
+  TicketBook::Slot& slot = book.Acquire(Task(5));
+  EXPECT_THROW((void)book.Acquire(Task(5)), std::logic_error);
   book.Release(slot);
   EXPECT_THROW(book.Release(slot), std::logic_error);
 }
 
-TEST(LiveWorkerTest, SlotsAreReusedWhileOtherTasksSlicesRun) {
+TEST(LaunchSlicesTest, SlotsAreReusedWhileOtherTasksSlicesRun) {
   // Four executors; every task burns real time, so slices of several
   // tickets overlap. Each slot a drained completion frees is booked again
-  // at once for the next ticket while other tickets' slices still run,
-  // and every 25th ticket's worker is released mid-task (as on a crash)
-  // and replaced.
-  constexpr std::size_t kWorkers = 4;
+  // at once for the next ticket while other tickets' slices still run.
   constexpr std::uint64_t kTickets = 300;
   constexpr std::uint64_t kWindow = 6;
-  ThreadPool pool(4);
+  const SpinKernel kernel;
   CompletionQueue completions(1024);
   std::vector<TaskCompletion> drained(completions.capacity());
   TicketBook book;
-  std::vector<std::unique_ptr<LiveWorker>> workers;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    workers.push_back(std::make_unique<LiveWorker>(w, 1, pool, completions,
-                                                   SpinKernel{}));
-  }
+  ThreadPool pool(4);
   std::uint64_t next = 0;
   const auto launch = [&] {
     const std::uint64_t ticket = next++;
-    StageTask task;
-    task.ticket = ticket;
-    task.slices = 1 + static_cast<int>(ticket % 4);
-    task.burn_seconds = 0.0002;
-    std::unique_ptr<LiveWorker>& worker = workers[ticket % kWorkers];
-    worker->Execute(task, book.Acquire(ticket).group);
-    if (ticket % 25 == 0) {
-      worker = std::make_unique<LiveWorker>(ticket, 1, pool, completions,
-                                            SpinKernel{});
-    }
+    TicketBook::Slot& slot =
+        book.Acquire(Task(ticket, 1 + static_cast<int>(ticket % 4)));
+    slot.burn_seconds = 0.0002;
+    LaunchSlices(slot, pool, kernel, completions);
   };
   while (next < kWindow) launch();
   std::vector<int> reports(kTickets, 0);
@@ -350,7 +319,7 @@ TEST(LiveWorkerTest, SlotsAreReusedWhileOtherTasksSlicesRun) {
     for (std::size_t i = 0; i < n; ++i) {
       TicketBook::Slot* slot = book.Find(drained[i].ticket);
       ASSERT_NE(slot, nullptr) << "ticket " << drained[i].ticket;
-      ASSERT_EQ(slot->group.task.ticket, drained[i].ticket);
+      ASSERT_EQ(slot->assignment.ticket, drained[i].ticket);
       ++reports[drained[i].ticket];
       book.Release(*slot);
       ++done;

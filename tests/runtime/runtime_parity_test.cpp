@@ -4,20 +4,27 @@
 // bit for bit, across the scaling x allocation matrix, including failure
 // injection and timeline sampling. Both are hosts of one mechanics core
 // (core::Engine), so this checks the host seam: each terminal event gated
-// on its worker's completion ticket, LiveWorker fan-out onto the real
+// on its assignment's completion ticket, the slice fan-out onto the real
 // execution pool, and the shared calendar's event order.
 
 #include "scan/testkit/parity.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "scan/common/str.hpp"
 #include "scan/core/scheduler.hpp"
 #include "scan/gatk/pipeline_model.hpp"
+#include "scan/obs/trace.hpp"
 #include "scan/testkit/digest.hpp"
+#include "expect_rejected.hpp"
 
 namespace scan::testkit {
 namespace {
@@ -127,6 +134,49 @@ TEST(RuntimeDeterminism, SameSeedVirtualRunsAreBitIdentical) {
   EXPECT_EQ(a.stage_tasks_dispatched, b.stage_tasks_dispatched);
 }
 
+TEST(RuntimeDeterminism, TracesOneTicketDeliveryPerClaimedTicket) {
+  // Every terminal event claims its ticket, whether or not the ticket's
+  // message was drained before the gate, so a trace records one delivery
+  // per claim and two runs of one seed record the same deliveries.
+  core::SimulationConfig config = BaseConfig();
+  config.scaling = core::ScalingAlgorithm::kPredictive;
+  runtime::RuntimeOptions options;
+  options.exec_threads = 4;
+  options.record_schedule = true;
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  const auto delivered_tickets = [&] {
+    recorder.Clear();
+    recorder.Enable();
+    runtime::RuntimePlatform platform(config, gatk::PipelineModel::PaperGatk(),
+                                      0xD3, options);
+    const runtime::RuntimeReport report = platform.Serve();
+    recorder.Disable();
+    std::vector<std::uint64_t> tickets;
+    for (const obs::TraceEvent& event : recorder.Collect()) {
+      if (event.kind == obs::EventKind::kTicketDelivery) {
+        tickets.push_back(event.a);
+      }
+    }
+    recorder.Clear();
+    // No faults: each assignment's terminal event is its completion at its
+    // planned end, and the calendar runs every event up to the horizon.
+    const auto claimed = std::count_if(
+        report.metrics.stage_schedule.begin(),
+        report.metrics.stage_schedule.end(),
+        [&](const core::StageRecord& r) { return r.end <= config.duration; });
+    EXPECT_EQ(tickets.size(), static_cast<std::size_t>(claimed));
+    std::sort(tickets.begin(), tickets.end());
+    EXPECT_EQ(std::adjacent_find(tickets.begin(), tickets.end()),
+              tickets.end())
+        << "a ticket delivered twice";
+    return tickets;
+  };
+  const std::vector<std::uint64_t> first = delivered_tickets();
+  const std::vector<std::uint64_t> second = delivered_tickets();
+  EXPECT_GT(first.size(), 0u);
+  EXPECT_EQ(first, second);
+}
+
 TEST(RuntimeDeterminism, DifferentSeedsDiverge) {
   core::SimulationConfig config = BaseConfig();
   runtime::RuntimePlatform first(config, gatk::PipelineModel::PaperGatk(),
@@ -223,6 +273,35 @@ TEST(RuntimeParity, ForcedPlanMustUseOfferedInstanceSizes) {
     EXPECT_NE(what.find("3 threads"), std::string::npos) << what;
   }
 }
+
+class WallScaleRejection : public testing::TestWithParam<double> {};
+
+TEST_P(WallScaleRejection, ConstructorRejectsIt) {
+  // A wall-clock TU scale that is not finite and > 0 puts the serving
+  // loop's deadlines in the past (or nowhere): it would spin, or end at
+  // once with nothing served.
+  runtime::RuntimeOptions options;
+  options.clock = runtime::ClockMode::kWall;
+  options.wall_seconds_per_tu = GetParam();
+  const auto build = [&] {
+    runtime::RuntimePlatform platform(
+        BaseConfig(), gatk::PipelineModel::PaperGatk(), 0xE4, options);
+  };
+  EXPECT_THROW(build(), std::invalid_argument);
+  const std::string value = StrFormat("%g", GetParam());
+  ExpectRejected(build, {"wall_seconds_per_tu", value.c_str()});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scales, WallScaleRejection,
+    testing::Values(-0.001, 0.0, std::numeric_limits<double>::quiet_NaN(),
+                    std::numeric_limits<double>::infinity()),
+    [](const testing::TestParamInfo<double>& param_info) {
+      const double scale = param_info.param;
+      if (std::isnan(scale)) return std::string("NaN");
+      if (std::isinf(scale)) return std::string("Infinity");
+      return std::string(scale < 0.0 ? "Negative" : "Zero");
+    });
 
 }  // namespace
 }  // namespace scan::testkit
