@@ -18,7 +18,7 @@
 using namespace scan;
 using namespace scan::core;
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
   const int reps = flags.GetInt("reps", 5);
@@ -78,4 +78,8 @@ int main(int argc, char** argv) {
             << " CU/run, never-scale " << CsvTable::Num(never_drop)
             << " CU/run\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

@@ -19,7 +19,7 @@
 using namespace scan;
 using namespace scan::core;
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
   const int reps = flags.GetInt("reps", 5);
@@ -69,4 +69,8 @@ int main(int argc, char** argv) {
             << CsvTable::Num(clean) << " -> " << CsvTable::Num(worst)
             << " CU/run\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

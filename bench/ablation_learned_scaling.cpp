@@ -20,7 +20,7 @@
 using namespace scan;
 using namespace scan::core;
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
   const int reps = flags.GetInt("reps", 5);
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
             << " CU/run (lower is better; the bandit pays exploration and "
                "an adaptation lag)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

@@ -75,7 +75,7 @@ ShardOutcome EvaluateShardSize(const gatk::PipelineModel& model, double job_gb,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
   const double job_gb = flags.GetDouble("job-gb", 40.0);
@@ -158,4 +158,8 @@ int main(int argc, char** argv) {
               << "% of the optimal-fixed profit\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

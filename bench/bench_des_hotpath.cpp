@@ -192,7 +192,7 @@ LegResult RunReferenceLeg(const ScenarioSpec& spec, std::uint64_t events,
 }  // namespace
 }  // namespace scan::bench
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   using namespace scan;
   using namespace scan::bench;
 
@@ -253,4 +253,8 @@ int main(int argc, char** argv) {
 
   Emit(table, output);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

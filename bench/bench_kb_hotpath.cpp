@@ -177,7 +177,7 @@ std::uint64_t HashAdvice(const Result<kb::ShardAdvice>& advice) {
 }  // namespace
 }  // namespace scan::bench
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   using namespace scan;
   using namespace scan::bench;
 
@@ -375,4 +375,8 @@ int main(int argc, char** argv) {
 
   Emit(table, output);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

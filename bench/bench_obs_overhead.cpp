@@ -65,7 +65,7 @@ double TimedRun(const core::SimulationConfig& config, std::uint64_t seed,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const int runs = flags.GetInt("runs", 9);
   const double duration = flags.GetDouble("duration", 2000.0);
@@ -124,4 +124,8 @@ int main(int argc, char** argv) {
       "\"full\" adds span-graph\n+ ledger derivation from the collected "
       "stream.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

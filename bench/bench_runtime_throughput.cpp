@@ -42,7 +42,7 @@ Row RunOnce(core::SimulationConfig config, RuntimeOptions options,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
   const double virtual_tu = flags.GetDouble("duration", 2000.0);
@@ -111,4 +111,8 @@ int main(int argc, char** argv) {
   }
   bench::Emit(table, output);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

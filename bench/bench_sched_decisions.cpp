@@ -238,7 +238,7 @@ LegResult RunIndexedLeg(std::uint64_t workers, std::uint64_t ops) {
 }  // namespace
 }  // namespace scan::bench
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   using namespace scan;
   using namespace scan::bench;
 
@@ -285,4 +285,8 @@ int main(int argc, char** argv) {
 
   Emit(table, output);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

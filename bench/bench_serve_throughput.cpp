@@ -87,7 +87,7 @@ std::vector<Scenario> MakeScenarios() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
   const double duration_tu = flags.GetDouble("duration", 2000.0);
@@ -160,4 +160,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

@@ -1,7 +1,8 @@
 #pragma once
 
 // Shared helpers for the exhibit-reproduction binaries: a tiny flag parser
-// that refuses flags the binary never reads, and common output plumbing.
+// that refuses flags the binary never reads, a main guard that turns an
+// option the platform rejects into exit 2, and common output plumbing.
 // Every bench prints the rows/series of its paper table or figure to
 // stdout and optionally saves CSV via --csv=PATH or JSON via --json=PATH
 // (an array of {column: value} objects, numbers unquoted).
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -104,6 +106,19 @@ class Flags {
 
   std::vector<Flag> values_;
 };
+
+/// Runs a binary's main body. An option value the platform rejects
+/// escapes the body as a std::invalid_argument: its message is printed and
+/// the binary exits 2, as for an unknown flag, instead of aborting through
+/// std::terminate.
+inline int RunMain(int (*body)(int, char**), int argc, char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+}
 
 /// Where Emit saves a table besides printing it: --csv=PATH and
 /// --json=PATH. Build it with the binary's other flag reads, before

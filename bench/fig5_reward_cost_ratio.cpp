@@ -54,7 +54,7 @@ std::vector<ThreadPlan> WideningPlans(int max_core_stages) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
   const bool quick = flags.Has("quick");
@@ -110,4 +110,8 @@ int main(int argc, char** argv) {
             << "shape: unimodal rise-then-fall expected; ratio collapses "
                "below 1.0 for very wide plans\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

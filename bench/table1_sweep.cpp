@@ -32,7 +32,7 @@
 using namespace scan;
 using namespace scan::core;
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
   const bool full = flags.Has("full");
@@ -138,4 +138,8 @@ int main(int argc, char** argv) {
             << predictive_compromise << " of " << cells.size()
             << " workload cells\n";
   return verify_exit;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

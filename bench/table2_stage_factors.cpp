@@ -20,7 +20,7 @@
 using namespace scan;
 using namespace scan::gatk;
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
   ProfileSpec spec;
@@ -63,4 +63,8 @@ int main(int argc, char** argv) {
                "data very accurately')\n"
             << "total observations: " << observations.size() << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

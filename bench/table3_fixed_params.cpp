@@ -14,7 +14,7 @@
 using namespace scan;
 using namespace scan::core;
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto obs_session = bench::MakeObsSession(flags);
   const bench::TableOutput output(flags);
@@ -67,4 +67,8 @@ int main(int argc, char** argv) {
             << "\nall published Table III constants match: "
             << (all_match ? "yes" : "NO") << "\n";
   return all_match ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

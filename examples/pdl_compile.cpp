@@ -102,7 +102,7 @@ void PrintPipeline(const scan::pdl::CompiledPipeline& pipeline,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const scan::bench::Flags flags(argc, argv);
   const std::string file = flags.GetString("file", "");
   const std::string dir = flags.GetString("dir", "");
@@ -143,4 +143,8 @@ int main(int argc, char** argv) {
   }
   if (!check_only) PrintPipeline(*result.pipeline, output);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

@@ -22,7 +22,7 @@
 using namespace scan;
 using namespace scan::runtime;
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const bool wall = flags.Has("wall");
   const double duration = flags.GetDouble("duration", wall ? 150.0 : 2000.0);
@@ -108,4 +108,8 @@ int main(int argc, char** argv) {
                 m.speculative_wasted, m.jobs_abandoned);
   }
   return m.jobs_completed > 0 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

@@ -21,7 +21,7 @@
 using namespace scan;
 using namespace scan::serve;
 
-int main(int argc, char** argv) {
+static int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   core::SimulationConfig config;
   config.duration = SimTime{flags.GetDouble("duration", 400.0)};
@@ -99,4 +99,8 @@ int main(int argc, char** argv) {
   std::printf("replay: digest 0x%016llx reproduced bit-for-bit\n",
               static_cast<unsigned long long>(report.digest));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return scan::bench::RunMain(Main, argc, argv);
 }

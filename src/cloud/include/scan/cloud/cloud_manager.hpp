@@ -15,8 +15,8 @@
 // middleware exposed to the SCAN scheduler.
 
 #include <cstdint>
+#include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "scan/common/status.hpp"
@@ -149,11 +149,15 @@ class CloudManager {
   [[nodiscard]] const TierConfig& TierOf(Tier tier) const {
     return tier == Tier::kPrivate ? config_.private_tier : config_.public_tier;
   }
+  /// The record of `id`, or nullptr for an id this cloud never issued.
+  [[nodiscard]] WorkerRecord* Find(WorkerId id);
+  [[nodiscard]] const WorkerRecord* Find(WorkerId id) const;
 
   CloudConfig config_;
-  std::unordered_map<std::uint64_t, WorkerRecord> workers_;
-  std::vector<std::uint64_t> hire_order_;
-  std::uint64_t next_id_ = 1;
+  /// Every worker ever hired, released ones included, in hire order:
+  /// worker ids count up from 1, so id n is records_[n - 1]. Chunked
+  /// storage, so growing never copies the records already held.
+  std::deque<WorkerRecord> records_;
   std::size_t private_cores_ = 0;
   std::size_t public_cores_ = 0;
 };

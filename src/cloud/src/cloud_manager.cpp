@@ -17,6 +17,16 @@ CloudManager::CloudManager(CloudConfig config) : config_(std::move(config)) {
   }
 }
 
+CloudManager::WorkerRecord* CloudManager::Find(WorkerId id) {
+  const auto n = static_cast<std::uint64_t>(id);
+  return n == 0 || n > records_.size() ? nullptr : &records_[n - 1];
+}
+
+const CloudManager::WorkerRecord* CloudManager::Find(WorkerId id) const {
+  const auto n = static_cast<std::uint64_t>(id);
+  return n == 0 || n > records_.size() ? nullptr : &records_[n - 1];
+}
+
 bool CloudManager::IsValidInstanceSize(int cores) const {
   return std::find(config_.instance_sizes.begin(),
                    config_.instance_sizes.end(),
@@ -38,22 +48,20 @@ Result<WorkerId> CloudManager::Hire(Tier tier, int cores, SimTime now) {
   }
   in_use += static_cast<std::size_t>(cores);
 
-  WorkerRecord record;
-  record.info.id = WorkerId{next_id_};
+  WorkerRecord& record = records_.emplace_back();
+  record.info.id = WorkerId{records_.size()};
   record.info.tier = tier;
   record.info.cores = cores;
   record.info.state = WorkerState::kBooting;
   record.info.hired_at = now;
   record.info.ready_at = now + config_.boot_penalty;
-  workers_.emplace(next_id_, std::move(record));
-  hire_order_.push_back(next_id_);
-  return WorkerId{next_id_++};
+  return record.info.id;
 }
 
 Status CloudManager::Release(WorkerId id, SimTime now) {
-  const auto it = workers_.find(static_cast<std::uint64_t>(id));
-  if (it == workers_.end()) return NotFoundError("Release: unknown worker");
-  WorkerRecord& record = it->second;
+  WorkerRecord* const found = Find(id);
+  if (found == nullptr) return NotFoundError("Release: unknown worker");
+  WorkerRecord& record = *found;
   if (record.info.state == WorkerState::kReleased) {
     return FailedPreconditionError("Release: worker already released");
   }
@@ -70,9 +78,9 @@ Status CloudManager::Release(WorkerId id, SimTime now) {
 
 Result<SimTime> CloudManager::Configure(WorkerId id, int threads,
                                         SimTime now) {
-  const auto it = workers_.find(static_cast<std::uint64_t>(id));
-  if (it == workers_.end()) return NotFoundError("Configure: unknown worker");
-  WorkerRecord& record = it->second;
+  WorkerRecord* const found = Find(id);
+  if (found == nullptr) return NotFoundError("Configure: unknown worker");
+  WorkerRecord& record = *found;
   if (record.info.state == WorkerState::kReleased) {
     return FailedPreconditionError("Configure: worker released");
   }
@@ -101,9 +109,9 @@ Result<SimTime> CloudManager::Configure(WorkerId id, int threads,
 }
 
 Status CloudManager::MarkBusy(WorkerId id, SimTime now) {
-  const auto it = workers_.find(static_cast<std::uint64_t>(id));
-  if (it == workers_.end()) return NotFoundError("MarkBusy: unknown worker");
-  WorkerRecord& record = it->second;
+  WorkerRecord* const found = Find(id);
+  if (found == nullptr) return NotFoundError("MarkBusy: unknown worker");
+  WorkerRecord& record = *found;
   if (record.info.state == WorkerState::kReleased) {
     return FailedPreconditionError("MarkBusy: worker released");
   }
@@ -115,9 +123,9 @@ Status CloudManager::MarkBusy(WorkerId id, SimTime now) {
 }
 
 Status CloudManager::MarkIdle(WorkerId id, SimTime now) {
-  const auto it = workers_.find(static_cast<std::uint64_t>(id));
-  if (it == workers_.end()) return NotFoundError("MarkIdle: unknown worker");
-  WorkerRecord& record = it->second;
+  WorkerRecord* const found = Find(id);
+  if (found == nullptr) return NotFoundError("MarkIdle: unknown worker");
+  WorkerRecord& record = *found;
   if (record.info.state == WorkerState::kReleased) {
     return FailedPreconditionError("MarkIdle: worker released");
   }
@@ -129,15 +137,14 @@ Status CloudManager::MarkIdle(WorkerId id, SimTime now) {
 }
 
 Result<WorkerInfo> CloudManager::Info(WorkerId id) const {
-  const auto it = workers_.find(static_cast<std::uint64_t>(id));
-  if (it == workers_.end()) return NotFoundError("Info: unknown worker");
-  return it->second.info;
+  const WorkerRecord* const record = Find(id);
+  if (record == nullptr) return NotFoundError("Info: unknown worker");
+  return record->info;
 }
 
 std::vector<WorkerInfo> CloudManager::LiveWorkers() const {
   std::vector<WorkerInfo> out;
-  for (const std::uint64_t id : hire_order_) {
-    const WorkerRecord& record = workers_.at(id);
+  for (const WorkerRecord& record : records_) {
     if (record.info.state != WorkerState::kReleased) {
       out.push_back(record.info);
     }
@@ -160,8 +167,7 @@ std::size_t CloudManager::AvailableCores(Tier tier) const {
 
 Cost CloudManager::CostRate() const {
   Cost rate{0.0};
-  for (const std::uint64_t id : hire_order_) {
-    const WorkerRecord& record = workers_.at(id);
+  for (const WorkerRecord& record : records_) {
     if (record.info.state == WorkerState::kReleased) continue;
     rate += TierOf(record.info.tier).cost_per_core_tu *
             static_cast<double>(record.info.cores);
@@ -171,8 +177,7 @@ Cost CloudManager::CostRate() const {
 
 CostReport CloudManager::CostUpTo(SimTime now) const {
   CostReport report;
-  for (const std::uint64_t id : hire_order_) {
-    const WorkerRecord& record = workers_.at(id);
+  for (const WorkerRecord& record : records_) {
     const bool released = record.info.state == WorkerState::kReleased;
     const SimTime end = released ? record.released_at : now;
     const SimTime held = end - record.info.hired_at;

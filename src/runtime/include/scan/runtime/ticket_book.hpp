@@ -13,19 +13,19 @@
 // another ticket, which is what makes the reuse safe: every slice's last
 // touch of the slot happens before its completion push.
 //
-// Released slots are recycled through a free list and found by ticket
-// through an open-addressed index (linear probing, load at most 1/2), so
-// the book holds as many slots as tickets were ever outstanding at once,
-// never one per ticket of the run, and a warm book allocates nothing.
-// Coordinator thread only: executors read a launched slot's assignment and
-// durations and count down its `remaining`, and touch nothing else.
+// The slots are a SlotTable keyed by ticket (the table the engine's job
+// and worker books use too): released slots are recycled through its free
+// list and found through its open-addressed index, so the book holds as
+// many slots as tickets were ever outstanding at once, never one per
+// ticket of the run, and a warm book allocates nothing. Coordinator thread
+// only: executors read a launched slot's assignment and durations and
+// count down its `remaining`, and touch nothing else.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
+#include "scan/common/slot_table.hpp"
 #include "scan/concurrency/thread_pool.hpp"
 #include "scan/core/engine.hpp"
 #include "scan/runtime/clock.hpp"
@@ -67,37 +67,26 @@ class TicketBook {
   Slot& Acquire(const core::Assignment& assignment);
 
   /// The slot booked for `ticket`, or nullptr if it is not booked.
-  [[nodiscard]] Slot* Find(std::uint64_t ticket);
+  [[nodiscard]] Slot* Find(std::uint64_t ticket) {
+    return slots_.Find(ticket);
+  }
 
   /// Unbooks the slot's ticket; the slot may serve the next Acquire.
+  /// Throws std::logic_error if the ticket is not booked.
   void Release(Slot& slot);
 
   /// Unbooks every ticket (end of run: every message has been consumed).
-  void Clear();
+  void Clear() { slots_.Clear(); }
 
   /// Tickets booked now.
-  [[nodiscard]] std::size_t outstanding() const { return outstanding_; }
+  [[nodiscard]] std::size_t outstanding() const { return slots_.size(); }
   /// The most tickets ever booked at once.
-  [[nodiscard]] std::size_t peak_outstanding() const { return peak_; }
+  [[nodiscard]] std::size_t peak_outstanding() const { return slots_.peak(); }
   /// Slots the book holds (its high-water mark: slots are never dropped).
-  [[nodiscard]] std::size_t slots() const { return slots_.size(); }
+  [[nodiscard]] std::size_t slots() const { return slots_.slots(); }
 
  private:
-  struct Entry {
-    std::uint64_t ticket;
-    Slot* slot;
-  };
-
-  [[nodiscard]] std::size_t Home(std::uint64_t ticket) const;
-  void Insert(std::uint64_t ticket, Slot* slot);
-  void Rehash(std::size_t buckets);
-
-  std::vector<std::unique_ptr<Slot>> slots_;  ///< stable addresses
-  std::vector<Slot*> free_;                   ///< released slots, LIFO
-  std::vector<Entry> index_;                  ///< ticket -> slot
-  unsigned shift_ = 64;                       ///< 64 - log2(index_.size())
-  std::size_t outstanding_ = 0;
-  std::size_t peak_ = 0;
+  SlotTable<Slot> slots_;
 };
 
 /// Runs the slot's stage task as `slot.assignment.threads` parallel slices

@@ -24,11 +24,11 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "scan/cloud/cloud_manager.hpp"
+#include "scan/common/slot_table.hpp"
 #include "scan/core/config.hpp"
 #include "scan/core/ingest.hpp"
 #include "scan/core/policy.hpp"
@@ -322,17 +322,22 @@ class Engine {
   std::vector<workload::ArrivalBatch> trace_batches_;
   std::size_t next_trace_batch_ = 0;
 
-  /// Per-stage FIFO queues of jobs_ entries. jobs_ is node-based, so an
-  /// entry stays valid while its job lives, and a job is erased only when
-  /// no queue refers to it: AbandonJob purges its entries first, and a
-  /// completed job has none (a queued speculative copy is removed when its
-  /// task completes).
+  /// Per-stage FIFO queues of jobs_ slots. A slot keeps its address, so an
+  /// entry stays valid while its job lives, and a job is released only
+  /// when no queue refers to it: AbandonJob purges its entries first, and
+  /// a completed job has none (a queued speculative copy is removed when
+  /// its task completes).
   std::vector<std::deque<JobState*>> queues_;
-  std::unordered_map<std::uint64_t, JobState> jobs_;
-  std::unordered_map<std::uint64_t, WorkerBook> workers_;
+  /// The live jobs by id and the hired workers by key. A released slot is
+  /// reused as the last holder left it, so a reused JobState's vectors
+  /// keep their capacity.
+  SlotTable<JobState> jobs_;
+  SlotTable<WorkerBook> workers_;
   /// Incremental candidate index over workers_ (see worker_index.hpp);
   /// updated on every idle/busy transition, replacing per-decision scans.
   WorkerIndex index_;
+  /// TryFreePrivateCapacity's release list, kept for its capacity.
+  std::vector<std::uint64_t> compaction_victims_;
 
   fault::FaultInjector injector_;      ///< owns the "worker-failures" RNG
   fault::RetryPolicy retry_;

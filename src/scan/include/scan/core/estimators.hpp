@@ -51,11 +51,12 @@ class QueueTimeEstimator {
   std::vector<SimTime> estimates_;  ///< ewmas_[i].value_or(0), kept in step
 };
 
-/// EET_i(j) of every stage: T_i(thread_plan[i], job_size). Throws
-/// std::invalid_argument unless the plan has one entry per stage.
-[[nodiscard]] std::vector<SimTime> StageExecTimes(
-    const gatk::PipelineModel& model, std::span<const int> thread_plan,
-    DataSize job_size);
+/// Fills `table` with EET_i(j) of every stage: T_i(thread_plan[i],
+/// job_size), keeping the vector's capacity. Throws std::invalid_argument
+/// unless the plan has one entry per stage.
+void StageExecTimes(const gatk::PipelineModel& model,
+                    std::span<const int> thread_plan, DataSize job_size,
+                    std::vector<SimTime>& table);
 
 /// Remaining time only: EQT_i + EET_i summed over stages >= current_stage,
 /// in stage order. `eqt` and `stage_exec` hold one entry per stage (a

@@ -51,16 +51,15 @@ WorkerIndex::IdleEntry Engine::IdleEntryFor(const WorkerBook& worker) {
 void Engine::VerifyCandidateIndex() const {
   std::vector<WorkerIndex::IdleEntry> expected;
   std::optional<SimTime> scan_min;
-  for (const auto& [key, worker] : workers_) {
+  workers_.ForEach([&](std::uint64_t, const WorkerBook& worker) {
     if (worker.busy) {
       if (!scan_min || worker.busy_until < *scan_min) {
         scan_min = worker.busy_until;
       }
     } else {
       expected.push_back(IdleEntryFor(worker));
-      (void)key;
     }
-  }
+  });
   std::vector<std::string> issues = index_.AuditIdle(expected);
   const std::optional<SimTime> index_min = NextWorkerFreeTime();
   if (scan_min.has_value() != index_min.has_value() ||
@@ -89,7 +88,7 @@ SchedulerView Engine::BuildView(SimTime when, std::uint64_t seq) const {
     view.queues.push_back(std::move(tasks));
   }
   view.workers.reserve(workers_.size());
-  for (const auto& [key, worker] : workers_) {
+  workers_.ForEach([&](std::uint64_t key, const WorkerBook& worker) {
     WorkerView wv;
     wv.key = key;
     const auto info = cloud_.Info(worker.id);
@@ -103,27 +102,26 @@ SchedulerView Engine::BuildView(SimTime when, std::uint64_t seq) const {
     wv.current_stage = worker.current_stage;
     if (info.ok()) wv.hired_at = info->hired_at;
     if (worker.busy) {
-      const auto jit = jobs_.find(worker.current_job);
-      wv.stale = jit == jobs_.end() ||
-                 jit->second.tasks[worker.current_stage].epoch !=
-                     worker.assignment_epoch;
+      const JobState* job = jobs_.Find(worker.current_job);
+      wv.stale = job == nullptr || job->tasks[worker.current_stage].epoch !=
+                                       worker.assignment_epoch;
     }
     view.workers.push_back(wv);
-  }
+  });
   std::sort(view.workers.begin(), view.workers.end(),
             [](const WorkerView& a, const WorkerView& b) { return a.key < b.key; });
   view.private_cores = cloud_.CoresInUse(cloud::Tier::kPrivate);
   view.public_cores = cloud_.CoresInUse(cloud::Tier::kPublic);
   view.private_capacity = cloud_.config().private_tier.core_capacity;
   view.cost_rate = cloud_.CostRate().value();
-  for (const auto& [id, job] : jobs_) {
+  jobs_.ForEach([&view](std::uint64_t id, const JobState& job) {
     for (const StageTask& task : job.tasks) {
       if (task.in_backoff) {
         view.backoff_job_ids.push_back(id);
         break;
       }
     }
-  }
+  });
   std::sort(view.backoff_job_ids.begin(), view.backoff_job_ids.end());
   view.backoff_jobs = view.backoff_job_ids.size();
   view.metrics = &metrics_;
@@ -247,28 +245,39 @@ void Engine::PumpArrivals() {
 void Engine::Admit(const std::vector<workload::Job>& jobs) {
   const gatk::PipelineModel& model = policy_.model();
   for (const workload::Job& job : jobs) {
+    // A second live job under one id would share the first one's book:
+    // its stages would overwrite the first one's and one of them vanish.
+    JobState* const slot = jobs_.Acquire(job.id);
+    if (slot == nullptr) {
+      throw std::invalid_argument(StrFormat(
+          "job id %llu admitted at time %.17g while a job with that id is "
+          "still live; live job ids must be unique",
+          static_cast<unsigned long long>(job.id), sim_.Now().value()));
+    }
     ++metrics_.jobs_arrived;
     if (obs::TraceEnabled()) {
       obs::TraceEmit(obs::EventKind::kJobArrival, sim_.Now().value(), 0,
                      job.id, 0, job.size.value(), 0.0, obs::JobSpan(job.id));
     }
     const ThreadPlan plan = PlanFor(job.size);
-    JobState state;
+    // A reused slot keeps its last job's values: every field is set here,
+    // and the vectors are refilled in place (keeping their capacity).
+    JobState& state = *slot;
     state.id = job.id;
     state.size = job.size;
     state.arrival = job.arrival;
     // Eq. 2's EET table: the job's size and plan never change, so every
     // later pricing of it reads these instead of re-evaluating the model.
-    state.stage_exec = StageExecTimes(model, plan, job.size);
+    StageExecTimes(model, plan, job.size, state.stage_exec);
+    state.retries = 0;
     state.core_stages = TotalCoreStages(plan);
     state.stages_remaining = model.stage_count();
-    state.tasks.resize(model.stage_count());
+    state.tasks.assign(model.stage_count(), StageTask{});
     for (std::size_t stage = 0; stage < model.stage_count(); ++stage) {
       state.tasks[stage].remaining_deps = model.deps(stage).size();
       state.tasks[stage].threads = plan[stage];
     }
     if (obs::AuditEnabled()) AuditPlan(job.id, job.size, plan);
-    jobs_.emplace(job.id, std::move(state));
     // Every zero-in-degree stage is ready on arrival (stage 0 alone for
     // the linear chain; all of them for a bag of tasks).
     for (std::size_t stage = 0; stage < model.stage_count(); ++stage) {
@@ -351,7 +360,7 @@ void Engine::AuditHire(obs::HireChoice choice, std::size_t stage,
 
 void Engine::EnqueueTask(std::uint64_t job_id, std::size_t stage,
                          std::uint64_t parent_span) {
-  JobState& job = jobs_.at(job_id);
+  JobState& job = jobs_.At(job_id);
   StageTask& task = job.tasks[stage];
   task.enqueued_at = sim_.Now();
   task.enqueue_parent_span = parent_span;
@@ -416,7 +425,7 @@ bool Engine::TryDispatchHead(std::size_t stage) {
         threads,
         [&](std::uint64_t candidate) { return health_.Allows(candidate, now); });
     if (key != 0) {
-      WorkerBook& worker = workers_.at(key);
+      WorkerBook& worker = workers_.At(key);
       index_.RemoveIdle(IdleEntryFor(worker));
       AuditHire(obs::HireChoice::kReuseIdle, stage, job, threads, queue_len,
                 nullptr);
@@ -444,7 +453,7 @@ bool Engine::TryDispatchHead(std::size_t stage) {
         threads,
         [&](std::uint64_t candidate) { return health_.Allows(candidate, now); });
     if (best_key != 0) {
-      WorkerBook& worker = workers_.at(best_key);
+      WorkerBook& worker = workers_.At(best_key);
       index_.RemoveIdle(IdleEntryFor(worker));
       const SimTime delay = cloud_.Configure(worker.id, threads, now).value();
       worker.threads = threads;
@@ -505,13 +514,18 @@ bool Engine::TryDispatchHead(std::size_t stage) {
   }
   const SimTime delay = cloud_.Configure(*hired, threads, now).value();
 
-  WorkerBook worker;
-  worker.id = *hired;
-  worker.tier = tier;
-  worker.cores = threads;
-  worker.threads = threads;
   const std::uint64_t key = static_cast<std::uint64_t>(*hired);
-  workers_.emplace(key, worker);
+  WorkerBook* const worker = workers_.Acquire(key);
+  if (worker == nullptr) {
+    throw std::logic_error(StrFormat(
+        "cloud issued worker id %llu twice",
+        static_cast<unsigned long long>(key)));
+  }
+  *worker = WorkerBook{};
+  worker->id = *hired;
+  worker->tier = tier;
+  worker->cores = threads;
+  worker->threads = threads;
   AuditHire(tier == cloud::Tier::kPrivate ? obs::HireChoice::kHirePrivate
                                           : obs::HireChoice::kHirePublic,
             stage, job, threads, queue_len, eval_ptr);
@@ -523,7 +537,7 @@ bool Engine::TryDispatchHead(std::size_t stage) {
                    obs::JobSpan(job_id));
   }
   queues_[stage].pop_front();
-  AssignTask(job, stage, workers_.at(key), now + delay);
+  AssignTask(job, stage, *worker, now + delay);
   return true;
 }
 
@@ -656,7 +670,7 @@ void Engine::AssignTask(JobState& job, std::size_t stage, WorkerBook& worker,
 }
 
 void Engine::RetireWorker(std::uint64_t worker_key, SimTime now) {
-  const WorkerBook& worker = workers_.at(worker_key);
+  const WorkerBook& worker = workers_.At(worker_key);
   RecordWorkerUtilization(worker, now);
   const Status released = cloud_.Release(worker.id, now);
   if (!released.ok()) {
@@ -671,11 +685,11 @@ void Engine::RetireWorker(std::uint64_t worker_key, SimTime now) {
                   static_cast<unsigned long long>(worker_key), task.c_str(),
                   released.ToString().c_str()));
   }
-  workers_.erase(worker_key);
+  workers_.Release(worker_key);
 }
 
 void Engine::ReleaseIdleWorker(std::uint64_t worker_key, SimTime now) {
-  index_.RemoveIdle(IdleEntryFor(workers_.at(worker_key)));
+  index_.RemoveIdle(IdleEntryFor(workers_.At(worker_key)));
   RetireWorker(worker_key, now);
   ++metrics_.releases;
   if (obs::TraceEnabled()) {
@@ -688,7 +702,7 @@ void Engine::OnWorkerFailure(std::uint64_t job_id, std::size_t stage,
                              SimTime start_time, SimTime planned_exec) {
   const SimTime now = sim_.Now();
   // The crashed VM is gone; its bill stops at the crash instant.
-  WorkerBook& worker = workers_.at(worker_key);
+  WorkerBook& worker = workers_.At(worker_key);
   // A crash interrupts the in-flight task: busy_accumulated was credited
   // with the full execution time at assignment, so remove the unserved
   // remainder (busy_until is the planned completion) before folding the
@@ -710,9 +724,9 @@ void Engine::OnWorkerFailure(std::uint64_t job_id, std::size_t stage,
   // Recovery only applies if the task is still on the epoch this
   // assignment started under (a speculative sibling may have finished or
   // retried it already — then the crash cost is all there was to settle).
-  const auto jit = jobs_.find(job_id);
-  if (jit != jobs_.end() && jit->second.tasks[stage].epoch == epoch) {
-    HandleTaskLoss(jit->second, stage, now - start_time, planned_exec);
+  JobState* const job = jobs_.Find(job_id);
+  if (job != nullptr && job->tasks[stage].epoch == epoch) {
+    HandleTaskLoss(*job, stage, now - start_time, planned_exec);
   }
   TryDispatchAll();
 }
@@ -724,7 +738,7 @@ void Engine::OnWorkerFlap(std::uint64_t job_id, std::size_t stage,
   // The worker survives but drops its in-flight task: roll back the
   // unserved credit (same accounting as a crash) and return it to the
   // idle pool: the machine only dropped its task.
-  WorkerBook& worker = workers_.at(worker_key);
+  WorkerBook& worker = workers_.At(worker_key);
   worker.busy_accumulated -= (worker.busy_until - now);
   worker.busy = false;
   worker.current_job = 0;
@@ -747,9 +761,9 @@ void Engine::OnWorkerFlap(std::uint64_t job_id, std::size_t stage,
     }
   }
 
-  const auto jit = jobs_.find(job_id);
-  if (jit != jobs_.end() && jit->second.tasks[stage].epoch == epoch) {
-    HandleTaskLoss(jit->second, stage, now - start_time, planned_exec);
+  JobState* const job = jobs_.Find(job_id);
+  if (job != nullptr && job->tasks[stage].epoch == epoch) {
+    HandleTaskLoss(*job, stage, now - start_time, planned_exec);
   }
   TryDispatchAll();
 }
@@ -834,9 +848,9 @@ void Engine::HandleTaskLoss(JobState& job, std::size_t stage, SimTime served,
   const std::uint64_t job_id = job.id;
   sim_.ScheduleAfter(backoff, [this, job_id, stage,
                                lost_span](sim::Simulator&) {
-    const auto it = jobs_.find(job_id);
-    if (it == jobs_.end()) return;
-    it->second.tasks[stage].in_backoff = false;
+    JobState* const backed_off = jobs_.Find(job_id);
+    if (backed_off == nullptr) return;
+    backed_off->tasks[stage].in_backoff = false;
     EnqueueTask(job_id, stage, lost_span);
     TryDispatchAll();
   });
@@ -858,23 +872,21 @@ void Engine::AbandonJob(std::uint64_t job_id) {
       }
     }
   }
-  const auto it = jobs_.find(job_id);
-  const DataSize size = it->second.size;
-  jobs_.erase(it);
+  const DataSize size = jobs_.At(job_id).size;
+  jobs_.Release(job_id);
   NotifyOutcome(job_id, /*completed=*/false, SimTime{0.0}, size, 0.0);
 }
 
 void Engine::OnSpeculationCheck(std::uint64_t job_id, std::size_t stage,
                                 std::uint64_t epoch, std::uint64_t worker_key,
                                 std::uint64_t assignment_seq) {
-  const auto jit = jobs_.find(job_id);
-  if (jit == jobs_.end() || jit->second.tasks[stage].epoch != epoch) return;
-  const auto wit = workers_.find(worker_key);
+  const JobState* const job = jobs_.Find(job_id);
+  if (job == nullptr || job->tasks[stage].epoch != epoch) return;
+  const WorkerBook* const worker = workers_.Find(worker_key);
   // Only a straggler trips the check: the original assignment must still
   // be running on the same worker past slowdown * its modeled time.
-  if (wit == workers_.end() || !wit->second.busy ||
-      wit->second.current_job != job_id ||
-      wit->second.assignment_seq != assignment_seq) {
+  if (worker == nullptr || !worker->busy || worker->current_job != job_id ||
+      worker->assignment_seq != assignment_seq) {
     return;
   }
   if (speculative_queued_.count(TaskKey(job_id, stage)) > 0) return;
@@ -910,7 +922,7 @@ void Engine::OnTaskComplete(std::uint64_t job_id, std::size_t stage,
                             std::uint64_t worker_key, std::uint64_t epoch,
                             SimTime extra) {
   const SimTime now = sim_.Now();
-  WorkerBook& worker = workers_.at(worker_key);
+  WorkerBook& worker = workers_.At(worker_key);
   // A straggler served longer than the credit taken at assignment; top
   // the ledger up to the time actually worked.
   if (extra > SimTime{0.0}) worker.busy_accumulated += extra;
@@ -925,8 +937,8 @@ void Engine::OnTaskComplete(std::uint64_t job_id, std::size_t stage,
   // A completion from a superseded epoch (the task finished via a
   // speculative sibling, was retried, or the job was abandoned) only
   // frees the worker; the result is discarded.
-  const auto jit = jobs_.find(job_id);
-  if (jit == jobs_.end() || jit->second.tasks[stage].epoch != epoch) {
+  JobState* const found = jobs_.Find(job_id);
+  if (found == nullptr || found->tasks[stage].epoch != epoch) {
     ++metrics_.speculative_wasted;
     if (obs::TraceEnabled()) {
       obs::TraceEmit(obs::EventKind::kSpeculativeWasted, now.value(),
@@ -937,7 +949,7 @@ void Engine::OnTaskComplete(std::uint64_t job_id, std::size_t stage,
     return;
   }
 
-  JobState& job = jit->second;
+  JobState& job = *found;
   StageTask& task = job.tasks[stage];
   // A speculative copy still sitting in the queue is moot now.
   if (speculative_queued_.erase(TaskKey(job_id, stage)) > 0) {
@@ -979,7 +991,7 @@ void Engine::OnTaskComplete(std::uint64_t job_id, std::size_t stage,
     if (options_.record_schedule) {
       metrics_.job_completions.push_back({job_id, now, latency, reward});
     }
-    jobs_.erase(jit);
+    jobs_.Release(job_id);
 
     // Adaptive replanning: refresh the long-term plan with the effective
     // core price observed so far (the bill divided by core-time used),
@@ -1003,13 +1015,14 @@ void Engine::OnTaskComplete(std::uint64_t job_id, std::size_t stage,
 }
 
 void Engine::ScheduleIdleRelease(std::uint64_t worker_key) {
-  const std::uint64_t epoch = workers_.at(worker_key).idle_epoch;
+  const std::uint64_t epoch = workers_.At(worker_key).idle_epoch;
   sim_.ScheduleAfter(
       config_.idle_release_timeout,
       [this, worker_key, epoch](sim::Simulator& s) {
-        const auto it = workers_.find(worker_key);
-        if (it == workers_.end()) return;
-        if (it->second.busy || it->second.idle_epoch != epoch) return;
+        const WorkerBook* const worker = workers_.Find(worker_key);
+        if (worker == nullptr || worker->busy || worker->idle_epoch != epoch) {
+          return;
+        }
         ReleaseIdleWorker(worker_key, s.Now());
         // Freed capacity may unblock a waiting queue (never-scale relies
         // on this to make progress when the private tier was full).
@@ -1025,24 +1038,25 @@ bool Engine::TryFreePrivateCapacity(int needed_cores) {
     return false;  // could never fit, even empty
   }
 
-  // The index keeps idle private workers in (cores, key) order — smallest
-  // first, so as little capacity as possible is released, key order
-  // breaking ties for determinism. The prefix to release is collected
-  // before mutating (releasing removes entries from the set iterated).
-  std::vector<std::uint64_t> victims;
-  {
-    std::size_t would_have = available;
-    for (const auto& [cores, key] : index_.idle_private()) {
-      if (would_have >= static_cast<std::size_t>(needed_cores)) break;
-      victims.push_back(key);
-      would_have += static_cast<std::size_t>(cores);
-    }
-  }
+  // The index visits idle private workers in (cores, key) order —
+  // smallest first, so as little capacity as possible is released, key
+  // order breaking ties for determinism. The prefix to release is
+  // collected before mutating (releasing removes entries from the runs
+  // visited).
+  std::vector<std::uint64_t>& victims = compaction_victims_;
+  victims.clear();
+  std::size_t would_have = available;
+  index_.VisitIdlePrivate([&](int cores, std::uint64_t key) {
+    if (would_have >= static_cast<std::size_t>(needed_cores)) return false;
+    victims.push_back(key);
+    would_have += static_cast<std::size_t>(cores);
+    return true;
+  });
 
   const SimTime now = sim_.Now();
   for (const std::uint64_t key : victims) {
     if (available >= static_cast<std::size_t>(needed_cores)) break;
-    const int cores = workers_.at(key).cores;
+    const int cores = workers_.At(key).cores;
     ReleaseIdleWorker(key, now);
     available += static_cast<std::size_t>(cores);
   }
@@ -1056,9 +1070,9 @@ std::optional<SimTime> Engine::NextWorkerFreeTime() const {
   // as the legacy all-workers scan.
   const std::optional<double> earliest =
       index_.MinBusyUntil([this](std::uint64_t key, std::uint64_t seq) {
-        const auto it = workers_.find(key);
-        return it != workers_.end() && it->second.busy &&
-               it->second.assignment_seq == seq;
+        const WorkerBook* const worker = workers_.Find(key);
+        return worker != nullptr && worker->busy &&
+               worker->assignment_seq == seq;
       });
   if (!earliest) return std::nullopt;
   return SimTime{*earliest};

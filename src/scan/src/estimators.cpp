@@ -30,18 +30,16 @@ SimTime QueueTimeEstimator::Estimate(std::size_t stage) const {
   return estimates_[stage];
 }
 
-std::vector<SimTime> StageExecTimes(const gatk::PipelineModel& model,
-                                    std::span<const int> thread_plan,
-                                    DataSize job_size) {
+void StageExecTimes(const gatk::PipelineModel& model,
+                    std::span<const int> thread_plan, DataSize job_size,
+                    std::vector<SimTime>& table) {
   if (thread_plan.size() != model.stage_count()) {
     throw std::invalid_argument("StageExecTimes: plan size mismatch");
   }
-  std::vector<SimTime> table;
-  table.reserve(thread_plan.size());
+  table.clear();
   for (std::size_t i = 0; i < thread_plan.size(); ++i) {
     table.push_back(model.ThreadedTime(i, thread_plan[i], job_size));
   }
-  return table;
 }
 
 }  // namespace scan::core

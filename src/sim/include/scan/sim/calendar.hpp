@@ -32,12 +32,12 @@
 // doubles.
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <queue>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -116,15 +116,15 @@ class LadderCalendar {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Minimum (when, seq) entry. Requires !empty(). May advance the ladder
-  /// window internally, hence non-const.
+  /// Minimum (when, seq) entry. Throws std::logic_error when empty. May
+  /// advance the ladder window internally, hence non-const.
   [[nodiscard]] const Entry& PeekMin() {
     EnsureCurrent();
     return current_.back();
   }
 
-  /// Removes and returns the minimum entry. Requires !empty(). The caller
-  /// owns the node until ReleaseNode.
+  /// Removes and returns the minimum entry; throws std::logic_error when
+  /// empty. The caller owns the node until ReleaseNode.
   [[nodiscard]] Entry PopMin() {
     EnsureCurrent();
     Entry entry = current_.back();
@@ -170,7 +170,8 @@ class LadderCalendar {
   }
 
   // Makes current_ non-empty, activating buckets and reseeding from
-  // overflow as needed. Requires size_ > 0.
+  // overflow as needed. On an empty calendar the walk ends in Reseed with
+  // nothing to reseed from, which throws.
   void EnsureCurrent() {
     while (current_.empty()) {
       if (cursor_ < kBuckets) {
@@ -201,7 +202,12 @@ class LadderCalendar {
   // and the window only moves forward), so the new window never conflicts
   // with already-popped events.
   void Reseed() {
-    assert(!overflow_.empty());
+    // Every bucket is spent here, so an empty overflow means no event is
+    // stored: reseeding from it would find none and loop forever.
+    if (overflow_.empty()) {
+      throw std::logic_error("LadderCalendar: PeekMin or PopMin on an empty "
+                             "calendar");
+    }
     ++stats_.reseeds;
     double min_when = std::numeric_limits<double>::infinity();
     double max_finite = -std::numeric_limits<double>::infinity();

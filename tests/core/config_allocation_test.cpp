@@ -98,7 +98,8 @@ TEST(EstimatorsTest, EttIsElapsedPlusRemaining) {
   QueueTimeEstimator queues(model.stage_count());
   queues.Observe(3, SimTime{2.0});
   const std::vector<int> plan(7, 1);
-  const std::vector<SimTime> exec = StageExecTimes(model, plan, DataSize{5.0});
+  std::vector<SimTime> exec;
+  StageExecTimes(model, plan, DataSize{5.0}, exec);
   const SimTime remaining =
       EstimateRemainingTime(queues.estimates(), exec, /*current_stage=*/3);
   // Stages 3..6 execution plus 2.0 queue estimate at stage 3 only.
@@ -116,7 +117,8 @@ TEST(EstimatorsTest, PlanSizeValidated) {
   const auto model = gatk::PipelineModel::PaperGatk();
   QueueTimeEstimator queues(model.stage_count());
   const std::vector<int> short_plan(3, 1);
-  EXPECT_THROW((void)StageExecTimes(model, short_plan, DataSize{1.0}),
+  std::vector<SimTime> table;
+  EXPECT_THROW(StageExecTimes(model, short_plan, DataSize{1.0}, table),
                std::invalid_argument);
   const std::vector<SimTime> short_table(3, SimTime{1.0});
   EXPECT_THROW((void)EstimateRemainingTime(queues.estimates(), short_table, 0),
@@ -126,7 +128,9 @@ TEST(EstimatorsTest, PlanSizeValidated) {
 TEST(EstimatorsTest, StageTableIsTheModelAtThePlan) {
   const auto model = gatk::PipelineModel::PaperGatk();
   const std::vector<int> plan{1, 2, 4, 8, 16, 1, 2};
-  const std::vector<SimTime> exec = StageExecTimes(model, plan, DataSize{3.5});
+  // The table is overwritten, whatever it held before.
+  std::vector<SimTime> exec(9, SimTime{-1.0});
+  StageExecTimes(model, plan, DataSize{3.5}, exec);
   ASSERT_EQ(exec.size(), model.stage_count());
   for (std::size_t i = 0; i < exec.size(); ++i) {
     EXPECT_EQ(exec[i].value(),

@@ -136,8 +136,8 @@ void ExpectPricingMatchesReference(const gatk::PipelineModel& model,
           }
           jobs[j].size = ref.size;
           jobs[j].arrival = ref.arrival;
-          jobs[j].stage_exec =
-              StageExecTimes(policy.model(), ref.plan, ref.size);
+          StageExecTimes(policy.model(), ref.plan, ref.size,
+                         jobs[j].stage_exec);
         }
         std::vector<const PricedJob*> queue;
         for (const PricedJob& job : jobs) queue.push_back(&job);

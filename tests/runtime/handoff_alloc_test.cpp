@@ -1,7 +1,13 @@
-// The live runtime's coordinator <-> executor handoff allocates nothing
-// once warm: over N handoffs (slot acquire -> LaunchSlices -> slices run ->
-// completion drained -> slot released) neither the coordinator nor any
-// executor thread touches the heap, for pools of 1 and 4 threads.
+// The books on the event path allocate nothing once warm:
+//  - the live runtime's coordinator <-> executor handoff: over N handoffs
+//    (slot acquire -> LaunchSlices -> slices run -> completion drained ->
+//    slot released) neither the coordinator nor any executor thread
+//    touches the heap, for pools of 1 and 4 threads;
+//  - the engine's candidate index: idle <-> busy transitions (with
+//    reconfigurations between classes already seen), picks, the private
+//    walk and the busy heap;
+//  - the slot table under the engine's job and worker books: acquire and
+//    release, with each booking refilling its slot's vector in place.
 //
 // This file replaces the global operator new / delete of its binary with
 // malloc/free wrappers that tally allocations per thread: each thread
@@ -25,7 +31,9 @@
 #include <thread>
 #include <vector>
 
+#include "scan/common/slot_table.hpp"
 #include "scan/concurrency/thread_pool.hpp"
+#include "scan/core/worker_index.hpp"
 #include "scan/runtime/clock.hpp"
 #include "scan/runtime/completion_queue.hpp"
 #include "scan/runtime/ticket_book.hpp"
@@ -219,6 +227,124 @@ INSTANTIATE_TEST_SUITE_P(Pools, HandoffAllocationTest, testing::Values(1, 4),
                          [](const testing::TestParamInfo<std::size_t>& p) {
                            return "Threads" + std::to_string(p.param);
                          });
+
+/// Allocations on every thread so far.
+std::uint64_t TotalAllocations() {
+  std::uint64_t total = 0;
+  for (const auto& tally : g_tallies) {
+    total += tally.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+TEST(EngineBookAllocationTest, WarmIndexTransitionsAllocateNothing) {
+  // 60 workers over the paper's instance sizes, half of them private. Each
+  // round every worker goes busy (its planned end on the busy heap), the
+  // queries run, and every worker comes back idle, many of them
+  // reconfigured: a worker's thread count cycles with period 5 through
+  // the sizes its cores allow, so the warm rounds see every class.
+  constexpr int kSizes[] = {1, 2, 4, 8, 16};
+  struct Worker {
+    int threads = 0;
+    int cores = 0;
+    bool is_private = false;
+    std::uint64_t seq = 0;
+    bool busy = false;
+  };
+  std::vector<Worker> workers(61);
+  for (std::uint64_t key = 1; key < workers.size(); ++key) {
+    workers[key].cores = kSizes[key % 5];
+    workers[key].threads = workers[key].cores;
+    workers[key].is_private = key % 2 == 0;
+  }
+  const auto entry = [&workers](std::uint64_t key) {
+    const Worker& w = workers[key];
+    return core::WorkerIndex::IdleEntry{key, w.threads, w.cores,
+                                        w.is_private};
+  };
+  core::WorkerIndex index;
+  for (std::uint64_t key = 1; key < workers.size(); ++key) {
+    index.InsertIdle(entry(key));
+  }
+  std::uint64_t next_seq = 1;
+  std::uint64_t checksum = 0;
+  const auto allows = [](std::uint64_t key) { return key % 7 != 0; };
+  const auto round = [&](int r) {
+    for (std::uint64_t key = 1; key < workers.size(); ++key) {
+      Worker& w = workers[key];
+      index.RemoveIdle(entry(key));
+      w.busy = true;
+      w.seq = next_seq++;
+      index.PushBusy(100.0 * r + static_cast<double>(key), key, w.seq);
+    }
+    checksum += index.MinBusyUntil([&workers](std::uint64_t key,
+                                              std::uint64_t seq) {
+                      return workers[key].busy && workers[key].seq == seq;
+                    }).value_or(-1.0) > 0.0;
+    for (std::uint64_t key = 1; key < workers.size(); ++key) {
+      Worker& w = workers[key];
+      w.busy = false;
+      const int threads = kSizes[(key + static_cast<std::uint64_t>(r)) % 5];
+      if (threads <= w.cores) w.threads = threads;
+      index.InsertIdle(entry(key));
+    }
+    for (const int threads : kSizes) {
+      checksum += index.BestExactIdle(threads, allows);
+      checksum += index.BestReconfigurable(threads, allows);
+    }
+    index.VisitIdlePrivate([&checksum](int cores, std::uint64_t key) {
+      checksum += key * static_cast<std::uint64_t>(cores);
+      return true;
+    });
+  };
+  for (int r = 0; r < 20; ++r) round(r);
+  const std::uint64_t before = TotalAllocations();
+  for (int r = 20; r < 520; ++r) round(r);
+  EXPECT_EQ(TotalAllocations() - before, 0u)
+      << "allocations over 500 rounds of 60 idle <-> busy transitions";
+  EXPECT_EQ(index.idle_count(), workers.size() - 1);
+  EXPECT_GT(checksum, 0u);
+}
+
+TEST(EngineBookAllocationTest, WarmSlotTableAcquireReleaseAllocatesNothing) {
+  // Keys count up as job ids do; at most kLive are booked at once, a drawn
+  // one retires each step, and every booking refills its slot's vector
+  // in place, as Engine::Admit refills a reused JobState.
+  struct Job {
+    std::vector<double> stage_exec;
+    int retries = 0;
+  };
+  constexpr std::size_t kLive = 200;
+  SlotTable<Job> table;
+  std::vector<std::uint64_t> live;
+  live.reserve(kLive);
+  std::uint64_t next_key = 1;
+  std::uint64_t draw = 0x5EED;
+  const auto step = [&] {
+    if (live.size() == kLive) {
+      draw = draw * 6364136223846793005ULL + 1442695040888963407ULL;
+      const std::size_t k = static_cast<std::size_t>(draw >> 33) % kLive;
+      if (!table.Release(live[k])) std::abort();
+      live[k] = live.back();
+      live.pop_back();
+    }
+    Job* job = table.Acquire(next_key);
+    if (job == nullptr) std::abort();
+    job->stage_exec.assign(7, 1.0);
+    job->retries = 0;
+    live.push_back(next_key++);
+  };
+  for (int i = 0; i < 2000; ++i) step();
+  const std::uint64_t before = TotalAllocations();
+  for (int i = 0; i < 50000; ++i) step();
+  EXPECT_EQ(TotalAllocations() - before, 0u)
+      << "allocations over 50,000 acquire/release pairs";
+  EXPECT_EQ(table.size(), kLive);
+  EXPECT_EQ(table.slots(), kLive) << "a slot per key booked at once";
+  for (const std::uint64_t key : live) {
+    ASSERT_NE(table.Find(key), nullptr) << "key " << key;
+  }
+}
 
 }  // namespace
 }  // namespace scan::runtime

@@ -489,6 +489,24 @@ TEST(LadderBoundaryTest, ZeroSpanBurstIsFifo) {
   }
 }
 
+TEST(LadderBoundaryTest, EmptyCalendarPeekAndPopThrow) {
+  // Without the check, the window walk and the reseed would hand an empty
+  // calendar back and forth forever.
+  LadderCalendar cal;
+  EXPECT_THROW((void)cal.PeekMin(), std::logic_error);
+  EXPECT_THROW((void)cal.PopMin(), std::logic_error);
+  // Drained after use, and still usable after the throw.
+  cal.Push(3.0, 1, Noop());
+  (void)Drain(cal);
+  EXPECT_THROW((void)cal.PeekMin(), std::logic_error);
+  EXPECT_THROW((void)cal.PopMin(), std::logic_error);
+  cal.Push(7.0, 2, Noop());
+  const auto pops = Drain(cal);
+  ASSERT_EQ(pops.size(), 1u);
+  EXPECT_EQ(pops[0], (std::pair<double, std::uint64_t>{7.0, 2}));
+  EXPECT_TRUE(cal.empty());
+}
+
 TEST(LadderBoundaryTest, PeakPendingTracksHighWater) {
   LadderCalendar cal;
   std::uint64_t seq = 0;

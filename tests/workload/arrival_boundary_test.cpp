@@ -4,7 +4,8 @@
 // streaming path (NextBatch pulled one at a time) sees the identical
 // batch sequence as the eager path (GenerateUntil). A streaming
 // IngestSource that breaks its own contract (an instant in the past, or
-// NaN) fails the run loudly instead of warping the clock.
+// NaN) fails the run loudly instead of warping the clock, and so does a
+// second live job under one id (on both engines) instead of vanishing.
 
 #include <gtest/gtest.h>
 
@@ -204,7 +205,7 @@ class ScriptedSource final : public runtime::IngestSource {
 };
 
 /// Serves `source` and returns the error the run raised ("" if none).
-std::string ServeError(ScriptedSource& source) {
+std::string ServeError(runtime::IngestSource& source) {
   core::SimulationConfig config;
   config.duration = SimTime{100.0};
   runtime::RuntimeOptions options;
@@ -237,6 +238,72 @@ TEST(ArrivalBoundaryTest, IngestNaNInstantFailsLoudly) {
   const std::string error = ServeError(source);
   EXPECT_NE(error.find("IngestSource"), std::string::npos) << error;
   EXPECT_NE(error.find("returned nan"), std::string::npos) << error;
+}
+
+/// Injects two jobs under one id at t = 1, then nothing.
+class DuplicateIdSource final : public runtime::IngestSource {
+ public:
+  std::optional<SimTime> NextEventTime() override {
+    if (pulled_) return std::nullopt;
+    return SimTime{1.0};
+  }
+  std::vector<Job> PullDue(SimTime now) override {
+    pulled_ = true;
+    return {Job{7, DataSize{4.0}, now}, Job{7, DataSize{3.0}, now}};
+  }
+  std::vector<Job> OnJobOutcome(const runtime::JobOutcome&) override {
+    return {};
+  }
+
+ private:
+  bool pulled_ = false;
+};
+
+TEST(ArrivalBoundaryTest, DuplicateLiveJobIdFailsLoudly) {
+  // Two live jobs under one id used to share one book entry: the second
+  // was merged into the first (2 arrived, 1 completed, 1 outcome, a
+  // speculative_wasted for a run without speculation). Both hosts reject
+  // the second job instead, naming the id and the time.
+  DuplicateIdSource source;
+  const std::string error = ServeError(source);
+  EXPECT_NE(error.find("job id 7 admitted at time 1 "), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("still live"), std::string::npos) << error;
+
+  core::SimulationConfig config;
+  config.duration = SimTime{100.0};
+  core::SchedulerOptions options;
+  JobTrace trace;
+  trace.jobs = {Job{7, DataSize{4.0}, SimTime{2.0}},
+                Job{7, DataSize{3.0}, SimTime{2.0}}};
+  options.trace = trace;
+  core::Scheduler scheduler(config, gatk::PipelineModel::PaperGatk(), 3,
+                            options);
+  try {
+    (void)scheduler.Run();
+    ADD_FAILURE() << "the simulator accepted a duplicate live job id";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("job id 7 admitted at time 2 "),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ArrivalBoundaryTest, JobIdMayReturnOnceItsJobRetired) {
+  // Ids must be unique among live jobs only: once job 7 has completed, a
+  // new job 7 is a new job.
+  core::SimulationConfig config;
+  config.duration = SimTime{1000.0};
+  core::SchedulerOptions options;
+  JobTrace trace;
+  trace.jobs = {Job{7, DataSize{4.0}, SimTime{1.0}},
+                Job{7, DataSize{3.0}, SimTime{500.0}}};
+  options.trace = trace;
+  core::Scheduler scheduler(config, gatk::PipelineModel::PaperGatk(), 3,
+                            options);
+  const core::RunMetrics metrics = scheduler.Run();
+  EXPECT_EQ(metrics.jobs_arrived, 2u);
+  EXPECT_EQ(metrics.jobs_completed, 2u);
 }
 
 }  // namespace
