@@ -20,9 +20,12 @@
 //    it, so no heap block is allocated on the submitting thread and freed
 //    on the executing one;
 //  - an executor pops a batch per lock into its own buffer (which also
-//    keeps its capacity) and runs it outside the lock: the whole queue
-//    when the pool has one thread, at most half of it when other workers
-//    could steal the rest;
+//    keeps its capacity) and runs it outside the lock: at most half of its
+//    home queue, for every pool size, so the rest stays where thieves or
+//    a helping caller can take it;
+//  - a thread waiting on the pool's work may help instead of blocking:
+//    TryRunOne runs the oldest queued task on the calling thread, with a
+//    worker's accounting (one body shared with the worker loop);
 //  - one Submit body, over a batch: a caller fanning out N tasks (a stage
 //    task's slices, ParallelFor's chunks) pays each home queue's lock,
 //    the shared counters and the wake-ups once per batch, not once per
@@ -38,6 +41,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -94,6 +98,15 @@ class ThreadPool {
   /// tasks during the wait) has finished.
   void WaitIdle();
 
+  /// Runs the oldest task of the first non-empty home queue (the pool's
+  /// oldest task when it has one thread) on the calling thread, counted
+  /// exactly as if a worker had run it: tasks_executed(), queue_depth(),
+  /// pending(), the pool's executed-task counter and WaitIdle() all see
+  /// it. Returns false, running nothing, when no task is queued. A thread
+  /// that waits for the pool's work calls it to help instead of sleeping.
+  /// As on a worker, a task that throws terminates the program.
+  bool TryRunOne();
+
   /// Tasks executed since construction (approximate; for tests/benches).
   [[nodiscard]] std::uint64_t tasks_executed() const {
     return tasks_executed_.load(std::memory_order_relaxed);
@@ -101,9 +114,9 @@ class ThreadPool {
 
   /// Tasks submitted but not yet picked up by a worker — the backlog the
   /// runtime's utilization feedback watches. A task counts as picked up
-  /// once its worker has popped it into its batch. Instantaneous and
-  /// approximate under concurrency (monitoring only, never for
-  /// synchronization).
+  /// once a worker has popped it into its batch or TryRunOne has taken it.
+  /// Instantaneous and approximate under concurrency (monitoring only,
+  /// never for synchronization).
   [[nodiscard]] std::size_t queue_depth() const {
     return queued_.load(std::memory_order_relaxed);
   }
@@ -127,6 +140,8 @@ class ThreadPool {
     std::size_t size = 0;
 
     void Push(UniqueTask&& task);
+    /// Moves the oldest task out.
+    UniqueTask PopFront();
     /// Moves the `n` oldest tasks onto the end of `out`.
     void PopFront(std::size_t n, std::vector<UniqueTask>& out);
     /// Moves the newest task onto the end of `out`.
@@ -138,6 +153,12 @@ class ThreadPool {
   bool PopBatch(std::size_t index, std::vector<UniqueTask>& batch);
   /// Steals one task from the cold end of another worker's queue.
   bool Steal(std::size_t thief, std::vector<UniqueTask>& batch);
+  /// Runs popped tasks and settles their accounting: each task is
+  /// destroyed before pending() falls (what it captured must not outlive
+  /// a WaitIdle that returns), then the executed counts rise and the last
+  /// pending task wakes the idle waiters. Worker batches and TryRunOne
+  /// both run through it.
+  void RunPopped(std::span<UniqueTask> tasks) noexcept;
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;

@@ -82,13 +82,16 @@ void ThreadPool::WorkerQueue::Push(UniqueTask&& task) {
   ++size;
 }
 
+UniqueTask ThreadPool::WorkerQueue::PopFront() {
+  UniqueTask task = std::move(ring[head]);
+  head = (head + 1) & (ring.size() - 1);
+  --size;
+  return task;
+}
+
 void ThreadPool::WorkerQueue::PopFront(std::size_t n,
                                        std::vector<UniqueTask>& out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(std::move(ring[head]));
-    head = (head + 1) & (ring.size() - 1);
-  }
-  size -= n;
+  for (std::size_t i = 0; i < n; ++i) out.push_back(PopFront());
 }
 
 void ThreadPool::WorkerQueue::PopBack(std::vector<UniqueTask>& out) {
@@ -100,8 +103,8 @@ bool ThreadPool::PopBatch(std::size_t index, std::vector<UniqueTask>& batch) {
   WorkerQueue& q = *queues_[index];
   const std::scoped_lock lock(q.mutex);
   if (q.size == 0) return false;
-  const std::size_t take =
-      queues_.size() == 1 ? q.size : std::max<std::size_t>(1, q.size / 2);
+  // Half, even with one thread: the rest is left for thieves and helpers.
+  const std::size_t take = std::max<std::size_t>(1, q.size / 2);
   // No batch outgrows the ring, so the buffer grows only when a ring has.
   batch.reserve(q.ring.size());
   q.PopFront(take, batch);
@@ -123,26 +126,46 @@ bool ThreadPool::Steal(std::size_t thief, std::vector<UniqueTask>& batch) {
   return false;
 }
 
+bool ThreadPool::TryRunOne() {
+  UniqueTask task;
+  for (const auto& queue : queues_) {
+    WorkerQueue& q = *queue;
+    const std::scoped_lock lock(q.mutex);
+    if (q.size == 0) continue;
+    task = q.PopFront();
+    queued_.fetch_sub(1, std::memory_order_relaxed);
+    break;
+  }
+  if (!task) return false;
+  RunPopped(std::span<UniqueTask>(&task, 1));
+  return true;
+}
+
+void ThreadPool::RunPopped(std::span<UniqueTask> tasks) noexcept {
+  // Tasks must not throw across the pool boundary; a throwing
+  // fire-and-forget task is a programming error -> terminate (noexcept),
+  // matching std::thread semantics. packaged_task-based submissions
+  // capture exceptions into the future before reaching here.
+  for (UniqueTask& task : tasks) task();
+  for (UniqueTask& task : tasks) task = UniqueTask();
+  const std::size_t ran = tasks.size();
+  tasks_executed_.fetch_add(ran, std::memory_order_relaxed);
+  if (obs::MetricsEnabled()) {
+    obs::PoolMetrics::Global().tasks_executed->Increment(ran);
+  }
+  if (pending_.fetch_sub(ran, std::memory_order_acq_rel) == ran) {
+    const std::scoped_lock lock(sleep_mutex_);
+    idle_.notify_all();
+  }
+}
+
 void ThreadPool::WorkerLoop(std::size_t index) {
   std::vector<UniqueTask> batch;  // keeps its capacity from round to round
   batch.reserve(kRingStart);
   for (;;) {
     if (PopBatch(index, batch) || Steal(index, batch)) {
-      // Tasks must not throw across the pool boundary; a throwing
-      // fire-and-forget task is a programming error -> terminate, matching
-      // std::thread semantics. packaged_task-based submissions capture
-      // exceptions into the future before reaching here.
-      for (UniqueTask& task : batch) task();
-      const std::size_t ran = batch.size();
+      RunPopped(batch);
       batch.clear();
-      tasks_executed_.fetch_add(ran, std::memory_order_relaxed);
-      if (obs::MetricsEnabled()) {
-        obs::PoolMetrics::Global().tasks_executed->Increment(ran);
-      }
-      if (pending_.fetch_sub(ran, std::memory_order_acq_rel) == ran) {
-        const std::scoped_lock lock(sleep_mutex_);
-        idle_.notify_all();
-      }
       continue;
     }
     std::unique_lock lock(sleep_mutex_);

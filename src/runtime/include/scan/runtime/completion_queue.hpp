@@ -2,17 +2,25 @@
 
 // Bounded MPSC channel carrying worker -> coordinator completion messages.
 //
-// Producers are the runtime's execution threads (the last slice of a stage
-// task pushes exactly one message); the single consumer is the coordinator
-// loop inside RuntimePlatform. The queue is a fixed ring of `capacity`
-// messages, allocated once at construction, so a message costs no heap
-// traffic on either side. It is bounded so a slow coordinator exerts
-// backpressure on workers instead of growing memory without bound: Push
-// blocks while the ring is full. The coordinator takes messages by
+// Producers are the threads that run stage tasks' slices (the last slice
+// of a task pushes exactly one message); the single consumer is the
+// coordinator loop inside RuntimePlatform. The queue is a fixed ring of
+// `capacity` messages, allocated once at construction, so a message costs
+// no heap traffic on either side. It is bounded so a slow coordinator
+// exerts backpressure on workers instead of growing memory without bound:
+// Push blocks while the ring is full. The coordinator takes messages by
 // draining: every message queued (up to its buffer) under one lock, which
 // also frees room for every blocked producer at once. It always drains
 // (marking tickets that arrive ahead of their gate), so the system cannot
 // deadlock.
+//
+// The consumer may be a producer too: under the virtual clock the
+// coordinator runs queued slices while it waits, and pushes whenever it
+// runs a task's last slice. Once it has bound itself (BindConsumer), the
+// ring's last slot is its own: other producers block while only that slot
+// is free. A consumer that drains between any two of its own pushes
+// therefore always finds room, and never waits on a ring only it can
+// empty. Before a consumer is bound every slot is open to every producer.
 
 #include <chrono>
 #include <condition_variable>
@@ -20,6 +28,8 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace scan::runtime {
@@ -40,10 +50,31 @@ class CompletionQueue {
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
 
-  /// Blocks while the ring is full (producer backpressure).
+  /// Binds the calling thread as the queue's one consumer and keeps the
+  /// ring's last slot for its own pushes (see the header comment). Throws
+  /// std::logic_error when the ring has fewer than two slots, which would
+  /// leave other producers none.
+  void BindConsumer() {
+    if (ring_.size() < 2) {
+      throw std::logic_error(
+          "CompletionQueue::BindConsumer: a ring of one slot has none left "
+          "for producers");
+    }
+    const std::scoped_lock lock(mutex_);
+    consumer_ = std::this_thread::get_id();
+  }
+
+  /// Blocks while the ring is full (producer backpressure); once a
+  /// consumer is bound, a producer other than the consumer also blocks
+  /// while only the last slot is free.
   void Push(TaskCompletion completion) {
+    const std::thread::id self = std::this_thread::get_id();
     std::unique_lock lock(mutex_);
-    not_full_.wait(lock, [this] { return count_ < ring_.size(); });
+    const std::size_t room =
+        consumer_ == std::thread::id() || consumer_ == self
+            ? ring_.size()
+            : ring_.size() - 1;
+    not_full_.wait(lock, [this, room] { return count_ < room; });
     const std::size_t tail = head_ + count_;
     ring_[tail < ring_.size() ? tail : tail - ring_.size()] = completion;
     ++count_;
@@ -57,6 +88,13 @@ class CompletionQueue {
   [[nodiscard]] std::size_t Drain(std::span<TaskCompletion> out) {
     std::unique_lock lock(mutex_);
     not_empty_.wait(lock, [this] { return count_ > 0; });
+    return TakeLocked(out, lock);
+  }
+
+  /// Drain without blocking: 0 when nothing is queued.
+  [[nodiscard]] std::size_t TryDrain(std::span<TaskCompletion> out) {
+    std::unique_lock lock(mutex_);
+    if (count_ == 0) return 0;
     return TakeLocked(out, lock);
   }
 
@@ -93,6 +131,7 @@ class CompletionQueue {
   std::vector<TaskCompletion> ring_;
   std::size_t head_ = 0;   ///< oldest message
   std::size_t count_ = 0;  ///< messages queued
+  std::thread::id consumer_;  ///< owns the last slot once bound
 };
 
 }  // namespace scan::runtime

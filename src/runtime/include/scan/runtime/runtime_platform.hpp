@@ -24,7 +24,11 @@
 //    books are updated. Decisions therefore happen in exactly the
 //    simulator's event order — with pinned seeds a run produces the
 //    identical schedule, which scan_testkit's parity oracle checks bit
-//    for bit.
+//    for bit. The gate helps instead of sleeping: while its ticket is
+//    unreported the coordinator runs queued slices itself
+//    (ThreadPool::TryRunOne), draining before each, and blocks only when
+//    none is queued. It is the completion queue's bound consumer, so the
+//    ring keeps a slot for the message its own slice may push.
 //  - Under the wall clock the runtime is a real concurrent system: stage
 //    tasks burn CPU for their modeled duration (mapped onto wall seconds),
 //    the calendar fires events as their instants pass on the wall clock,
@@ -134,11 +138,11 @@ class RuntimePlatform : private core::EngineHost {
   /// Schedules the terminal event of `ticket`'s completion, which arrived
   /// at `arrived`: it runs the engine's bookkeeping and frees the slot.
   void DeliverCompletion(std::uint64_t ticket, SimTime arrived);
-  /// Blocks until at least one completion message is queued, then drains
-  /// every queued one and marks its slot reported. Virtual clock only:
-  /// Claim repeats it until the claimed ticket is reported, the gate that
-  /// makes real threads replay the modeled timeline.
-  void DrainReported();
+  /// Marks the slots of the first `n` messages of the drain buffer
+  /// reported. Virtual clock only: Claim drains until the claimed ticket
+  /// is reported, the gate that makes real threads replay the modeled
+  /// timeline.
+  void MarkReported(std::size_t n);
   /// Consumes every message still owed by dispatched tasks (end of run).
   void DrainInFlight();
   /// The slot of a ticket that must be booked (std::logic_error if not).

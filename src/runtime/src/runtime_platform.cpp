@@ -58,6 +58,10 @@ RuntimeReport RuntimePlatform::Serve() {
   const auto wall_start = std::chrono::steady_clock::now();
   if (options_.clock == ClockMode::kWall) {
     wall_.emplace(options_.wall_seconds_per_tu);
+  } else {
+    // The virtual-clock gate runs slices on this thread (Claim), so the
+    // completion ring keeps a slot for its pushes.
+    completions_.BindConsumer();
   }
   try {
     engine_.Start();
@@ -138,8 +142,7 @@ void RuntimePlatform::DeliverCompletion(std::uint64_t ticket, SimTime arrived) {
   });
 }
 
-void RuntimePlatform::DrainReported() {
-  const std::size_t n = completions_.Drain(drained_);
+void RuntimePlatform::MarkReported(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     BookedSlot(drained_[i].ticket).reported = true;
   }
@@ -182,9 +185,16 @@ void RuntimePlatform::Execute(const core::Assignment& assignment) {
 bool RuntimePlatform::Claim(std::uint64_t ticket) {
   if (!wall_) {
     // The gate: the terminal event waits for the physical completion,
-    // draining (and marking) whatever else arrives first.
+    // draining (and marking) whatever else arrives first. While it waits
+    // the coordinator runs queued slices itself, draining before each one
+    // so it pushes at most one message between drains (the ring keeps a
+    // slot for that push), and blocks only when no slice is queued.
     TicketBook::Slot& slot = BookedSlot(ticket);
-    while (!slot.reported) DrainReported();
+    while (!slot.reported) {
+      MarkReported(completions_.TryDrain(drained_));
+      if (slot.reported) break;
+      if (!exec_pool_->TryRunOne()) MarkReported(completions_.Drain(drained_));
+    }
     // One per claimed ticket, whether or not its message came first: how
     // many a trace records must not depend on thread timing.
     if (obs::TraceEnabled()) {

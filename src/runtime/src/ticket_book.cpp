@@ -31,8 +31,10 @@ void RunSlice(TicketBook::Slot& slot, std::uint64_t slice,
     kernel.BurnIterations(kTokenIterations);
   }
   if (obs::TraceEnabled()) {
-    // Executor-thread span on its own track band (1000 + lane), stamped
-    // with modeled time so virtual-mode traces stay deterministic.
+    // Span on the running thread's track band (1000 + lane): an
+    // executor's, or the coordinator's when it helps at a virtual-clock
+    // gate. Stamped with modeled time so virtual-mode traces stay
+    // deterministic.
     obs::TraceEmit(obs::EventKind::kStageSlice, a.start.value(),
                    1000 + obs::TraceRecorder::Global().CurrentLane(),
                    a.ticket, slice, 0.0, (a.actual_end - a.start).value(),

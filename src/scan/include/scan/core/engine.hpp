@@ -338,6 +338,8 @@ class Engine {
   WorkerIndex index_;
   /// TryFreePrivateCapacity's release list, kept for its capacity.
   std::vector<std::uint64_t> compaction_victims_;
+  /// Admit's plan for the job it is admitting, refilled in place.
+  ThreadPlan plan_;
 
   fault::FaultInjector injector_;      ///< owns the "worker-failures" RNG
   fault::RetryPolicy retry_;

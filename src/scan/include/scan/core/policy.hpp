@@ -98,6 +98,10 @@ class SchedulingPolicy {
   /// The thread plan the allocation algorithm produces for a job of the
   /// given size at the current knowledge state.
   [[nodiscard]] ThreadPlan PlanFor(DataSize size) const;
+  /// The same plan, written over `plan` in place: a constant or forced
+  /// plan is copied into its storage (no allocation once it holds one
+  /// entry per stage); the greedy plan is built fresh and moved in.
+  void PlanFor(DataSize size, ThreadPlan& plan) const;
 
   /// Feeds an observed dispatch wait into the per-stage EWMA (Eq. 2's EQT).
   void ObserveQueueWait(std::size_t stage, SimTime wait);

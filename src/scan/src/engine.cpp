@@ -259,7 +259,8 @@ void Engine::Admit(const std::vector<workload::Job>& jobs) {
       obs::TraceEmit(obs::EventKind::kJobArrival, sim_.Now().value(), 0,
                      job.id, 0, job.size.value(), 0.0, obs::JobSpan(job.id));
     }
-    const ThreadPlan plan = PlanFor(job.size);
+    policy_.PlanFor(job.size, plan_);
+    const ThreadPlan& plan = plan_;
     // A reused slot keeps its last job's values: every field is set here,
     // and the vectors are refilled in place (keeping their capacity).
     JobState& state = *slot;

@@ -97,11 +97,19 @@ AllocationContext SchedulingPolicy::MakeContext(double price) const {
 }
 
 ThreadPlan SchedulingPolicy::PlanFor(DataSize size) const {
-  if (forced_plan_) return *forced_plan_;
-  if (config_.allocation == AllocationAlgorithm::kGreedy) {
-    return GreedyPlan(model_, size, MakeContext(price_hint_));
+  ThreadPlan plan;
+  PlanFor(size, plan);
+  return plan;
+}
+
+void SchedulingPolicy::PlanFor(DataSize size, ThreadPlan& plan) const {
+  if (forced_plan_) {
+    plan.assign(forced_plan_->begin(), forced_plan_->end());
+  } else if (config_.allocation == AllocationAlgorithm::kGreedy) {
+    plan = GreedyPlan(model_, size, MakeContext(price_hint_));
+  } else {
+    plan.assign(constant_plan_.begin(), constant_plan_.end());
   }
-  return constant_plan_;
 }
 
 void SchedulingPolicy::ObserveQueueWait(std::size_t stage, SimTime wait) {

@@ -335,5 +335,131 @@ TEST(ThreadPoolTest, EmptyTaskIsRejectedBeforeAnythingIsQueued) {
   EXPECT_EQ(ran.load(), 1);
 }
 
+// ---- Helping callers (TryRunOne) and the batch rule --------------------------
+
+/// Holds the tasks that call Pass() until Open(). Declare it before the
+/// pool (it must outlive the tasks) and Open() it before the test ends.
+class Gate {
+ public:
+  void Pass() {
+    std::unique_lock lock(mutex_);
+    ++waiting_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+  /// Returns once `n` tasks have called Pass().
+  void AwaitWaiters(int n) {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [this, n] { return waiting_ >= n; });
+  }
+  void Open() {
+    {
+      const std::scoped_lock lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int waiting_ = 0;
+  bool open_ = false;
+};
+
+TEST(ThreadPoolHelpTest, NothingQueuedRunsNothing) {
+  ThreadPool pool(2);
+  EXPECT_FALSE(pool.TryRunOne());
+  std::atomic<int> ran{0};
+  pool.Submit(UniqueTask([&] { ran.fetch_add(1); }));
+  pool.WaitIdle();
+  EXPECT_FALSE(pool.TryRunOne());
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_EQ(pool.tasks_executed(), 1u);
+}
+
+TEST(ThreadPoolHelpTest, HelperDrainsTheQueueBehindAHeldWorkerOldestFirst) {
+  // The one worker is held inside a task: everything submitted behind it,
+  // one at a time or as a batch, is run by the helping thread, oldest
+  // first, and nothing is left for the worker.
+  Gate gate;
+  ThreadPool pool(1);
+  pool.Submit(UniqueTask([&gate] { gate.Pass(); }));
+  gate.AwaitWaiters(1);
+  std::vector<int> order;  // written by this thread only
+  for (int i = 0; i < 3; ++i) {
+    pool.Submit(UniqueTask([&order, i] { order.push_back(i); }));
+  }
+  pool.Submit(5, [&order](std::size_t k) {
+    return UniqueTask([&order, k] { order.push_back(3 + static_cast<int>(k)); });
+  });
+  int helped = 0;
+  while (pool.TryRunOne()) ++helped;
+  EXPECT_EQ(helped, 8);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.pending(), 1u) << "the held task";
+  gate.Open();
+  pool.WaitIdle();
+  EXPECT_EQ(pool.tasks_executed(), 9u);
+}
+
+TEST(ThreadPoolHelpTest, HelpedTaskIsCountedAsAWorkersWouldBe) {
+  // After the helper runs a task, every counter reads as if the worker
+  // had run it, and WaitIdle (blocked on another thread meanwhile)
+  // returns once the rest is done.
+  Gate gate;
+  ThreadPool pool(1);
+  pool.Submit(UniqueTask([&gate] { gate.Pass(); }));
+  gate.AwaitWaiters(1);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 3; ++i) {
+    pool.Submit(UniqueTask([&ran] { ran.fetch_add(1); }));
+  }
+  EXPECT_EQ(pool.queue_depth(), 3u);
+  EXPECT_EQ(pool.pending(), 4u);
+  std::atomic<bool> idle{false};
+  std::thread waiter([&] {
+    pool.WaitIdle();
+    idle.store(true);
+  });
+  EXPECT_TRUE(pool.TryRunOne());
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_EQ(pool.tasks_executed(), 1u);
+  EXPECT_EQ(pool.queue_depth(), 2u);
+  EXPECT_EQ(pool.pending(), 3u);
+  EXPECT_FALSE(idle.load());
+  gate.Open();
+  waiter.join();
+  EXPECT_TRUE(idle.load());
+  EXPECT_EQ(ran.load(), 3);
+  EXPECT_EQ(pool.tasks_executed(), 4u);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.pending(), 0u);
+}
+
+TEST(ThreadPoolHelpTest, OneThreadExecutorLeavesHalfABatchQueued) {
+  // The executor pops at most half of its queue per lock even when it is
+  // the only one: while it is held inside the first task of its batch, at
+  // least half of the batch is still queued for a helper to take.
+  constexpr std::size_t kBatch = 8;
+  Gate gate;
+  ThreadPool pool(1);
+  std::atomic<int> ran{0};
+  pool.Submit(kBatch, [&gate, &ran](std::size_t k) {
+    if (k == 0) return UniqueTask([&gate] { gate.Pass(); });
+    return UniqueTask([&ran] { ran.fetch_add(1); });
+  });
+  gate.AwaitWaiters(1);
+  EXPECT_GE(pool.queue_depth(), kBatch / 2);
+  std::size_t helped = 0;
+  while (pool.TryRunOne()) ++helped;
+  EXPECT_GE(helped, kBatch / 2);
+  gate.Open();
+  pool.WaitIdle();
+  EXPECT_EQ(ran.load(), static_cast<int>(kBatch) - 1);
+  EXPECT_EQ(pool.tasks_executed(), kBatch);
+}
+
 }  // namespace
 }  // namespace scan

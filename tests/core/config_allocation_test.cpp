@@ -337,6 +337,40 @@ TEST(PolicyTest, AdaptiveAllocationAsksForAReplanEvery200Completions) {
   EXPECT_EQ(due, (std::vector<int>{200, 400, 600, 800, 1000}));
 }
 
+TEST(PolicyTest, PlanFilledInPlaceEqualsTheReturnedPlan) {
+  // Engine::Admit fills one kept plan in place; it must hold exactly the
+  // plan PlanFor returns, whatever the plan held before, and a forced plan
+  // must win over an adaptive replan as it does for the returned plan.
+  const auto model = gatk::PipelineModel::PaperGatk();
+  cloud::CostReport bill;
+  bill.total = Cost{9000.0};
+  bill.public_core_tus = 100.0;
+  for (const AllocationAlgorithm allocation :
+       {AllocationAlgorithm::kGreedy, AllocationAlgorithm::kLongTerm,
+        AllocationAlgorithm::kBestConstant,
+        AllocationAlgorithm::kLongTermAdaptive}) {
+    for (const bool force : {false, true}) {
+      SCOPED_TRACE(AllocationAlgorithmName(allocation));
+      SCOPED_TRACE(force);
+      SimulationConfig config;
+      config.allocation = allocation;
+      SchedulingPolicy policy(
+          config, model,
+          force ? std::optional<ThreadPlan>(ThreadPlan(7, 2)) : std::nullopt,
+          1);
+      policy.ReplanFromBill(bill);
+      ThreadPlan plan(20, 99);  // stale entries, longer than a plan
+      for (const double size : {0.5, 5.0, 9.0}) {
+        policy.PlanFor(DataSize{size}, plan);
+        EXPECT_EQ(plan, policy.PlanFor(DataSize{size})) << size;
+        if (force) {
+          EXPECT_EQ(plan, ThreadPlan(7, 2)) << size;
+        }
+      }
+    }
+  }
+}
+
 TEST(PolicyTest, OnlyTheAdaptiveAllocationAsksForReplans) {
   for (const AllocationAlgorithm allocation :
        {AllocationAlgorithm::kGreedy, AllocationAlgorithm::kLongTerm,

@@ -2,12 +2,14 @@
 //  - the live runtime's coordinator <-> executor handoff: over N handoffs
 //    (slot acquire -> LaunchSlices -> slices run -> completion drained ->
 //    slot released) neither the coordinator nor any executor thread
-//    touches the heap, for pools of 1 and 4 threads;
+//    touches the heap, for pools of 1 and 4 threads, whether the
+//    coordinator blocks for its completions or helps run the slices;
 //  - the engine's candidate index: idle <-> busy transitions (with
 //    reconfigurations between classes already seen), picks, the private
 //    walk and the busy heap;
 //  - the slot table under the engine's job and worker books: acquire and
-//    release, with each booking refilling its slot's vector in place.
+//    release, with each booking refilling its slot's vector in place;
+//  - Engine::Admit's plan: a constant or forced plan refilled in place.
 //
 // This file replaces the global operator new / delete of its binary with
 // malloc/free wrappers that tally allocations per thread: each thread
@@ -27,12 +29,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "scan/common/slot_table.hpp"
 #include "scan/concurrency/thread_pool.hpp"
+#include "scan/core/policy.hpp"
 #include "scan/core/worker_index.hpp"
 #include "scan/runtime/clock.hpp"
 #include "scan/runtime/completion_queue.hpp"
@@ -153,18 +157,25 @@ constexpr int kSlices = 4;          ///< slices per task
 
 class HandoffAllocationTest : public testing::TestWithParam<std::size_t> {};
 
-TEST_P(HandoffAllocationTest, WarmHandoffsAllocateNothing) {
+/// Runs 50 warm-up rounds and then 500 counted rounds of the coordinator's
+/// side of the runtime's handoff on a pool of `threads` threads, and
+/// expects no allocation on any thread over the counted ones. One round
+/// books and launches kWindow tickets, drains their messages as they come
+/// (marking each slot reported), and releases each slot found by its
+/// ticket. With `help` the coordinator binds itself as the ring's
+/// consumer and, as the runtime's virtual-clock gate does, runs queued
+/// slices between non-blocking drains, blocking only when none is queued.
+void ExpectWarmHandoffsAllocateNothing(std::size_t threads, bool help) {
   const SpinKernel kernel;
   CompletionQueue completions(1024);
+  if (help) completions.BindConsumer();
   std::vector<TaskCompletion> drained(completions.capacity());
   TicketBook book;
-  ThreadPool pool(GetParam());
+  ThreadPool pool(threads);
   core::Assignment task;  // ticket 0 first, counting up
   task.threads = kSlices;
 
-  // One round books and launches kWindow tickets, drains their messages
-  // as they come (marking each slot reported), and releases each slot
-  // found by its ticket: the coordinator's side of the runtime's handoff.
+  std::uint64_t helped = 0;
   const auto round = [&] {
     std::array<std::uint64_t, kWindow> tickets{};
     for (std::uint64_t& ticket : tickets) {
@@ -173,7 +184,12 @@ TEST_P(HandoffAllocationTest, WarmHandoffsAllocateNothing) {
       ++task.ticket;
     }
     for (std::size_t owed = kWindow; owed > 0;) {
-      const std::size_t n = completions.Drain(drained);
+      std::size_t n = help ? completions.TryDrain(drained) : 0;
+      if (n == 0 && help && pool.TryRunOne()) {
+        ++helped;
+        continue;
+      }
+      if (n == 0) n = completions.Drain(drained);
       for (std::size_t i = 0; i < n; ++i) {
         book.Find(drained[i].ticket)->reported = true;
       }
@@ -187,8 +203,9 @@ TEST_P(HandoffAllocationTest, WarmHandoffsAllocateNothing) {
   };
 
   // Warm: every executor has started (a batch of one task per thread that
-  // finishes only once all of them run at once), and the book and the
-  // buffers are at size.
+  // finishes only once all of them run at once; waited for before any
+  // round, so no helping coordinator runs one of them), and the book and
+  // the buffers are at size.
   std::atomic<std::size_t> started{0};
   pool.Submit(pool.thread_count(), [&started, &pool](std::size_t) {
     return UniqueTask([&started, &pool] {
@@ -196,6 +213,7 @@ TEST_P(HandoffAllocationTest, WarmHandoffsAllocateNothing) {
       while (started.load() < pool.thread_count()) std::this_thread::yield();
     });
   });
+  pool.WaitIdle();
   for (int r = 0; r < 50; ++r) round();
   pool.WaitIdle();
   std::vector<std::uint64_t> before(kMaxTallies);
@@ -221,6 +239,17 @@ TEST_P(HandoffAllocationTest, WarmHandoffsAllocateNothing) {
                 static_cast<std::uint64_t>(50 + kRounds) * kWindow * kSlices);
   EXPECT_EQ(book.outstanding(), 0u);
   EXPECT_EQ(book.slots(), kWindow);
+  if (help) {
+    EXPECT_GT(helped, 0u) << "the coordinator never ran a slice";
+  }
+}
+
+TEST_P(HandoffAllocationTest, WarmHandoffsAllocateNothing) {
+  ExpectWarmHandoffsAllocateNothing(GetParam(), /*help=*/false);
+}
+
+TEST_P(HandoffAllocationTest, WarmHelpedHandoffsAllocateNothing) {
+  ExpectWarmHandoffsAllocateNothing(GetParam(), /*help=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Pools, HandoffAllocationTest, testing::Values(1, 4),
@@ -344,6 +373,44 @@ TEST(EngineBookAllocationTest, WarmSlotTableAcquireReleaseAllocatesNothing) {
   for (const std::uint64_t key : live) {
     ASSERT_NE(table.Find(key), nullptr) << "key " << key;
   }
+}
+
+TEST(EngineBookAllocationTest, WarmAdmitPlansAllocateNothing) {
+  // Engine::Admit asks the policy for each job's plan into one plan the
+  // engine keeps: once that plan holds an entry per stage, a constant
+  // (long-term, best-constant, adaptive) or forced plan is copied into it
+  // without touching the heap. The greedy plan is built per job and may
+  // allocate.
+  const gatk::PipelineModel model = gatk::PipelineModel::PaperGatk();
+  core::SimulationConfig config;
+  const auto expect_warm_fills_allocate_nothing =
+      [&](const core::SchedulingPolicy& policy, const char* what) {
+        core::ThreadPlan plan;
+        policy.PlanFor(DataSize{1.0}, plan);
+        const std::uint64_t before = TotalAllocations();
+        std::uint64_t checksum = 0;
+        for (int i = 0; i < 10000; ++i) {
+          policy.PlanFor(DataSize{0.5 + 0.001 * i}, plan);
+          checksum += static_cast<std::uint64_t>(plan.back());
+        }
+        EXPECT_EQ(TotalAllocations() - before, 0u)
+            << what << ": allocations over 10,000 plan fills";
+        EXPECT_EQ(plan, policy.PlanFor(DataSize{1.0})) << what;
+        EXPECT_GT(checksum, 0u);
+      };
+  for (const core::AllocationAlgorithm allocation :
+       {core::AllocationAlgorithm::kLongTerm,
+        core::AllocationAlgorithm::kBestConstant,
+        core::AllocationAlgorithm::kLongTermAdaptive}) {
+    config.allocation = allocation;
+    const core::SchedulingPolicy policy(config, model, std::nullopt, 1);
+    expect_warm_fills_allocate_nothing(
+        policy, core::AllocationAlgorithmName(allocation));
+  }
+  config.allocation = core::AllocationAlgorithm::kGreedy;
+  const core::SchedulingPolicy forced(
+      config, model, core::ThreadPlan(model.stage_count(), 4), 1);
+  expect_warm_fills_allocate_nothing(forced, "forced plan");
 }
 
 }  // namespace

@@ -113,6 +113,53 @@ TEST(CompletionQueueTest, PushBlocksWhenFullUntilConsumerDrains) {
   EXPECT_EQ(NextMessage(queue).ticket, 3u);
 }
 
+TEST(CompletionQueueTest, BoundConsumerOwnsTheLastSlot) {
+  // Once a consumer is bound, other producers stop one slot short of
+  // full, and the consumer's own push takes that slot at once: a consumer
+  // that pushes never waits on a ring only it can empty.
+  CompletionQueue queue(4);
+  queue.BindConsumer();
+  std::atomic<int> pushed{0};
+  std::thread producer([&] {
+    for (std::uint64_t t = 1; t <= 4; ++t) {
+      queue.Push({t});
+      pushed.fetch_add(1);
+    }
+  });
+  while (pushed.load() < 3) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(pushed.load(), 3) << "a producer took the consumer's slot";
+  queue.Push({99});  // returns at once: the last slot is the consumer's
+  std::vector<TaskCompletion> out(4);
+  ASSERT_EQ(queue.Drain(out), 4u);
+  EXPECT_EQ(out[0].ticket, 1u);
+  EXPECT_EQ(out[2].ticket, 3u);
+  EXPECT_EQ(out[3].ticket, 99u);
+  producer.join();
+  EXPECT_EQ(pushed.load(), 4);
+  EXPECT_EQ(NextMessage(queue).ticket, 4u);
+}
+
+TEST(CompletionQueueTest, OneSlotRingCannotBindAConsumer) {
+  // Its one slot would be the consumer's, leaving producers none.
+  CompletionQueue queue(1);
+  EXPECT_THROW(queue.BindConsumer(), std::logic_error);
+  queue.Push({1});
+  EXPECT_EQ(NextMessage(queue).ticket, 1u);
+}
+
+TEST(CompletionQueueTest, TryDrainNeverBlocks) {
+  CompletionQueue queue(4);
+  std::vector<TaskCompletion> out(4);
+  EXPECT_EQ(queue.TryDrain(out), 0u);
+  queue.Push({5});
+  queue.Push({6});
+  ASSERT_EQ(queue.TryDrain(out), 2u);
+  EXPECT_EQ(out[0].ticket, 5u);
+  EXPECT_EQ(out[1].ticket, 6u);
+  EXPECT_EQ(queue.TryDrain(out), 0u);
+}
+
 TEST(CompletionQueueTest, ManyProducersOneConsumer) {
   CompletionQueue queue(4);  // smaller than the producer count: forces
                              // backpressure on some pushes

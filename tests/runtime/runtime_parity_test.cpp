@@ -24,6 +24,7 @@
 #include "scan/gatk/pipeline_model.hpp"
 #include "scan/obs/trace.hpp"
 #include "scan/testkit/digest.hpp"
+#include "scan/workload/trace.hpp"
 #include "expect_rejected.hpp"
 
 namespace scan::testkit {
@@ -188,6 +189,43 @@ TEST(RuntimeDeterminism, DifferentSeedsDiverge) {
   EXPECT_NE(MetricsFingerprint::Of(a.metrics).digest,
             MetricsFingerprint::Of(b.metrics).digest);
 }
+
+class TicketBurst : public testing::TestWithParam<std::size_t> {};
+
+TEST_P(TicketBurst, MoreTicketsThanTheRingHoldsStillMatchTheSimulator) {
+  // 3,000 jobs arrive together and always-scale hires a worker for each,
+  // so far more tickets are outstanding than the 1,024-message completion
+  // ring holds: executors block on a full ring while the coordinator,
+  // which also runs queued slices as it waits at each gate, must still
+  // drain every message and replay the simulator's schedule.
+  constexpr std::size_t kJobs = 3000;
+  constexpr std::size_t kRingCapacity = 1024;
+  core::SimulationConfig config = BaseConfig();
+  config.scaling = core::ScalingAlgorithm::kAlwaysScale;
+  runtime::RuntimeOptions options;
+  options.exec_threads = GetParam();
+  workload::JobTrace trace;
+  for (std::uint64_t id = 0; id < kJobs; ++id) {
+    trace.jobs.push_back(
+        {id, DataSize{1.0 + static_cast<double>(id % 9)}, SimTime{1.0}});
+  }
+  options.trace = std::move(trace);
+
+  const ParityResult result = CheckSimRuntimeParity(config, 0xB0B, options);
+  EXPECT_TRUE(result.ok()) << result.Describe();
+  EXPECT_EQ(result.job_records, kJobs);
+
+  runtime::RuntimePlatform platform(config, gatk::PipelineModel::PaperGatk(),
+                                    0xB0B, options);
+  const runtime::RuntimeReport report = platform.Serve();
+  EXPECT_GT(report.peak_tickets_outstanding, kRingCapacity);
+  EXPECT_EQ(report.metrics.jobs_completed, kJobs);
+}
+
+INSTANTIATE_TEST_SUITE_P(ExecThreads, TicketBurst, testing::Values(1, 4),
+                         [](const testing::TestParamInfo<std::size_t>& p) {
+                           return "Threads" + std::to_string(p.param);
+                         });
 
 TEST(RuntimeParity, EngineHooksSeeTheSimulatorsEventsOnTheCoordinator) {
   // RuntimeOptions is a SchedulerOptions, so the engine's hooks reach the
